@@ -13,6 +13,7 @@ All tuning rules are expressed through :class:`ShrinkConfig`; the constant
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import special
@@ -43,6 +44,14 @@ A_RULES = ("finite", "asymptotic", "eb", "theorem", "fixed")
 # beta candidates used when tuning by unbiased risk; the risk formula needs
 # beta > 1, and beta > 2 is outside the estimator family, hence a grid in (1, 2]
 DEFAULT_BETA_GRID = tuple(1.0 + 0.05 * k for k in range(1, 21))
+
+# most values one batch_sure call of select_beta_by_sure evaluates, so the
+# (candidates, d) temporaries stay small (64 KiB each)
+_SURE_BLOCK = 8192
+
+# finite stand-in for log 0: times beta - 2 = 0 it gives 0, as pow has 0**0 = 1,
+# while beta > 0 and beta - 2 < 0 still take |0|**beta to 0 and |0|**(beta-2) to inf
+_LOG_ZERO = -1e300
 
 
 @dataclass(frozen=True)
@@ -158,15 +167,14 @@ def shrink_denominator(sample, beta):
     return float((w**beta).sum())
 
 
-def _clip_mask(absw, beta, a, dnm, strict):
-    # decide a*|w|**(beta-2) >= D (or >) in log space so tiny |w| cannot overflow
+def _clip_mask(absw, beta, a, dnm):
+    # decide a*|w|**(beta-2) >= D in log space so tiny |w| cannot overflow
     if beta == 2.0:
-        hit = (a > dnm) if strict else (a >= dnm)
-        return np.broadcast_to(hit[..., None], absw.shape)
+        return np.broadcast_to((a >= dnm)[..., None], absw.shape)
     with np.errstate(divide="ignore"):
         lhs = math.log(a) + (beta - 2.0) * np.log(absw)
         rhs = np.log(dnm)[..., None]
-    return (lhs > rhs) if strict else (lhs >= rhs)
+    return lhs >= rhs
 
 
 def batch_estimate(z, sigma, beta, a, positive_part=True):
@@ -185,7 +193,7 @@ def batch_estimate(z, sigma, beta, a, positive_part=True):
     absw = np.abs(w)
     dnm = (absw**beta).sum(axis=-1)
     if positive_part:
-        clip = _clip_mask(absw, beta, a, dnm, strict=False)
+        clip = _clip_mask(absw, beta, a, dnm)
         keep = ~clip
         frac = np.zeros_like(w)
         wide = np.broadcast_to(dnm[..., None], w.shape)
@@ -220,27 +228,40 @@ def untruncated_estimate(sample, config):
 
 
 def batch_sure(z, sigma, beta, a):
-    """Per-coordinate unbiased risk estimate over rows of ``z`` (shape (m, d))."""
+    """Per-coordinate unbiased risk estimate over rows of ``z`` (shape (m, d)).
+
+    ``beta`` and ``a`` are scalars or columns of candidates, shape (G, 1),
+    broadcast against the rows of ``z``: a single level ``z[None, :]`` scored
+    against a column of G candidates gives a (G, d) result in one pass.  The
+    powers of ``|w|`` come from one ``log|w|`` per call, with
+    ``|w|**(2beta-2)/D**2`` formed as ``(|w|**(beta-2)/D) * (|w|**beta/D)``.
+    Exact zeros follow ``pow``: ``|0|**beta`` is 0, and ``|0|**(beta-2)`` is
+    1 at beta = 2 (whose clip test stays the direct ``a > D``) and infinite
+    below it, where such coordinates are always zeroed and score ``-1``.
+    Clipped coordinates score ``w**2 - 1`` times ``sigma**2``.
+    """
     z = np.asarray(z, dtype=float)
-    if not (1.0 < beta <= 2.0):
+    beta = np.asarray(beta, dtype=float)
+    a = np.asarray(a, dtype=float)
+    if not ((beta > 1.0) & (beta <= 2.0)).all():
         raise ValueError(f"unbiased risk formula requires beta in (1, 2], got {beta}")
-    if not (a > 0 and math.isfinite(a)):
+    if not ((a > 0) & np.isfinite(a)).all():
         raise ValueError(f"a must be positive and finite, got {a}")
     w = z / sigma
-    absw = np.abs(w)
-    dnm = (absw**beta).sum(axis=-1)
-    if np.any(dnm == 0.0):
-        raise ValueError("degenerate input: all coordinates zero")
-    clip = _clip_mask(absw, beta, a, dnm, strict=True)
-    keep = ~clip
-    wide = np.broadcast_to(dnm[..., None], w.shape)
-    val = np.empty_like(w)
-    # zeroed coordinates contribute the risk of estimating by 0: E(w**2 - 1)
-    val[clip] = w[clip] ** 2 - 1.0
-    small = absw[keep] ** (beta - 2.0) / wide[keep]
-    big = absw[keep] ** (2.0 * beta - 2.0) / wide[keep] ** 2
-    val[keep] = 1.0 + a * a * big - 2.0 * a * (beta - 1.0) * small + 2.0 * a * beta * big
-    return sigma**2 * val
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        logw = np.maximum(np.log(np.abs(w)), _LOG_ZERO)
+        pb = np.exp(beta * logw)
+        dnm = pb.sum(axis=-1, keepdims=True)
+        if not dnm.all():
+            raise ValueError("degenerate input: all coordinates zero")
+        lead = (beta - 2.0) * logw
+        # zero a coordinate when a*|w|**(beta-2) > D, decided in log space so
+        # tiny |w| cannot overflow; at beta = 2 (lead = 0) the test is a > D
+        cut = np.where(beta == 2.0, np.where(a > dnm, -np.inf, np.inf), np.log(dnm) - np.log(a))
+        clip = lead > cut
+        small = np.exp(lead) / dnm
+        kept = 1.0 + small * ((a * a + 2.0 * a * beta) * (pb / dnm) - 2.0 * a * (beta - 1.0))
+    return sigma**2 * np.where(clip, w * w - 1.0, kept)
 
 
 def sure(sample, beta, a):
@@ -253,27 +274,44 @@ def sure(sample, beta, a):
     return SureValue(per_coordinate=per, total=float(per.sum()))
 
 
+@lru_cache(maxsize=64)
+def _beta_candidates(beta_grid, d):
+    # sorted distinct grid entries in (1, 2] and their finite-rule constants,
+    # as read-only (G, 1) columns
+    betas = sorted({float(b) for b in beta_grid if 1.0 < b <= 2.0})
+    if not betas:
+        raise ValueError("beta grid contains no values in (1, 2]")
+    if d < 3:
+        raise ValueError("beta selection needs d >= 3")
+    a = [resolve_a(ShrinkConfig(beta=b, a_rule="finite"), d) for b in betas]
+    cols = np.array(betas)[:, None], np.array(a)[:, None]
+    for col in cols:
+        col.setflags(write=False)
+    return cols
+
+
 def select_beta_by_sure(sample, beta_grid=None):
     """Pick (beta, a) on a grid by minimizing the unbiased risk estimate.
 
     Grid entries outside (1, 2] are ignored; if none remain a ValueError is
-    raised.  ``a`` follows the finite-sample rule at each candidate.  Exact
-    ties go to the larger beta.
+    raised.  ``a`` follows the finite-sample rule at each candidate.  The
+    candidates are scored as a column by one :func:`batch_sure` pass per
+    block of at most ``_SURE_BLOCK`` values (a single block for levels of up
+    to 409 coefficients on the default grid); exact zeros in the level score
+    as they would through ``pow``.  Exact ties go to the larger beta.
     """
     if beta_grid is None:
         beta_grid = DEFAULT_BETA_GRID
-    valid = [float(b) for b in beta_grid if 1.0 < b <= 2.0]
-    if not valid:
-        raise ValueError("beta grid contains no values in (1, 2]")
-    if sample.z.size < 3:
-        raise ValueError("beta selection needs d >= 3")
-    best_beta = best_a = best_total = None
-    for beta in sorted(valid):
-        a = resolve_a(ShrinkConfig(beta=beta, a_rule="finite"), sample.z.size)
-        total = sure(sample, beta, a).total
-        if best_total is None or total <= best_total:
-            best_beta, best_a, best_total = beta, a, total
-    return best_beta, best_a
+    d = sample.z.size
+    betas, a = _beta_candidates(tuple(beta_grid), d)
+    row = sample.z[None, :]
+    step = max(1, _SURE_BLOCK // d)
+    totals = np.concatenate([
+        batch_sure(row, sample.sigma, betas[i:i + step], a[i:i + step]).sum(axis=1)
+        for i in range(0, betas.shape[0], step)
+    ])
+    best = totals.size - 1 - int(np.argmin(totals[::-1]))
+    return float(betas[best, 0]), float(a[best, 0])
 
 
 def monte_carlo_a_beta(beta, d, reps, seed):

@@ -69,7 +69,7 @@ def _sigma_flag(text):
 
 def _a_rule(text):
     s = text.strip()
-    if s in ("finite", "asymptotic", "eb"):
+    if s in ("finite", "asymptotic", "eb", "theorem"):
         return s, None
     if s.startswith("fixed:"):
         value = _real(s[len("fixed:"):])
@@ -77,7 +77,7 @@ def _a_rule(text):
             raise argparse.ArgumentTypeError("fixed a must be positive")
         return "fixed", value
     raise argparse.ArgumentTypeError(
-        f"invalid a-rule {text!r}; expected finite|asymptotic|eb|fixed:<real>"
+        f"invalid a-rule {text!r}; expected finite|asymptotic|eb|theorem|fixed:<real>"
     )
 
 
@@ -177,7 +177,7 @@ def _build_parser():
     den.add_argument("--beta", type=_real, default=4.0 / 3.0,
                      help="shrinkage exponent for method zh (accepts fractions like 4/3)")
     den.add_argument("--a-rule", type=_a_rule, default=("finite", None),
-                     help="constant rule for method zh: finite|asymptotic|eb|fixed:<real>")
+                     help="constant rule for method zh: finite|asymptotic|eb|theorem|fixed:<real>")
     den.add_argument("--out", required=True, help="output CSV path")
     den.set_defaults(func=cmd_denoise)
 
@@ -192,7 +192,8 @@ def _build_parser():
     sim.add_argument("--seed", type=_seed, default=0)
     sim.add_argument("--sigma-mode", choices=("known", "estimated"), default="known")
     sim.add_argument("--beta", type=_real, default=4.0 / 3.0, help="exponent for method zh")
-    sim.add_argument("--a-rule", type=_a_rule, default=("finite", None), help="constant rule for method zh")
+    sim.add_argument("--a-rule", type=_a_rule, default=("finite", None),
+                     help="constant rule for method zh: finite|asymptotic|eb|theorem|fixed:<real>")
     sim.add_argument("--workers", type=_count, default=1, help="worker threads (does not change results)")
     sim.add_argument("--out", required=True, help="output CSV path")
     sim.set_defaults(func=cmd_simulate)

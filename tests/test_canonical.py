@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from steinthresh.canonical import (
+    DEFAULT_BETA_GRID,
     CanonicalSample,
     ShrinkConfig,
     batch_estimate,
+    batch_sure,
     c_beta,
     moment_constant,
     monte_carlo_a_beta,
@@ -25,6 +27,46 @@ from steinthresh.canonical import (
 
 def fixed(beta, a):
     return ShrinkConfig(beta=beta, a_rule="fixed", fixed_a=a)
+
+
+def oracle_sure(z, sigma, beta, a):
+    # per-coordinate SURE of one level at one beta, by pow and masked indexing
+    w = np.asarray(z, dtype=float) / sigma
+    absw = np.abs(w)
+    dnm = (absw**beta).sum()
+    if beta == 2.0:
+        clip = np.full(w.shape, a > dnm)
+    else:
+        with np.errstate(divide="ignore"):
+            clip = math.log(a) + (beta - 2.0) * np.log(absw) > math.log(dnm)
+    keep = ~clip
+    val = np.empty_like(w)
+    val[clip] = w[clip] ** 2 - 1.0
+    small = absw[keep] ** (beta - 2.0) / dnm
+    big = absw[keep] ** (2.0 * beta - 2.0) / dnm**2
+    val[keep] = 1.0 + a * a * big - 2.0 * a * (beta - 1.0) * small + 2.0 * a * beta * big
+    return sigma**2 * val
+
+
+def oracle_select(z, sigma, grid):
+    # one SURE evaluation per beta in increasing order; ties go to the later beta
+    best = None
+    for beta in sorted(float(b) for b in grid if 1.0 < b <= 2.0):
+        a = resolve_a(ShrinkConfig(beta=beta), z.size)
+        total = oracle_sure(z, sigma, beta, a).sum()
+        if best is None or total <= best[2]:
+            best = (beta, a, total)
+    return best[:2]
+
+
+def seeded_levels(d, sigma, seed):
+    # pure noise, a few large spikes, a weak signal everywhere, and sprinkled exact zeros
+    rng = np.random.default_rng(seed)
+    noise = sigma * rng.standard_normal((4, d))
+    noise[1, : max(1, d // 10)] += sigma * 6.0
+    noise[2] += sigma * 0.8
+    noise[3, rng.random(d) < 0.3] = 0.0
+    return [v for v in noise if np.any(v)]
 
 
 class TestShrinkDenominator:
@@ -309,6 +351,103 @@ class TestSelectBeta:
         rng = np.random.default_rng(9)
         s = CanonicalSample(rng.standard_normal(16))
         assert select_beta_by_sure(s) == select_beta_by_sure(s)
+
+    @pytest.mark.parametrize("d", [3, 16, 512, 2048])
+    @pytest.mark.parametrize("sigma", [0.7, 1.0, 3.0])
+    def test_matches_per_beta_oracle(self, d, sigma):
+        for seed in range(5):
+            for z in seeded_levels(d, sigma, 1000 * d + seed):
+                got = select_beta_by_sure(CanonicalSample(z, sigma))
+                assert got == oracle_select(z, sigma, DEFAULT_BETA_GRID)
+
+    def test_exact_zeros_follow_pow(self):
+        # log-space powers must give |0|**0 = 1 on the beta = 2 row, as pow does
+        z = np.array([0.0] * 5 + [10.0] * 20)
+        assert select_beta_by_sure(CanonicalSample(z), [1.5, 2.0]) == oracle_select(z, 1.0, [1.5, 2.0])
+        assert select_beta_by_sure(CanonicalSample(z), [1.5, 2.0])[0] == 1.5
+        rng = np.random.default_rng(17)
+        for d in (3, 16, 512):
+            for frac in (0.1, 0.5, 0.9):
+                z = 2.0 * rng.standard_normal(d)
+                z[rng.random(d) < frac] = 0.0
+                if np.any(z):
+                    got = select_beta_by_sure(CanonicalSample(z, 2.0))
+                    assert got == oracle_select(z, 2.0, DEFAULT_BETA_GRID)
+
+    def test_unsorted_duplicate_and_out_of_range_grid(self):
+        grid = [2.0, 0.5, 1.5, 1.25, 1.5, 2.4, 1.0, 2.0, 1.25]
+        rng = np.random.default_rng(23)
+        picked = set()
+        for d in (3, 16, 512, 2048):
+            for z in seeded_levels(d, 1.0, d):
+                got = select_beta_by_sure(CanonicalSample(z), grid)
+                assert got == oracle_select(z, 1.0, grid)
+                assert got == select_beta_by_sure(CanonicalSample(z), sorted(set(grid)))
+                picked.add(got[0])
+        assert picked <= {1.25, 1.5, 2.0}
+        z = rng.standard_normal(16)
+        assert select_beta_by_sure(CanonicalSample(z), grid) == oracle_select(z, 1.0, grid)
+
+    def test_block_size_does_not_change_the_pick(self, monkeypatch):
+        from steinthresh import canonical
+
+        levels = [z for d in (16, 512, 2048) for z in seeded_levels(d, 1.0, 7 * d)]
+        picks = [select_beta_by_sure(CanonicalSample(z)) for z in levels]
+        for block in (1, 100, 10**9):
+            monkeypatch.setattr(canonical, "_SURE_BLOCK", block)
+            assert [select_beta_by_sure(CanonicalSample(z)) for z in levels] == picks
+
+    def test_all_clipped_level_ties_go_to_largest_beta(self):
+        # every coordinate is zeroed at every beta, so every total is sum(w**2 - 1)
+        z = np.array([1e-3, -2e-3, 5e-4])
+        for beta in DEFAULT_BETA_GRID:
+            a = resolve_a(ShrinkConfig(beta=beta), 3)
+            np.testing.assert_array_equal(oracle_sure(z, 1.0, beta, a), z**2 - 1.0)
+        assert select_beta_by_sure(CanonicalSample(z)) == oracle_select(z, 1.0, DEFAULT_BETA_GRID)
+        assert select_beta_by_sure(CanonicalSample(z))[0] == 2.0
+        assert select_beta_by_sure(CanonicalSample(z), [1.5, 1.25, 1.75])[0] == 1.75
+
+
+class TestBatchSureColumn:
+    @pytest.mark.parametrize("d", [3, 16, 512])
+    def test_column_matches_stacked_scalar_calls(self, d):
+        rng = np.random.default_rng(d)
+        z = 1.5 * rng.standard_normal(d)
+        z[:2] = 0.0
+        z[-1] += 9.0
+        betas = np.array([1.05, 1.25, 4.0 / 3.0, 1.5, 1.9, 2.0])
+        a = np.array([resolve_a(ShrinkConfig(beta=b), d) for b in betas])
+        got = batch_sure(z[None, :], 1.5, betas[:, None], a[:, None])
+        stacked = np.vstack([batch_sure(z[None, :], 1.5, b, c) for b, c in zip(betas, a)])
+        assert got.shape == (betas.size, d)
+        np.testing.assert_allclose(got, stacked, rtol=1e-12)
+        oracle = np.vstack([oracle_sure(z, 1.5, b, c) for b, c in zip(betas, a)])
+        np.testing.assert_allclose(got, oracle, rtol=1e-12, atol=1e-12)
+
+    def test_beta_two_row_clips_by_direct_comparison(self):
+        # D = 3072 exactly; a one ulp above it has the same log, and the beta = 2 row must still clip
+        z = np.ones(3072)
+        above = np.nextafter(3072.0, np.inf)
+        assert math.log(above) == math.log(3072.0)
+        got = batch_sure(z[None, :], 1.0, np.array([[2.0], [2.0]]), np.array([[3072.0], [above]]))
+        np.testing.assert_array_equal(got[1], np.zeros(3072))
+        np.testing.assert_allclose(got[0], oracle_sure(z, 1.0, 2.0, 3072.0), rtol=1e-12)
+        np.testing.assert_array_equal(got[1], oracle_sure(z, 1.0, 2.0, above))
+
+    def test_column_domain_errors(self):
+        z = np.array([[4.0, -3.0, 0.2, 5.0]])
+        good_b, good_a = np.array([[1.5], [2.0]]), np.array([[2.0], [3.0]])
+        batch_sure(z, 1.0, good_b, good_a)
+        for bad in (1.0, 0.9, 2.1, np.nan):
+            with pytest.raises(ValueError):
+                batch_sure(z, 1.0, np.array([[1.5], [bad]]), good_a)
+        for bad in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                batch_sure(z, 1.0, good_b, np.array([[2.0], [bad]]))
+        with pytest.raises(ValueError):
+            batch_sure(np.zeros((1, 4)), 1.0, good_b, good_a)
+        with pytest.raises(ValueError):
+            batch_sure(np.vstack([z[0], np.zeros(4)]), 1.0, 1.5, 2.0)
 
 
 class TestMonteCarloConstant:

@@ -174,6 +174,25 @@ class TestSimulate:
             outs.append(path.read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
+    def test_theorem_a_rule(self, tmp_path):
+        flags = (
+            "--methods", "zh",
+            "--signals", "bumps",
+            "--n", "128",
+            "--snr", "3",
+            "--reps", "10",
+            "--seed", "4",
+            "--a-rule", "theorem",
+        )
+        out = tmp_path / "risk.csv"
+        r = run_cli("simulate", *flags, "--out", str(out))
+        assert r.returncode == 0, r.stderr
+        assert len(out.read_text().splitlines()) == 2
+        # the certified constant 2(beta-1)d - 2beta needs beta > 1
+        r = run_cli("simulate", *flags, "--beta", "1", "--out", str(tmp_path / "bad.csv"))
+        assert r.returncode == 2
+        assert "beta > 1" in r.stderr
+
     def test_seed_changes_output(self, tmp_path):
         flags = (
             "--methods", "visu",

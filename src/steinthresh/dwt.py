@@ -10,9 +10,17 @@ Conventions: input length must be a power of two; one analysis step maps a
 block of length m to approximation and detail blocks of length m/2 via
 ``a_k = sum_t h_t x[(2k+t) mod m]``.  Periodization keeps the map exactly
 orthonormal at every block size, so Parseval holds and the inverse is the
-adjoint.  A detail block of length 2**j is said to sit at resolution level j;
-decompositions store the coarse block first, then details from coarsest to
-finest.
+adjoint.
+
+Each step is one product of a strided (m/2, 16) window with a (16, 2)
+polyphase filter.  Analysis windows x, extended periodically by 14 values,
+with [lowpass | highpass].  Synthesis windows interleaved (approx, detail)
+pairs, extended periodically by 7 pairs in front, with the time-reversed even
+and odd taps; the flattened product is the interleaved output.  Extensions
+come from a cached index, so blocks down to m = 2 take the same path.
+
+A detail block of length 2**j sits at resolution level j; decompositions
+store the coarse block first, then details from coarsest to finest.
 """
 
 from dataclasses import dataclass
@@ -59,25 +67,36 @@ def max_levels(n):
     return int(n).bit_length() - 1
 
 
-@lru_cache(maxsize=64)
-def _window_index(m):
-    k = 2 * np.arange(m // 2)[:, None]
-    t = np.arange(LOWPASS.size)[None, :]
-    idx = (k + t) % m
+_ANALYSIS = np.column_stack((LOWPASS, HIGHPASS))
+# row 2j pairs lowpass taps (14 - 2j, 15 - 2j) and row 2j + 1 the highpass ones
+_SYNTHESIS = np.hstack((LOWPASS.reshape(8, 2)[::-1], HIGHPASS.reshape(8, 2)[::-1])).reshape(16, 2)
+
+
+@lru_cache(maxsize=128)
+def _periodic_index(size, lo, hi):
+    idx = np.arange(lo, hi) % size
     idx.setflags(write=False)
     return idx
 
 
+def _windows(buf, rows):
+    # (rows, 16) view of a contiguous float64 buffer whose row k is buf[2k : 2k + 16]
+    return np.ndarray((rows, LOWPASS.size), buffer=buf, strides=(16, 8))
+
+
 def _analysis_step(x):
-    win = x[_window_index(x.size)]
-    return win @ LOWPASS, win @ HIGHPASS
+    m = x.size
+    out = _windows(x[_periodic_index(m, 0, m + 14)], m // 2) @ _ANALYSIS
+    return out[:, 0], out[:, 1]
 
 
 def _synthesis_step(approx, detail):
-    m = 2 * approx.size
-    idx = _window_index(m)
-    contrib = approx[:, None] * LOWPASS[None, :] + detail[:, None] * HIGHPASS[None, :]
-    return np.bincount(idx.ravel(), weights=contrib.ravel(), minlength=m)
+    h = approx.size
+    idx = _periodic_index(h, -7, h)
+    pairs = np.empty((h + 7, 2))
+    pairs[:, 0] = approx[idx]
+    pairs[:, 1] = detail[idx]
+    return (_windows(pairs, h) @ _SYNTHESIS).ravel()
 
 
 @dataclass

@@ -7,7 +7,9 @@ reduced in index order.  Results are therefore bit-identical for a given seed
 no matter how replicates are chunked or how many workers run them.  Calling
 the wavelet engine for several methods with the same seed gives common random
 numbers: every method sees exactly the same noisy data, which is what makes
-paired risk comparisons sharp at a few hundred replicates.
+paired risk comparisons sharp at a few hundred replicates.  A sweep cell
+shares one analysis per replicate (noise, forward transform, estimated sigma)
+among its methods, and each method's errors equal a single-method call's.
 """
 
 import math
@@ -135,13 +137,8 @@ def _pipeline_depth(n):
     return levels
 
 
-def wavelet_risk_replicates(method, signal, sigma_mode="known", reps=500, seed=0, workers=1):
-    """Per-replicate squared errors ||fhat - f||^2 of the full denoising pipeline.
-
-    Noise for replicate r depends only on (seed, r), so calls with different
-    methods but one seed are paired.  Model noise scale is sigma = 1; the
-    signal-to-noise ratio lives in the signal scaling.
-    """
+def _cell_errors(methods, signal, sigma_mode, reps, seed, workers):
+    # (len(methods), reps) squared errors; one analysis per replicate serves every method
     if sigma_mode not in ("known", "estimated"):
         raise ValueError(f"sigma_mode must be 'known' or 'estimated', got {sigma_mode!r}")
     reps = int(reps)
@@ -151,26 +148,33 @@ def wavelet_risk_replicates(method, signal, sigma_mode="known", reps=500, seed=0
     n = f.size
     cutoff = resolution_cutoff(n)
     levels = _pipeline_depth(n)
-    errs = np.empty(reps)
+    errs = np.empty((len(methods), reps))
     chunk = 32
     nchunks = (reps + chunk - 1) // chunk
 
     def body(c):
         for r in range(c * chunk, min((c + 1) * chunk, reps)):
-            y = f + substream(seed, r).standard_normal(n)
-            decomp = dwt_forward(y, levels)
+            decomp = dwt_forward(f + substream(seed, r).standard_normal(n), levels)
             sigma = 1.0 if sigma_mode == "known" else estimate_sigma(decomp)
-            shrunk = apply_method(method, decomp, sigma, cutoff)
-            fhat = dwt_inverse(shrunk)
-            errs[r] = ((fhat - f) ** 2).sum()
+            for i, method in enumerate(methods):
+                fhat = dwt_inverse(apply_method(method, decomp, sigma, cutoff))
+                errs[i, r] = ((fhat - f) ** 2).sum()
 
     _run_chunks(nchunks, workers, body)
     return errs
 
 
-def wavelet_risk(method, signal, sigma_mode="known", reps=500, seed=0, workers=1):
-    """RiskReport for one method on one signal (mean risk, std error, risk / n)."""
-    errs = wavelet_risk_replicates(method, signal, sigma_mode, reps, seed, workers)
+def wavelet_risk_replicates(method, signal, sigma_mode="known", reps=500, seed=0, workers=1):
+    """Per-replicate squared errors ||fhat - f||^2 of the full denoising pipeline.
+
+    Noise for replicate r depends only on (seed, r), so calls with different
+    methods but one seed are paired.  Model noise scale is sigma = 1; the
+    signal-to-noise ratio lives in the signal scaling.
+    """
+    return _cell_errors([method], signal, sigma_mode, reps, seed, workers)[0]
+
+
+def _report(method, signal, errs):
     reps = errs.size
     n = signal.samples.size
     mean = float(errs.mean())
@@ -186,19 +190,26 @@ def wavelet_risk(method, signal, sigma_mode="known", reps=500, seed=0, workers=1
     )
 
 
+def wavelet_risk(method, signal, sigma_mode="known", reps=500, seed=0, workers=1):
+    """RiskReport for one method on one signal (mean risk, std error, risk / n)."""
+    errs = wavelet_risk_replicates(method, signal, sigma_mode, reps, seed, workers)
+    return _report(method, signal, errs)
+
+
 def risk_sweep(methods, signals, n_values, snr, reps, seed, sigma_mode="known", workers=1):
     """Cartesian sweep over (signal, n, method) with common random numbers.
 
     ``methods`` may hold LevelwiseMethod objects or bare method names;
     ``signals`` holds registry names.  Within one (signal, n) cell every
-    method consumes identical noise draws.  Reports are ordered by signal,
-    then n, then method.
+    method consumes identical noise draws, and each replicate's forward
+    transform is computed once for all of them.  Reports are ordered by
+    signal, then n, then method.
     """
     methods = [make_method(m) if isinstance(m, str) else m for m in methods]
     reports = []
     for name in signals:
         for n in n_values:
             sig = generate_signal(name, int(n), snr)
-            for method in methods:
-                reports.append(wavelet_risk(method, sig, sigma_mode, reps, seed, workers))
+            errs = _cell_errors(methods, sig, sigma_mode, reps, seed, workers)
+            reports += [_report(method, sig, e) for method, e in zip(methods, errs)]
     return reports

@@ -1,23 +1,34 @@
 """Command-line interface: exit codes, file formats, and byte-level determinism."""
 
 import csv
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import steinthresh
 from steinthresh.testbed import generate_signal
 
 CSV_HEADER = "signal,method,n,snr,reps,mean_risk,std_error,relative_risk"
 
+# the directory this test run imports the package from, so the child
+# interpreter finds it without an installed copy
+SRC = str(Path(steinthresh.__file__).resolve().parent.parent)
 
-def run_cli(*args, cwd=None):
+
+def run_cli(*args, cwd=None, env=None):
+    """Run ``python -m steinthresh``; ``env`` adds variables to the inherited environment."""
+    child = dict(os.environ, **(env or {}))
+    child["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, child.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "steinthresh", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=child,
         timeout=300,
     )
 
@@ -173,6 +184,25 @@ class TestSimulate:
             assert r.returncode == 0, r.stderr
             outs.append(path.read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+    def test_byte_determinism_across_blas_thread_counts(self, tmp_path):
+        # the transform runs on matrix products; their sums must not depend on
+        # how many threads the BLAS library uses (n=16384 gives 8192-row products)
+        flags = (
+            "--methods", "zh,blockjs",
+            "--signals", "doppler",
+            "--n", "1024,16384",
+            "--snr", "3",
+            "--reps", "4",
+            "--seed", "19",
+        )
+        outs = []
+        for name, env in (("one", {"OPENBLAS_NUM_THREADS": "1"}), ("inherited", None)):
+            path = tmp_path / f"{name}.csv"
+            r = run_cli("simulate", *flags, "--out", str(path), env=env)
+            assert r.returncode == 0, r.stderr
+            outs.append(path.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_theorem_a_rule(self, tmp_path):
         flags = (

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 from hypothesis.extra import numpy as hnp
 
+from steinthresh import dwt
 from steinthresh.dwt import (
     HIGHPASS,
     LOWPASS,
@@ -16,6 +17,23 @@ from steinthresh.dwt import (
     dwt_inverse,
     max_levels,
 )
+
+BLOCK_SIZES = [2**k for k in range(1, 15)]
+
+
+def oracle_analysis(x):
+    """Gather every (2k + t) mod m window, then filter it: the definition, row by row."""
+    m = x.size
+    win = x[(2 * np.arange(m // 2)[:, None] + np.arange(16)[None, :]) % m]
+    return win @ LOWPASS, win @ HIGHPASS
+
+
+def oracle_synthesis(approx, detail):
+    """Adjoint of the oracle analysis: scatter-add each window's contributions."""
+    m = 2 * approx.size
+    idx = (2 * np.arange(m // 2)[:, None] + np.arange(16)[None, :]) % m
+    contrib = approx[:, None] * LOWPASS[None, :] + detail[:, None] * HIGHPASS[None, :]
+    return np.bincount(idx.ravel(), weights=contrib.ravel(), minlength=m)
 
 
 class TestFilterBank:
@@ -42,6 +60,66 @@ class TestFilterBank:
         t = np.arange(16)
         for m in range(8):
             assert abs(HIGHPASS @ (t / 15.0) ** m) < 1e-12
+
+
+class TestStepsMatchDefinition:
+    """One analysis and one synthesis step against their definitions at every block size."""
+
+    @pytest.mark.parametrize("m", [2, 4, 8, 16, 32])
+    def test_analysis_is_the_direct_formula(self, m):
+        # a_k = sum_t h_t x[(2k+t) mod m], summed term by term; a shifted phase fails here
+        x = np.random.default_rng(m).standard_normal(m)
+        approx, detail = dwt._analysis_step(x)
+        for k in range(m // 2):
+            a = sum(LOWPASS[t] * x[(2 * k + t) % m] for t in range(16))
+            d = sum(HIGHPASS[t] * x[(2 * k + t) % m] for t in range(16))
+            assert abs(approx[k] - a) <= 1e-13 * np.abs(x).max()
+            assert abs(detail[k] - d) <= 1e-13 * np.abs(x).max()
+
+    def test_analysis_impulse_response_is_the_taps(self):
+        # x = e_0 at m = 32: a_k picks h_t at t = -2k mod 32, which is h_0 for k = 0
+        # and h_{32-2k} for 2k >= 18; every other output is 0
+        x = np.zeros(32)
+        x[0] = 1.0
+        approx, detail = dwt._analysis_step(x)
+        want_a, want_d = np.zeros(16), np.zeros(16)
+        for k in range(16):
+            t = (-2 * k) % 32
+            if t < 16:
+                want_a[k], want_d[k] = LOWPASS[t], HIGHPASS[t]
+        np.testing.assert_array_equal(approx, want_a)
+        np.testing.assert_array_equal(detail, want_d)
+
+    @pytest.mark.parametrize("m", BLOCK_SIZES)
+    def test_steps_match_the_oracle(self, m):
+        rng = np.random.default_rng(1000 + m)
+        x = rng.standard_normal(m) * 10.0 ** rng.uniform(-3, 3)
+        tol = 1e-13 * np.abs(x).max()
+        approx, detail = dwt._analysis_step(x)
+        want_a, want_d = oracle_analysis(x)
+        assert np.abs(approx - want_a).max() <= tol
+        assert np.abs(detail - want_d).max() <= tol
+        a, d = rng.standard_normal(m // 2), rng.standard_normal(m // 2)
+        got = dwt._synthesis_step(a, d)
+        assert got.shape == (m,)
+        assert np.abs(got - oracle_synthesis(a, d)).max() <= 1e-13 * max(np.abs(a).max(), np.abs(d).max())
+
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_full_depth_matches_the_oracle(self, n):
+        x = np.random.default_rng(n).standard_normal(n)
+        tol = 1e-13 * np.abs(x).max()
+        dec = dwt_forward(x, max_levels(n))
+        approx, want = x, []
+        for _ in range(max_levels(n)):
+            approx, detail = oracle_analysis(approx)
+            want.append(detail)
+        assert np.abs(dec.coarse - approx).max() <= tol
+        for (_, got), d in zip(dec.details, reversed(want)):
+            assert np.abs(got - d).max() <= tol
+        back = dec.coarse
+        for _, v in dec.details:
+            back = oracle_synthesis(back, v)
+        assert np.abs(dwt_inverse(dec) - back).max() <= tol
 
 
 class TestRoundTrip:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from steinthresh import harness
 from steinthresh.baselines import make_method, resolution_cutoff
 from steinthresh.canonical import ShrinkConfig
 from steinthresh.dwt import WaveletDecomposition, dwt_forward, max_levels
@@ -204,3 +205,27 @@ class TestRiskSweep:
         for k in range(len(rel) - 1):
             slack = 3.0 * math.hypot(se[k], se[k + 1])
             assert rel[k + 1] < rel[k] + slack
+
+    @pytest.mark.parametrize("sigma_mode", ["known", "estimated"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rows_equal_single_method_calls_bitwise(self, sigma_mode, workers):
+        # the shared per-replicate analysis must not change any method's errors;
+        # 40 replicates make two chunks, so workers=2 really runs two threads
+        names = ["zh", "zh-sure", "visu", "zh", "blockjs"]
+        reports = risk_sweep(names, ["bumps"], [256], snr=3.0, reps=40, seed=12,
+                             sigma_mode=sigma_mode, workers=workers)
+        sig = generate_signal("bumps", 256, 3.0)
+        methods = [make_method(name) for name in names]
+        rows = harness._cell_errors(methods, sig, sigma_mode, 40, 12, workers)
+        assert rows.shape == (len(names), 40)
+        for method, row, rep in zip(methods, rows, reports):
+            errs = wavelet_risk_replicates(method, sig, sigma_mode, 40, 12, workers)
+            assert row.tobytes() == errs.tobytes()
+            assert rep == wavelet_risk(method, sig, sigma_mode, 40, 12, workers)
+        assert rows[0].tobytes() == rows[3].tobytes()
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            risk_sweep(["zh", "visu"], ["blocks"], [64], snr=3.0, reps=10, seed=0, sigma_mode="exact")
+        with pytest.raises(ValueError):
+            risk_sweep(["zh", "visu"], ["blocks"], [64], snr=3.0, reps=1, seed=0)

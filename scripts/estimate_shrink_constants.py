@@ -13,7 +13,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from steinthresh.canonical import c_beta, monte_carlo_a_beta
+from steinthresh.canonical import ShrinkConfig, c_beta, monte_carlo_a_beta, resolve_a
 
 
 def main(argv=None):
@@ -32,7 +32,7 @@ def main(argv=None):
     print(f"{'d':>6} {'simulated':>12} {'std_error':>10} {'finite_rule':>12} {'d*C_beta':>10}")
     for d in dims:
         est, se = monte_carlo_a_beta(beta, d, args.reps, seed=args.seed)
-        finite = 0.97 * (d - 2) * cb
+        finite = resolve_a(ShrinkConfig(beta=beta, a_rule="finite"), d)
         print(f"{d:>6} {est:>12.4f} {se:>10.4f} {finite:>12.4f} {d * cb:>10.2f}")
     return 0
 

@@ -3,8 +3,8 @@
 
 Sweeps the levelwise methods over the synthetic test signals and prints a
 relative-risk table (rows = signals, columns = methods).  Optionally writes
-the per-cell reports to the same CSV format the ``steinthresh simulate``
-subcommand produces.
+the per-cell reports through the ``steinthresh simulate`` CSV writer, so the
+file is byte-identical to ``simulate`` run with the same flags.
 
 Example:
     python3 scripts/run_risk_comparison.py --n 1024 --reps 500 --seed 2024 \\
@@ -12,9 +12,9 @@ Example:
 """
 
 import argparse
-import csv
 import sys
 
+from steinthresh.cli import write_reports
 from steinthresh.harness import risk_sweep
 from steinthresh.testbed import SIGNAL_NAMES
 
@@ -30,7 +30,7 @@ def main(argv=None):
     p.add_argument("--reps", type=int, default=500)
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument("--sigma-mode", choices=("known", "estimated"), default="known")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="no effect on results or execution")
     p.add_argument("--out", help="also write rows as CSV to this path")
     args = p.parse_args(argv)
 
@@ -55,18 +55,7 @@ def main(argv=None):
         print(f"{s:>10} " + " ".join(f"{rel[s, m]:9.4f}" for m in methods))
 
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(
-                ["signal", "method", "n", "snr", "reps",
-                 "mean_risk", "std_error", "relative_risk"]
-            )
-            for r in reports:
-                w.writerow(
-                    [r.signal, r.method, r.n, format(r.snr, ".17g"), r.reps,
-                     format(r.mean_risk, ".17g"), format(r.std_error, ".17g"),
-                     format(r.relative_risk, ".17g")]
-                )
+        write_reports(args.out, reports)
         print(f"wrote {len(reports)} rows to {args.out}")
     return 0
 

@@ -10,15 +10,9 @@ from .baselines import (
     METHOD_NAMES,
     LevelwiseMethod,
     apply_method,
-    block_js,
-    js_plus_levelwise,
     make_method,
     resolution_cutoff,
     soft_threshold,
-    sure_shrink,
-    sure_threshold_levelwise,
-    threshold_levelwise,
-    visu_shrink,
 )
 from .canonical import (
     CanonicalSample,

@@ -6,7 +6,8 @@ and coarser details pass through bit-identical.  Coefficients stay in raw
 units where each has standard deviation sigma (the transform is orthonormal),
 so unit-variance thresholds are multiplied by sigma.
 
-Methods are addressed by short tokens, which are also the CLI method names:
+Methods are addressed by short tokens, the keys of one rule table that also
+supplies the CLI method names:
 
     identity   pass-through (risk of the raw data)
     visu       soft thresholding at the universal level sigma*sqrt(2 ln n)
@@ -38,18 +39,10 @@ __all__ = [
     "METHOD_NAMES",
     "LevelwiseMethod",
     "apply_method",
-    "block_js",
-    "js_plus_levelwise",
     "make_method",
     "resolution_cutoff",
     "soft_threshold",
-    "sure_shrink",
-    "sure_threshold_levelwise",
-    "threshold_levelwise",
-    "visu_shrink",
 ]
-
-METHOD_NAMES = ("identity", "visu", "sure", "blockjs", "js", "zh", "zh-sure")
 
 # block scaling factor is (1 - BLOCK_CRITICAL * L * sigma^2 / S^2)+ with
 # BLOCK_CRITICAL the root of x - log x = 3, per Cai (1999), as is L = floor(ln n)
@@ -71,28 +64,10 @@ def soft_threshold(x, lam):
     return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
 
 
-def _check_sigma(sigma):
-    if not (sigma > 0 and math.isfinite(sigma)):
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
-
-
 def _map_levels(decomp, cutoff_level, fn):
     # below-cutoff levels and the coarse block are copied bit-identical
     details = [(j, fn(v) if j >= cutoff_level else v.copy()) for j, v in decomp.details]
     return WaveletDecomposition(coarse=decomp.coarse.copy(), details=details, n=decomp.n)
-
-
-def visu_shrink(decomp, sigma, n, cutoff_level):
-    """Soft-threshold treated levels at the universal level sigma*sqrt(2 ln n).
-
-    ``n`` is the global sample size (not the level size), following the
-    convention of the classical implementation.
-    """
-    _check_sigma(sigma)
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
-    lam = sigma * math.sqrt(2.0 * math.log(n))
-    return _map_levels(decomp, cutoff_level, lambda v: soft_threshold(v, lam))
 
 
 def _hybrid_threshold(w):
@@ -113,27 +88,32 @@ def _hybrid_threshold(w):
     return float(cand[np.argmin(risks)])
 
 
-def sure_shrink(decomp, sigma, cutoff_level):
-    """Per-level hybrid soft thresholding (sparse levels get the universal threshold)."""
-    _check_sigma(sigma)
+# A rule takes (sigma, n, method), n the global sample size, does its set-up
+# once per call and returns the map that is applied to every treated level.
 
+
+def _visu(sigma, n, method):
+    # soft thresholding at the universal level sigma*sqrt(2 ln n), with n the
+    # global size (not the level size) as in the classical implementation
+    lam = sigma * math.sqrt(2.0 * math.log(n))
+    return lambda v: soft_threshold(v, lam)
+
+
+def _sure(sigma, n, method):
+    # per-level hybrid soft thresholding: sparse levels get the universal threshold
     def shrink(v):
         if not np.any(v):
             return v.copy()
-        t = _hybrid_threshold(v / sigma)
-        return soft_threshold(v, t * sigma)
+        return soft_threshold(v, _hybrid_threshold(v / sigma) * sigma)
 
-    return _map_levels(decomp, cutoff_level, shrink)
+    return shrink
 
 
-def block_js(decomp, sigma, n, cutoff_level):
-    """Scale contiguous blocks of length floor(ln n) by (1 - c L sigma^2 / S^2)+.
-
-    S^2 is the block's sum of squares; a trailing partial block is padded
-    cyclically from the start of its level when computing S^2, but only the
-    real coefficients are scaled.
-    """
-    _check_sigma(sigma)
+def _blockjs(sigma, n, method):
+    # scale contiguous blocks of length floor(ln n) by (1 - c L sigma^2 / S^2)+,
+    # S^2 the block's sum of squares; a trailing partial block is padded
+    # cyclically from the start of its level when computing S^2, but only the
+    # real coefficients are scaled
     block_len = math.floor(math.log(n))
     if block_len < 1:
         raise ValueError(f"n must be at least 3 for a nonempty block, got {n}")
@@ -155,49 +135,53 @@ def block_js(decomp, sigma, n, cutoff_level):
             out[full:] = factor * v[full:]
         return out
 
-    return _map_levels(decomp, cutoff_level, shrink)
+    return shrink
 
 
-def js_plus_levelwise(decomp, sigma, cutoff_level):
-    """Levelwise positive-part James-Stein: the canonical beta=2, a=d-2 path.
-
-    Levels with fewer than 3 coefficients pass through unchanged.
-    """
-    _check_sigma(sigma)
-
+def _js(sigma, n, method):
+    # levelwise positive-part James-Stein, the canonical beta=2, a=d-2 path;
+    # levels with fewer than 3 coefficients pass through unchanged
     def shrink(v):
         if v.size < 3:
             return v.copy()
         return batch_estimate(v[None, :], sigma, 2.0, float(v.size - 2))[0]
 
-    return _map_levels(decomp, cutoff_level, shrink)
+    return shrink
 
 
-def threshold_levelwise(decomp, sigma, cutoff_level, config):
-    """Apply the canonical thresholding estimator to each treated level.
-
-    The constant ``a`` is resolved against each level's own coefficient count.
-    """
-    _check_sigma(sigma)
+def _zh(sigma, n, method):
+    # the canonical thresholding estimator, with the constant a resolved
+    # against each level's own coefficient count
+    config = method.config or ShrinkConfig()
 
     def shrink(v):
-        a = resolve_a(config, v.size)
-        return batch_estimate(v[None, :], sigma, config.beta, a)[0]
+        return batch_estimate(v[None, :], sigma, config.beta, resolve_a(config, v.size))[0]
 
-    return _map_levels(decomp, cutoff_level, shrink)
+    return shrink
 
 
-def sure_threshold_levelwise(decomp, sigma, cutoff_level, beta_grid=None):
-    """Like :func:`threshold_levelwise` but beta is tuned per level by unbiased risk."""
-    _check_sigma(sigma)
-
+def _zh_sure(sigma, n, method):
+    # like zh, but beta (and its finite-rule a) is tuned per level by unbiased risk
     def shrink(v):
         if not np.any(v):
             return v.copy()
-        beta, a = select_beta_by_sure(CanonicalSample(v, sigma), beta_grid)
+        beta, a = select_beta_by_sure(CanonicalSample(v, sigma), method.beta_grid)
         return batch_estimate(v[None, :], sigma, beta, a)[0]
 
-    return _map_levels(decomp, cutoff_level, shrink)
+    return shrink
+
+
+_RULES = {
+    "identity": lambda sigma, n, method: np.copy,
+    "visu": _visu,
+    "sure": _sure,
+    "blockjs": _blockjs,
+    "js": _js,
+    "zh": _zh,
+    "zh-sure": _zh_sure,
+}
+
+METHOD_NAMES = tuple(_RULES)
 
 
 @dataclass(frozen=True)
@@ -228,18 +212,7 @@ def make_method(name, config=None, beta_grid=None):
 
 
 def apply_method(method, decomp, sigma, cutoff_level):
-    """Dispatch a LevelwiseMethod over a decomposition."""
-    name = method.name
-    if name == "identity":
-        return _map_levels(decomp, cutoff_level, lambda v: v.copy())
-    if name == "visu":
-        return visu_shrink(decomp, sigma, decomp.n, cutoff_level)
-    if name == "sure":
-        return sure_shrink(decomp, sigma, cutoff_level)
-    if name == "blockjs":
-        return block_js(decomp, sigma, decomp.n, cutoff_level)
-    if name == "js":
-        return js_plus_levelwise(decomp, sigma, cutoff_level)
-    if name == "zh":
-        return threshold_levelwise(decomp, sigma, cutoff_level, method.config or ShrinkConfig())
-    return sure_threshold_levelwise(decomp, sigma, cutoff_level, method.beta_grid)
+    """Apply a LevelwiseMethod to every detail level at or above ``cutoff_level``."""
+    if method.name != "identity" and not (sigma > 0 and math.isfinite(sigma)):
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    return _map_levels(decomp, cutoff_level, _RULES[method.name](sigma, decomp.n, method))

@@ -12,12 +12,12 @@ import sys
 import numpy as np
 
 from .baselines import METHOD_NAMES, apply_method, make_method, resolution_cutoff
-from .canonical import ShrinkConfig, c_beta, monte_carlo_a_beta
+from .canonical import ShrinkConfig, c_beta, monte_carlo_a_beta, resolve_a
 from .dwt import dwt_forward, dwt_inverse, max_levels
 from .harness import estimate_sigma, risk_sweep
 from .testbed import SIGNAL_NAMES
 
-__all__ = ["main"]
+__all__ = ["main", "write_reports"]
 
 
 def _fmt(x):
@@ -137,7 +137,13 @@ def cmd_simulate(args):
         sigma_mode=args.sigma_mode,
         workers=args.workers,
     )
-    with open(args.out, "w", newline="") as fh:
+    write_reports(args.out, reports)
+    return 0
+
+
+def write_reports(path, reports):
+    """Write RiskReports as the ``simulate`` CSV, one row per report."""
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["signal", "method", "n", "snr", "reps", "mean_risk", "std_error", "relative_risk"])
         for r in reports:
@@ -145,12 +151,11 @@ def cmd_simulate(args):
                 [r.signal, r.method, r.n, _fmt(r.snr), r.reps,
                  _fmt(r.mean_risk), _fmt(r.std_error), _fmt(r.relative_risk)]
             )
-    return 0
 
 
 def cmd_bound_a(args):
     estimate, std_error = monte_carlo_a_beta(args.beta, args.d, args.reps, args.seed)
-    finite = 0.97 * (args.d - 2) * c_beta(args.beta) if args.d >= 3 else float("nan")
+    finite = resolve_a(ShrinkConfig(beta=args.beta, a_rule="finite"), args.d)
     limit = args.d * c_beta(args.beta)
     header = f"{'beta':>10} {'d':>8} {'a_beta':>14} {'std_error':>12} {'finite_rule':>14} {'d_c_beta':>14}"
     row = (
@@ -194,7 +199,8 @@ def _build_parser():
     sim.add_argument("--beta", type=_real, default=4.0 / 3.0, help="exponent for method zh")
     sim.add_argument("--a-rule", type=_a_rule, default=("finite", None),
                      help="constant rule for method zh: finite|asymptotic|eb|theorem|fixed:<real>")
-    sim.add_argument("--workers", type=_count, default=1, help="worker threads (does not change results)")
+    sim.add_argument("--workers", type=_count, default=1,
+                     help="accepted for compatibility; no effect on results or execution")
     sim.add_argument("--out", required=True, help="output CSV path")
     sim.set_defaults(func=cmd_simulate)
 

@@ -2,19 +2,18 @@
 
 Determinism contract: every replicate r draws from an independent substream
 keyed by (seed, r) (batches of replicates for the canonical engine), and
-per-replicate squared errors are written into a preallocated array that is
-reduced in index order.  Results are therefore bit-identical for a given seed
-no matter how replicates are chunked or how many workers run them.  Calling
-the wavelet engine for several methods with the same seed gives common random
-numbers: every method sees exactly the same noisy data, which is what makes
-paired risk comparisons sharp at a few hundred replicates.  A sweep cell
+replicates run one after another in index order, so results are bit-identical
+for a given seed.  The ``workers`` argument is still accepted and has no
+effect on results or execution.  Calling the wavelet engine for several
+methods with the same seed gives common random numbers: every method sees
+exactly the same noisy data, which is what makes paired risk comparisons
+sharp at a few hundred replicates.  A sweep cell
 shares one analysis per replicate (noise, forward transform, estimated sigma)
 among its methods, and each method's errors equal a single-method call's.
 """
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +34,7 @@ __all__ = [
     "wavelet_risk_replicates",
 ]
 
-_BATCH = 256  # canonical replicates per substream; fixed so chunking never shifts draws
+_BATCH = 256  # canonical replicates per substream; fixed so the draws depend only on the seed
 
 
 @dataclass
@@ -61,21 +60,12 @@ class CanonicalRiskReport:
     std_error: float
 
 
-def _run_chunks(njobs, workers, body):
-    # body(j) writes into disjoint output slices, so execution order is irrelevant
-    if workers <= 1:
-        for j in range(njobs):
-            body(j)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(body, range(njobs)))
-
-
 def canonical_risk(theta, config, sigma, reps, seed, positive_part=True, workers=1, label=None):
     """Monte Carlo risk E||estimate - theta||^2 in the canonical normal-means model.
 
     ``config=None`` measures the raw observation Z itself (risk d * sigma^2),
-    which is the natural calibration check for the engine.
+    which is the natural calibration check for the engine.  ``workers`` has
+    no effect on results or execution.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 1 or theta.size < 1:
@@ -91,16 +81,11 @@ def canonical_risk(theta, config, sigma, reps, seed, positive_part=True, workers
         beta = config.beta
         a = resolve_a(config, d)
     errs = np.empty(reps)
-    nbatches = (reps + _BATCH - 1) // _BATCH
-
-    def body(b):
-        lo = b * _BATCH
+    for b, lo in enumerate(range(0, reps, _BATCH)):
         hi = min(lo + _BATCH, reps)
         z = theta + sigma * substream(seed, b).standard_normal((hi - lo, d))
         est = z if config is None else batch_estimate(z, sigma, beta, a, positive_part)
         errs[lo:hi] = ((est - theta) ** 2).sum(axis=1)
-
-    _run_chunks(nbatches, workers, body)
     return CanonicalRiskReport(
         theta=label or f"vector of length {d}",
         d=d,
@@ -149,18 +134,12 @@ def _cell_errors(methods, signal, sigma_mode, reps, seed, workers):
     cutoff = resolution_cutoff(n)
     levels = _pipeline_depth(n)
     errs = np.empty((len(methods), reps))
-    chunk = 32
-    nchunks = (reps + chunk - 1) // chunk
-
-    def body(c):
-        for r in range(c * chunk, min((c + 1) * chunk, reps)):
-            decomp = dwt_forward(f + substream(seed, r).standard_normal(n), levels)
-            sigma = 1.0 if sigma_mode == "known" else estimate_sigma(decomp)
-            for i, method in enumerate(methods):
-                fhat = dwt_inverse(apply_method(method, decomp, sigma, cutoff))
-                errs[i, r] = ((fhat - f) ** 2).sum()
-
-    _run_chunks(nchunks, workers, body)
+    for r in range(reps):
+        decomp = dwt_forward(f + substream(seed, r).standard_normal(n), levels)
+        sigma = 1.0 if sigma_mode == "known" else estimate_sigma(decomp)
+        for i, method in enumerate(methods):
+            fhat = dwt_inverse(apply_method(method, decomp, sigma, cutoff))
+            errs[i, r] = ((fhat - f) ** 2).sum()
     return errs
 
 
@@ -169,7 +148,8 @@ def wavelet_risk_replicates(method, signal, sigma_mode="known", reps=500, seed=0
 
     Noise for replicate r depends only on (seed, r), so calls with different
     methods but one seed are paired.  Model noise scale is sigma = 1; the
-    signal-to-noise ratio lives in the signal scaling.
+    signal-to-noise ratio lives in the signal scaling.  ``workers`` has no
+    effect on results or execution.
     """
     return _cell_errors([method], signal, sigma_mode, reps, seed, workers)[0]
 

@@ -7,20 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from steinthresh import baselines
 from steinthresh.baselines import (
     BLOCK_CRITICAL,
     METHOD_NAMES,
     LevelwiseMethod,
     apply_method,
-    block_js,
-    js_plus_levelwise,
     make_method,
     resolution_cutoff,
     soft_threshold,
-    sure_shrink,
-    sure_threshold_levelwise,
-    threshold_levelwise,
-    visu_shrink,
 )
 from steinthresh.canonical import CanonicalSample, ShrinkConfig, threshold_estimate
 from steinthresh.dwt import WaveletDecomposition, dwt_forward
@@ -29,6 +24,11 @@ from steinthresh.testbed import generate_signal
 
 def fixed(beta, a):
     return ShrinkConfig(beta=beta, a_rule="fixed", fixed_a=a)
+
+
+def run(name, decomp, sigma, cutoff, **params):
+    """Apply the named method, built by make_method with ``params``."""
+    return apply_method(make_method(name, **params), decomp, sigma, cutoff)
 
 
 def small_decomp(level2=(1.0, -2.0, 0.5, 3.0)):
@@ -51,6 +51,17 @@ def mid_decomp(level4):
             (4, np.asarray(level4, dtype=float)),
         ],
         32,
+    )
+
+
+def wide_decomp(level4):
+    """n=1024 container: coarse(16) + detail levels 4 (d=16, given) through 9."""
+    rng = np.random.default_rng(11)
+    return WaveletDecomposition(
+        rng.standard_normal(16),
+        [(4, np.asarray(level4, dtype=float))]
+        + [(j, rng.standard_normal(2**j)) for j in range(5, 10)],
+        1024,
     )
 
 
@@ -97,39 +108,39 @@ class TestVisuShrink:
         assert lam == pytest.approx(3.723297411059034, rel=1e-11)
 
     def test_treated_levels_soft_thresholded(self):
-        dec = mid_decomp([4.0, -4.0, 1.0, -1.0] * 4)
-        out = visu_shrink(dec, 1.0, 1024, 4)
+        dec = wide_decomp([4.0, -4.0, 1.0, -1.0] * 4)
+        out = run("visu", dec, 1.0, 4)
         lam = math.sqrt(2.0 * math.log(1024))
-        np.testing.assert_array_equal(out.details[2][1], soft_threshold(dec.details[2][1], lam))
+        np.testing.assert_array_equal(out.details[0][1], soft_threshold(dec.details[0][1], lam))
         # support matches exceedance of the threshold
-        np.testing.assert_array_equal(out.details[2][1] != 0.0, np.abs(dec.details[2][1]) > lam)
+        np.testing.assert_array_equal(out.details[0][1] != 0.0, np.abs(dec.details[0][1]) > lam)
 
     def test_below_cutoff_untouched(self):
         dec = mid_decomp(np.zeros(16))
-        out = visu_shrink(dec, 2.0, 32, 4)
+        out = run("visu", dec, 2.0, 4)
         for k in range(2):
             np.testing.assert_array_equal(out.details[k][1], dec.details[k][1])
         np.testing.assert_array_equal(out.coarse, dec.coarse)
 
     def test_sigma_scales_threshold(self):
-        dec = mid_decomp([10.0] * 16)
-        out = visu_shrink(dec, 2.0, 1024, 4)
+        dec = wide_decomp([10.0] * 16)
+        out = run("visu", dec, 2.0, 4)
         lam = 2.0 * math.sqrt(2.0 * math.log(1024))
-        np.testing.assert_allclose(out.details[2][1], 10.0 - lam, rtol=1e-14)
+        np.testing.assert_allclose(out.details[0][1], 10.0 - lam, rtol=1e-14)
 
     def test_validation(self):
         dec = mid_decomp(np.zeros(16))
         with pytest.raises(ValueError):
-            visu_shrink(dec, 0.0, 1024, 4)
+            run("visu", dec, 0.0, 4)
         with pytest.raises(ValueError):
-            visu_shrink(dec, 1.0, 1, 4)
+            run("visu", dec, math.inf, 4)
 
 
 class TestSureShrink:
     def test_sparse_level_gets_universal_threshold(self):
         v = np.random.default_rng(2).standard_normal(16)
         dec = mid_decomp(v)
-        out = sure_shrink(dec, 1.0, 4)
+        out = run("sure", dec, 1.0, 4)
         lam = math.sqrt(2.0 * math.log(16))
         np.testing.assert_array_equal(out.details[2][1], soft_threshold(v, lam))
 
@@ -137,7 +148,7 @@ class TestSureShrink:
         # every |w| is far above the universal level, so the only SURE
         # candidate is t=0 and the level passes through unchanged
         v = np.array([10.0, -10.0] * 8)
-        out = sure_shrink(mid_decomp(v), 1.0, 4)
+        out = run("sure", mid_decomp(v), 1.0, 4)
         np.testing.assert_array_equal(out.details[2][1], v)
 
     def test_dense_branch_matches_brute_force(self):
@@ -150,74 +161,76 @@ class TestSureShrink:
         cands = np.concatenate([[0.0], np.sort(aw[aw <= universal])])
         risks = [d - 2 * np.sum(aw <= t) + np.minimum(v**2, t**2).sum() for t in cands]
         best = cands[int(np.argmin(risks))]
-        out = sure_shrink(mid_decomp(v), 1.0, 4)
+        out = run("sure", mid_decomp(v), 1.0, 4)
         np.testing.assert_array_equal(out.details[2][1], soft_threshold(v, best))
 
     def test_all_zero_level_unchanged(self):
-        out = sure_shrink(mid_decomp(np.zeros(16)), 1.0, 4)
+        out = run("sure", mid_decomp(np.zeros(16)), 1.0, 4)
         np.testing.assert_array_equal(out.details[2][1], np.zeros(16))
 
     def test_sigma_standardization(self):
         v = np.random.default_rng(3).standard_normal(16) * 5.0
-        out1 = sure_shrink(mid_decomp(v), 5.0, 4)
-        out2 = sure_shrink(mid_decomp(v / 5.0), 1.0, 4)
+        out1 = run("sure", mid_decomp(v), 5.0, 4)
+        out2 = run("sure", mid_decomp(v / 5.0), 1.0, 4)
         np.testing.assert_allclose(out1.details[2][1], 5.0 * out2.details[2][1], rtol=1e-13)
 
 
 class TestBlockJS:
-    # with n=1024 the block length is floor(ln 1024) = 6
+    # wide_decomp has n=1024, so the block length is floor(ln 1024) = 6
     KILL = BLOCK_CRITICAL * 6.0
 
     def test_block_at_kill_boundary_zeroed(self):
         c = math.sqrt(self.KILL / 6.0)
         v = np.concatenate([np.full(6, c), np.full(6, 100.0), [1.0, 2.0, 3.0, 4.0]])
-        out = block_js(mid_decomp(v), 1.0, 1024, 4)
-        np.testing.assert_array_equal(out.details[2][1][:6], np.zeros(6))
+        out = run("blockjs", wide_decomp(v), 1.0, 4)
+        np.testing.assert_array_equal(out.details[0][1][:6], np.zeros(6))
 
     def test_half_shrink_block(self):
         c = math.sqrt(2.0 * self.KILL / 6.0)
         v = np.concatenate([np.full(6, c), np.full(6, 100.0), [1.0, 2.0, 3.0, 4.0]])
-        out = block_js(mid_decomp(v), 1.0, 1024, 4)
-        np.testing.assert_allclose(out.details[2][1][:6], 0.5 * c, rtol=1e-12)
+        out = run("blockjs", wide_decomp(v), 1.0, 4)
+        np.testing.assert_allclose(out.details[0][1][:6], 0.5 * c, rtol=1e-12)
 
     def test_loud_block_barely_shrunk(self):
         v = np.concatenate([np.full(6, 1000.0), np.full(6, 1000.0), [1.0, 2.0, 3.0, 4.0]])
-        out = block_js(mid_decomp(v), 1.0, 1024, 4)
-        np.testing.assert_allclose(out.details[2][1][:12], 1000.0, rtol=1e-4)
+        out = run("blockjs", wide_decomp(v), 1.0, 4)
+        np.testing.assert_allclose(out.details[0][1][:12], 1000.0, rtol=1e-4)
         factor = 1.0 - self.KILL / (6.0 * 1000.0**2)
-        np.testing.assert_allclose(out.details[2][1][:12], 1000.0 * factor, rtol=1e-13)
+        np.testing.assert_allclose(out.details[0][1][:12], 1000.0 * factor, rtol=1e-13)
 
     def test_partial_tail_padded_cyclically(self):
         v = np.concatenate([np.full(6, 9.0), np.full(6, 100.0), [1.0, 2.0, 3.0, 4.0]])
-        out = block_js(mid_decomp(v), 1.0, 1024, 4)
+        out = run("blockjs", wide_decomp(v), 1.0, 4)
         # tail S^2 pads with the first two level coefficients (both 9.0)
         s2 = 1.0 + 4.0 + 9.0 + 16.0 + 81.0 + 81.0
         factor = max(1.0 - self.KILL / s2, 0.0)
-        np.testing.assert_allclose(out.details[2][1][12:], factor * v[12:], rtol=1e-13)
+        np.testing.assert_allclose(out.details[0][1][12:], factor * v[12:], rtol=1e-13)
 
     def test_zero_level_stays_zero(self):
-        out = block_js(mid_decomp(np.zeros(16)), 1.0, 1024, 4)
-        np.testing.assert_array_equal(out.details[2][1], np.zeros(16))
-        assert np.isfinite(out.details[2][1]).all()
+        out = run("blockjs", wide_decomp(np.zeros(16)), 1.0, 4)
+        np.testing.assert_array_equal(out.details[0][1], np.zeros(16))
+        assert np.isfinite(out.details[0][1]).all()
 
     def test_factor_never_amplifies(self):
         rng = np.random.default_rng(4)
         v = rng.standard_normal(16) * 3.0
-        out = block_js(mid_decomp(v), 1.0, 1024, 4)
-        w = out.details[2][1]
+        out = run("blockjs", wide_decomp(v), 1.0, 4)
+        w = out.details[0][1]
         assert np.all(np.abs(w) <= np.abs(v) + 1e-12)
         assert np.all(w * v >= 0.0)
 
     def test_tiny_n_rejected(self):
+        # n=2 gives floor(ln 2) = 0, an empty block
+        dec = WaveletDecomposition(np.array([1.0]), [(0, np.array([2.0]))], 2)
         with pytest.raises(ValueError):
-            block_js(small_decomp(), 1.0, 2, 2)
+            run("blockjs", dec, 1.0, 0)
 
 
 class TestLevelwiseThresholding:
     def test_matches_canonical_estimator_on_treated_level(self):
         z = (0.01, 5.0, 5.0, 5.0)
         cfg = fixed(4.0 / 3.0, 10.0 / 3.0)
-        out = threshold_levelwise(small_decomp(z), 1.0, 2, cfg)
+        out = run("zh", small_decomp(z), 1.0, 2, config=cfg)
         expect = threshold_estimate(CanonicalSample(np.asarray(z)), cfg)
         np.testing.assert_array_equal(out.details[1][1], expect)
         assert out.details[1][1][0] == 0.0
@@ -226,7 +239,7 @@ class TestLevelwiseThresholding:
     def test_a_resolved_per_level_size(self):
         dec = mid_decomp(np.random.default_rng(5).standard_normal(16) * 4.0)
         cfg = ShrinkConfig(beta=4.0 / 3.0, a_rule="finite")
-        out = threshold_levelwise(dec, 1.0, 3, cfg)
+        out = run("zh", dec, 1.0, 3, config=cfg)
         for idx, d in ((1, 8), (2, 16)):
             v = dec.details[idx][1]
             cfg_d = fixed(4.0 / 3.0, float(0.97 * (d - 2) * 1.7207043598936434))
@@ -238,7 +251,7 @@ class TestLevelwiseThresholding:
 
     def test_cutoff_above_everything_is_identity(self):
         dec = mid_decomp(np.random.default_rng(6).standard_normal(16))
-        out = threshold_levelwise(dec, 1.0, 9, ShrinkConfig())
+        out = run("zh", dec, 1.0, 9, config=ShrinkConfig())
         for (j1, v1), (j2, v2) in zip(out.details, dec.details):
             assert j1 == j2
             np.testing.assert_array_equal(v1, v2)
@@ -247,13 +260,13 @@ class TestLevelwiseThresholding:
 class TestJSPlus:
     def test_delegates_to_quadratic_canonical_path(self):
         dec = mid_decomp(np.random.default_rng(7).standard_normal(16) * 2.0)
-        js = js_plus_levelwise(dec, 1.3, 4)
-        zh = threshold_levelwise(dec, 1.3, 4, fixed(2.0, 14.0))
+        js = run("js", dec, 1.3, 4)
+        zh = run("zh", dec, 1.3, 4, config=fixed(2.0, 14.0))
         np.testing.assert_array_equal(js.details[2][1], zh.details[2][1])
 
     def test_small_levels_pass_through(self):
         dec = small_decomp((8.0, -7.0, 6.0, 5.0))
-        out = js_plus_levelwise(dec, 1.0, 1)
+        out = run("js", dec, 1.0, 1)
         np.testing.assert_array_equal(out.details[0][1], dec.details[0][1])  # d=2 < 3
         v = dec.details[1][1]
         shrunk = (1.0 - 2.0 / (v @ v)) * v  # d=4, a=d-2=2, nothing clips
@@ -262,20 +275,20 @@ class TestJSPlus:
 
 class TestSureTuned:
     def test_all_zero_level_unchanged(self):
-        out = sure_threshold_levelwise(mid_decomp(np.zeros(16)), 1.0, 4)
+        out = run("zh-sure", mid_decomp(np.zeros(16)), 1.0, 4)
         np.testing.assert_array_equal(out.details[2][1], np.zeros(16))
 
     def test_deterministic_and_shaped(self):
         dec = mid_decomp(np.random.default_rng(9).standard_normal(16) * 3.0)
-        out1 = sure_threshold_levelwise(dec, 1.0, 4)
-        out2 = sure_threshold_levelwise(dec, 1.0, 4)
+        out1 = run("zh-sure", dec, 1.0, 4)
+        out2 = run("zh-sure", dec, 1.0, 4)
         np.testing.assert_array_equal(out1.details[2][1], out2.details[2][1])
         assert out1.details[2][1].shape == (16,)
 
     def test_quadratic_grid_matches_fixed_beta_run(self):
         dec = mid_decomp(np.random.default_rng(10).standard_normal(16) * 3.0)
-        out = sure_threshold_levelwise(dec, 1.0, 4, beta_grid=(2.0,))
-        ref = threshold_levelwise(dec, 1.0, 4, ShrinkConfig(beta=2.0, a_rule="finite"))
+        out = run("zh-sure", dec, 1.0, 4, beta_grid=(2.0,))
+        ref = run("zh", dec, 1.0, 4, config=ShrinkConfig(beta=2.0, a_rule="finite"))
         np.testing.assert_array_equal(out.details[2][1], ref.details[2][1])
 
 
@@ -323,3 +336,29 @@ class TestMethodDispatch:
         zh = apply_method(make_method("zh", config=fixed(2.0, 14.0)), dec, 1.0, 4)
         js = apply_method(make_method("js"), dec, 1.0, 4)
         np.testing.assert_array_equal(zh.details[2][1], js.details[2][1])
+
+    @pytest.mark.parametrize("name, hooks", [
+        ("zh", {"batch_estimate"}),
+        ("js", {"batch_estimate"}),
+        ("zh-sure", {"batch_estimate", "select_beta_by_sure"}),
+    ])
+    def test_rules_look_up_canonical_calls_at_call_time(self, monkeypatch, name, hooks):
+        # a wrapper swapped into the baselines module after import must see every call
+        calls = {"batch_estimate": [], "select_beta_by_sure": []}
+
+        def counting(fn, seen):
+            def wrapper(*args):
+                seen.append(args)
+                return fn(*args)
+            return wrapper
+
+        for attr, seen in calls.items():
+            monkeypatch.setattr(baselines, attr, counting(getattr(baselines, attr), seen))
+        dec = mid_decomp(np.random.default_rng(14).standard_normal(16) * 3.0)
+        out = apply_method(make_method(name), dec, 1.0, 3)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(out.details[2][1], run(name, dec, 1.0, 3).details[2][1])
+        assert {attr for attr, seen in calls.items() if seen} == hooks
+        assert len(calls["batch_estimate"]) == 2  # one per treated level
+        for sample, _grid in calls["select_beta_by_sure"]:
+            assert isinstance(sample, CanonicalSample)

@@ -2,6 +2,7 @@
 
 import csv
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,9 @@ import numpy as np
 import pytest
 
 import steinthresh
+from steinthresh import cli
+from steinthresh.baselines import METHOD_NAMES
+from steinthresh.canonical import ShrinkConfig, resolve_a
 from steinthresh.testbed import generate_signal
 
 CSV_HEADER = "signal,method,n,snr,reps,mean_risk,std_error,relative_risk"
@@ -17,6 +21,7 @@ CSV_HEADER = "signal,method,n,snr,reps,mean_risk,std_error,relative_risk"
 # the directory this test run imports the package from, so the child
 # interpreter finds it without an installed copy
 SRC = str(Path(steinthresh.__file__).resolve().parent.parent)
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def run_cli(*args, cwd=None, env=None):
@@ -72,6 +77,10 @@ class TestDenoise:
             "--out", str(tmp_path / "out.csv"),
         )
         assert r.returncode == 2
+
+    def test_method_choices_are_the_method_table(self, capsys):
+        assert cli.main(["denoise", "--help"]) == 0
+        assert "--method {" + ",".join(METHOD_NAMES) + "}" in capsys.readouterr().out
 
     def test_identity_round_trips_values(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -298,6 +307,34 @@ class TestBoundA:
         assert run_cli("bound-a", "--beta", "3", "--d", "10", "--reps", "2000").returncode == 2
         assert run_cli("bound-a", "--beta", "0.3", "--d", "10", "--reps", "2000").returncode == 2
 
+    def test_dimension_below_three_rejected(self):
+        r = run_cli("bound-a", "--beta", "2", "--d", "2", "--reps", "2000")
+        assert r.returncode == 2
+        assert "d must be at least 3" in r.stderr
+
     def test_argparse_failures_exit_2(self):
         assert run_cli("bound-a", "--beta", "2", "--d", "ten", "--reps", "2000").returncode == 2
         assert run_cli("frobnicate").returncode == 2
+
+
+class TestScripts:
+    def test_risk_comparison_csv_matches_simulate(self, tmp_path, capsys):
+        flags = ["--methods", "zh,visu,blockjs", "--signals", "blocks,spikes", "--n", "256",
+                 "--reps", "20", "--seed", "3", "--sigma-mode", "estimated"]
+        script = runpy.run_path(str(SCRIPTS / "run_risk_comparison.py"))["main"]
+        assert script([*flags, "--out", str(tmp_path / "script.csv")]) == 0
+        assert cli.main(["simulate", *flags, "--out", str(tmp_path / "cli.csv")]) == 0
+        assert "wrote 6 rows" in capsys.readouterr().out
+        payload = (tmp_path / "script.csv").read_bytes()
+        assert payload.startswith((CSV_HEADER + "\n").encode())
+        assert payload == (tmp_path / "cli.csv").read_bytes()
+
+    def test_shrink_constant_table_uses_the_finite_rule(self, capsys):
+        script = runpy.run_path(str(SCRIPTS / "estimate_shrink_constants.py"))["main"]
+        assert script(["--beta", "4/3", "--d", "5,50", "--reps", "2000"]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        for d, row in zip((5, 50), rows):
+            fields = row.split()
+            assert int(fields[0]) == d
+            finite = resolve_a(ShrinkConfig(beta=4.0 / 3.0, a_rule="finite"), d)
+            assert fields[3] == f"{finite:.4f}"

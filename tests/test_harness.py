@@ -209,8 +209,8 @@ class TestRiskSweep:
     @pytest.mark.parametrize("sigma_mode", ["known", "estimated"])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_rows_equal_single_method_calls_bitwise(self, sigma_mode, workers):
-        # the shared per-replicate analysis must not change any method's errors;
-        # 40 replicates make two chunks, so workers=2 really runs two threads
+        # the shared per-replicate analysis must not change any method's errors,
+        # and the accepted workers argument must not change anything either
         names = ["zh", "zh-sure", "visu", "zh", "blockjs"]
         reports = risk_sweep(names, ["bumps"], [256], snr=3.0, reps=40, seed=12,
                              sigma_mode=sigma_mode, workers=workers)

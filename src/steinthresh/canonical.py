@@ -12,8 +12,10 @@ All tuning rules are expressed through :class:`ShrinkConfig`; the constant
 """
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy import special
@@ -48,6 +50,12 @@ DEFAULT_BETA_GRID = tuple(1.0 + 0.05 * k for k in range(1, 21))
 # most values one batch_sure call of select_beta_by_sure evaluates, so the
 # (candidates, d) temporaries stay small (64 KiB each)
 _SURE_BLOCK = 8192
+
+# monte_carlo_a_beta draws 2**21 values (16 MiB) per block from the block's own
+# substream, so the block size fixes the result; each block is drawn in row
+# chunks of about 2**17 values (1 MiB), which only bounds the temporaries
+_MC_BLOCK = 2**21
+_MC_CHUNK = 2**17
 
 # finite stand-in for log 0: times beta - 2 = 0 it gives 0, as pow has 0**0 = 1,
 # while beta > 0 and beta - 2 < 0 still take |0|**beta to 0 and |0|**(beta-2) to inf
@@ -314,14 +322,41 @@ def select_beta_by_sure(sample, beta_grid=None):
     return float(betas[best, 0]), float(a[best, 0])
 
 
+def _cpu_count():
+    # cores this process may run on; os.cpu_count() where affinity is unknown
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _mc_block(beta, d, seed, block, rows):
+    # (sum of ratios, sum of squared ratios) over one block of ``rows`` replicates
+    gen = substream(seed, block)
+    step = max(1, _MC_CHUNK // d)
+    ratio = np.empty(rows)
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        xi = np.abs(gen.standard_normal((hi - lo, d)))
+        num = (xi ** (2.0 * beta - 2.0)).sum(axis=1)
+        den = (xi**beta).sum(axis=1) ** 2
+        np.divide(num, den, out=ratio[lo:hi])
+    return float(ratio.sum()), float((ratio * ratio).sum())
+
+
 def monte_carlo_a_beta(beta, d, reps, seed):
     """Simulated largest Bayes-risk-safe constant: 2 / E[sum|xi|**(2b-2) / (sum|xi|**b)**2].
 
     Returns (estimate, standard_error); xi is a d-vector of standard normals.
     At beta = 2 the expectation is E[1/chisq_d] = 1/(d-2), so the estimate
-    converges to 2(d-2).  Deterministic in ``seed``: replicates are drawn in
-    fixed-size batches from counter-keyed substreams, so neither chunking nor
-    evaluation order changes the result.
+    converges to 2(d-2).  Deterministic in ``seed``: replicates come in
+    blocks of ``_MC_BLOCK // d`` rows (16 MiB), block b drawn from
+    ``substream(seed, b)`` in row chunks of about 1 MiB.  Sequential draws
+    continue one stream and row sums do not depend on the chunking, so the
+    chunk size does not change the result.  Blocks run on a thread pool of
+    one thread per available core (none for a single block or core), and
+    their partial sums are added in block order, so the result does not
+    depend on the number of cores either.
     """
     if not (0.5 < beta <= 2.0):
         raise ValueError(f"simulated constant requires beta in (1/2, 2], got {beta}")
@@ -330,21 +365,21 @@ def monte_carlo_a_beta(beta, d, reps, seed):
     reps = int(reps)
     if reps < 1000:
         raise ValueError("need at least 1000 replicates")
-    batch = max(1, 2**21 // int(d))
+    d = int(d)
+    batch = max(1, _MC_BLOCK // d)
+    sizes = [min(batch, reps - lo) for lo in range(0, reps, batch)]
+    run = partial(_mc_block, beta, d, seed)
+    workers = min(len(sizes), _cpu_count())
+    if workers == 1:
+        parts = list(map(run, range(len(sizes)), sizes))
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            parts = list(pool.map(run, range(len(sizes)), sizes))
     s1 = 0.0
     s2 = 0.0
-    done = 0
-    block = 0
-    while done < reps:
-        take = min(batch, reps - done)
-        xi = np.abs(substream(seed, block).standard_normal((take, d)))
-        num = (xi ** (2.0 * beta - 2.0)).sum(axis=1)
-        den = (xi**beta).sum(axis=1) ** 2
-        ratio = num / den
-        s1 += float(ratio.sum())
-        s2 += float((ratio * ratio).sum())
-        done += take
-        block += 1
+    for p1, p2 in parts:
+        s1 += p1
+        s2 += p2
     mean = s1 / reps
     if not (math.isfinite(mean) and mean > 0):
         raise ArithmeticError(f"non-finite accumulation at beta={beta}, d={d}")

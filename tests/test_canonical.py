@@ -1,12 +1,16 @@
 """Canonical normal-means estimators: worked examples, oracles, and properties."""
 
 import math
+import threading
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from steinthresh import canonical
+from steinthresh._rng import substream
 from steinthresh.canonical import (
     DEFAULT_BETA_GRID,
     CanonicalSample,
@@ -57,6 +61,39 @@ def oracle_select(z, sigma, grid):
         if best is None or total <= best[2]:
             best = (beta, a, total)
     return best[:2]
+
+
+@lru_cache(maxsize=None)
+def oracle_monte_carlo_a_beta(beta, d, reps, seed):
+    # the kernel before row chunking and block threads: one 16 MiB draw per block
+    if not (0.5 < beta <= 2.0):
+        raise ValueError(f"simulated constant requires beta in (1/2, 2], got {beta}")
+    if d < 3:
+        raise ValueError("d must be at least 3")
+    reps = int(reps)
+    if reps < 1000:
+        raise ValueError("need at least 1000 replicates")
+    batch = max(1, 2**21 // int(d))
+    s1 = 0.0
+    s2 = 0.0
+    done = 0
+    block = 0
+    while done < reps:
+        take = min(batch, reps - done)
+        xi = np.abs(substream(seed, block).standard_normal((take, d)))
+        num = (xi ** (2.0 * beta - 2.0)).sum(axis=1)
+        den = (xi**beta).sum(axis=1) ** 2
+        ratio = num / den
+        s1 += float(ratio.sum())
+        s2 += float((ratio * ratio).sum())
+        done += take
+        block += 1
+    mean = s1 / reps
+    if not (math.isfinite(mean) and mean > 0):
+        raise ArithmeticError(f"non-finite accumulation at beta={beta}, d={d}")
+    var = max(0.0, (s2 - reps * mean * mean) / (reps - 1))
+    se_mean = math.sqrt(var / reps)
+    return 2.0 / mean, 2.0 * se_mean / mean**2
 
 
 def seeded_levels(d, sigma, seed):
@@ -471,6 +508,62 @@ class TestMonteCarloConstant:
             monte_carlo_a_beta(1.5, 2, 2000, seed=0)
         with pytest.raises(ValueError):
             monte_carlo_a_beta(1.5, 10, 999, seed=0)
+
+
+class TestMonteCarloBlocks:
+    # 3.5 blocks: four blocks, the last one ragged (3 * 1048 + 524 rows at d = 2000)
+    D = 2000
+    BLOCK_ROWS = 2**21 // D
+    REPS = 3 * BLOCK_ROWS + BLOCK_ROWS // 2
+
+    @pytest.mark.parametrize("beta", [4.0 / 3.0, 2.0])
+    @pytest.mark.parametrize("chunk_rows", [1, 7, BLOCK_ROWS])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_equals_the_unchunked_serial_kernel(self, monkeypatch, beta, chunk_rows, cpus):
+        monkeypatch.setattr(canonical, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(canonical, "_MC_CHUNK", chunk_rows * self.D)
+        got = monte_carlo_a_beta(beta, self.D, self.REPS, seed=17)
+        assert got == oracle_monte_carlo_a_beta(beta, self.D, self.REPS, 17)
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_bound_a_shape_with_a_ragged_last_block(self, monkeypatch, cpus):
+        # d = 50: 3.5 blocks of 41943 rows, drawn in the default 2621-row chunks
+        monkeypatch.setattr(canonical, "_cpu_count", lambda: cpus)
+        reps = 7 * (2**21 // 50) // 2
+        got = monte_carlo_a_beta(4.0 / 3.0, 50, reps, seed=9)
+        assert got == oracle_monte_carlo_a_beta(4.0 / 3.0, 50, reps, 9)
+
+    def test_single_block_starts_no_pool(self, monkeypatch):
+        def no_pool(*_):
+            raise AssertionError("a single block must not start a thread pool")
+
+        monkeypatch.setattr(canonical, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(canonical, "ThreadPoolExecutor", no_pool)
+        got = monte_carlo_a_beta(1.5, 50, 5000, seed=2)
+        assert got == oracle_monte_carlo_a_beta(1.5, 50, 5000, 2)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_worker_exception_propagates(self, monkeypatch, cpus):
+        def failing(seed, *path):
+            if path == (1,):
+                raise RuntimeError("block 1 failed")
+            return substream(seed, *path)
+
+        monkeypatch.setattr(canonical, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(canonical, "substream", failing)
+        caught = []
+
+        def call():
+            try:
+                monte_carlo_a_beta(2.0, self.D, self.REPS, seed=1)
+            except RuntimeError as exc:
+                caught.append(exc)
+
+        worker = threading.Thread(target=call, daemon=True)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert [str(e) for e in caught] == ["block 1 failed"]
 
 
 class TestSampleValidation:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import steinthresh
-from steinthresh import cli
+from steinthresh import canonical, cli
 from steinthresh.baselines import METHOD_NAMES
 from steinthresh.canonical import ShrinkConfig, resolve_a
 from steinthresh.testbed import generate_signal
@@ -316,6 +316,14 @@ class TestBoundA:
         assert run_cli("bound-a", "--beta", "2", "--d", "ten", "--reps", "2000").returncode == 2
         assert run_cli("frobnicate").returncode == 2
 
+    def test_output_does_not_depend_on_core_count(self, monkeypatch, capsys):
+        outputs = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(canonical, "_cpu_count", lambda: cpus)
+            assert cli.main(["bound-a", "--beta", "4/3", "--d", "50", "--reps", "2e5", "--seed", "0"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
 
 class TestScripts:
     def test_risk_comparison_csv_matches_simulate(self, tmp_path, capsys):
@@ -338,3 +346,12 @@ class TestScripts:
             assert int(fields[0]) == d
             finite = resolve_a(ShrinkConfig(beta=4.0 / 3.0, a_rule="finite"), d)
             assert fields[3] == f"{finite:.4f}"
+
+    def test_shrink_constant_table_does_not_depend_on_core_count(self, monkeypatch, capsys):
+        script = runpy.run_path(str(SCRIPTS / "estimate_shrink_constants.py"))["main"]
+        outputs = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(canonical, "_cpu_count", lambda: cpus)
+            assert script(["--d", "5,50"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]

@@ -337,10 +337,13 @@ def _mc_block(beta, d, seed, block, rows):
     ratio = np.empty(rows)
     for lo in range(0, rows, step):
         hi = min(lo + step, rows)
-        xi = np.abs(gen.standard_normal((hi - lo, d)))
-        num = (xi ** (2.0 * beta - 2.0)).sum(axis=1)
-        den = (xi**beta).sum(axis=1) ** 2
-        np.divide(num, den, out=ratio[lo:hi])
+        xi = gen.standard_normal((hi - lo, d))
+        np.abs(xi, out=xi)
+        # one pow per value: p = |xi|**(beta-1), p*|xi| = |xi|**beta, p*p = |xi|**(2beta-2)
+        p = np.power(xi, beta - 1.0)
+        xi *= p
+        np.square(p, out=p)
+        np.divide(p.sum(axis=1), np.square(xi.sum(axis=1)), out=ratio[lo:hi])
     return float(ratio.sum()), float((ratio * ratio).sum())
 
 

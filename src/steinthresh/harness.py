@@ -86,6 +86,7 @@ def canonical_risk(theta, config, sigma, reps, seed, positive_part=True, workers
         z = theta + sigma * substream(seed, b).standard_normal((hi - lo, d))
         est = z if config is None else batch_estimate(z, sigma, beta, a, positive_part)
         errs[lo:hi] = ((est - theta) ** 2).sum(axis=1)
+        del z, est  # free this batch before the next one is drawn
     return CanonicalRiskReport(
         theta=label or f"vector of length {d}",
         d=d,

@@ -17,16 +17,11 @@ from .baselines import (
 from .canonical import (
     CanonicalSample,
     ShrinkConfig,
-    SureValue,
     c_beta,
     moment_constant,
     monte_carlo_a_beta,
     resolve_a,
     select_beta_by_sure,
-    shrink_denominator,
-    sure,
-    threshold_estimate,
-    untruncated_estimate,
 )
 from .dwt import WaveletDecomposition, dwt_forward, dwt_inverse, max_levels
 from .harness import (

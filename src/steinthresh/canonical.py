@@ -27,7 +27,6 @@ __all__ = [
     "DEFAULT_BETA_GRID",
     "CanonicalSample",
     "ShrinkConfig",
-    "SureValue",
     "batch_estimate",
     "batch_sure",
     "c_beta",
@@ -35,10 +34,6 @@ __all__ = [
     "monte_carlo_a_beta",
     "resolve_a",
     "select_beta_by_sure",
-    "shrink_denominator",
-    "sure",
-    "threshold_estimate",
-    "untruncated_estimate",
 ]
 
 A_RULES = ("finite", "asymptotic", "eb", "theorem", "fixed")
@@ -111,14 +106,6 @@ class CanonicalSample:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
 
 
-@dataclass
-class SureValue:
-    """Unbiased risk estimate, per coordinate and summed."""
-
-    per_coordinate: np.ndarray
-    total: float
-
-
 def moment_constant(beta):
     """E|N(0,1)|**beta, the absolute moment of the standard normal.
 
@@ -167,14 +154,6 @@ def resolve_a(config, d):
     return a
 
 
-def shrink_denominator(sample, beta):
-    """Pooled magnitude D = sum |z_i/sigma|**beta of the standardized sample."""
-    if not (0.0 < beta <= 2.0):
-        raise ValueError(f"beta must be in (0, 2], got {beta}")
-    w = np.abs(sample.z / sample.sigma)
-    return float((w**beta).sum())
-
-
 def _clip_mask(absw, beta, a, dnm):
     # decide a*|w|**(beta-2) >= D in log space so tiny |w| cannot overflow
     if beta == 2.0:
@@ -186,11 +165,13 @@ def _clip_mask(absw, beta, a, dnm):
 
 
 def batch_estimate(z, sigma, beta, a, positive_part=True):
-    """Vectorized estimator over rows: ``z`` has shape (m, d), returns (m, d).
+    """Estimator over rows: ``z`` has shape (m, d), or (d,) for one sample.
 
-    The Monte Carlo engine runs through here; the one-sample wrappers
-    :func:`threshold_estimate` / :func:`untruncated_estimate` do too, so a
-    single code path serves both.
+    Per row, with ``w = z / sigma`` and ``D = sum |w_i|**beta``, returns
+    ``sigma * (1 - a|w_i|**(beta-2)/D)+ * w_i``: coordinates with
+    ``a|w_i|**(beta-2) >= D`` (w_i = 0 too when beta < 2) are exactly zero.
+    ``positive_part=False`` subtracts ``a sign(w_i)|w_i|**(beta-1)/D``
+    instead, which can overshoot past zero and rejects an all-zero row.
     """
     z = np.asarray(z, dtype=float)
     if not (a > 0 and math.isfinite(a)):
@@ -216,23 +197,6 @@ def batch_estimate(z, sigma, beta, a, positive_part=True):
         gain[nz] = a * np.sign(w[nz]) * absw[nz] ** (beta - 1.0) / wide[nz]
         est = w - gain
     return sigma * est
-
-
-def threshold_estimate(sample, config):
-    """Positive-part estimate: coordinate i becomes (1 - a|w_i|**(beta-2)/D)+ * z_i.
-
-    Coordinates with ``a * |w_i|**(beta-2) >= D`` (including z_i = 0 when
-    beta < 2) are set exactly to zero; an all-zero sample returns the zero
-    vector.  Computed on standardized coordinates and rescaled by sigma.
-    """
-    a = resolve_a(config, sample.z.size)
-    return batch_estimate(sample.z[None, :], sample.sigma, config.beta, a, positive_part=True)[0]
-
-
-def untruncated_estimate(sample, config):
-    """Shrinkage without truncation; small coordinates can overshoot past zero."""
-    a = resolve_a(config, sample.z.size)
-    return batch_estimate(sample.z[None, :], sample.sigma, config.beta, a, positive_part=False)[0]
 
 
 def batch_sure(z, sigma, beta, a):
@@ -270,16 +234,6 @@ def batch_sure(z, sigma, beta, a):
         small = np.exp(lead) / dnm
         kept = 1.0 + small * ((a * a + 2.0 * a * beta) * (pb / dnm) - 2.0 * a * (beta - 1.0))
     return sigma**2 * np.where(clip, w * w - 1.0, kept)
-
-
-def sure(sample, beta, a):
-    """Stein unbiased risk estimate for the positive-part estimator.
-
-    Averaged over draws from N(theta, sigma**2 I), the total converges to the
-    exact risk for every theta.
-    """
-    per = batch_sure(sample.z[None, :], sample.sigma, beta, a)[0]
-    return SureValue(per_coordinate=per, total=float(per.sum()))
 
 
 @lru_cache(maxsize=64)

@@ -12,12 +12,15 @@ import sys
 import numpy as np
 
 from .baselines import METHOD_NAMES, apply_method, make_method, resolution_cutoff
-from .canonical import ShrinkConfig, c_beta, monte_carlo_a_beta, resolve_a
+from .canonical import A_RULES, ShrinkConfig, c_beta, monte_carlo_a_beta, resolve_a
 from .dwt import dwt_forward, dwt_inverse, max_levels
 from .harness import estimate_sigma, risk_sweep
 from .testbed import SIGNAL_NAMES
 
 __all__ = ["main", "write_reports"]
+
+# the --a-rule spellings, e.g. finite|asymptotic|eb|theorem|fixed:<real>
+_A_RULE_CHOICES = "|".join("fixed:<real>" if r == "fixed" else r for r in A_RULES)
 
 
 def _fmt(x):
@@ -69,16 +72,14 @@ def _sigma_flag(text):
 
 def _a_rule(text):
     s = text.strip()
-    if s in ("finite", "asymptotic", "eb", "theorem"):
+    if s in A_RULES and s != "fixed":
         return s, None
     if s.startswith("fixed:"):
         value = _real(s[len("fixed:"):])
         if not value > 0:
             raise argparse.ArgumentTypeError("fixed a must be positive")
         return "fixed", value
-    raise argparse.ArgumentTypeError(
-        f"invalid a-rule {text!r}; expected finite|asymptotic|eb|theorem|fixed:<real>"
-    )
+    raise argparse.ArgumentTypeError(f"invalid a-rule {text!r}; expected {_A_RULE_CHOICES}")
 
 
 def _comma_list(text):
@@ -86,6 +87,10 @@ def _comma_list(text):
     if not items:
         raise argparse.ArgumentTypeError("empty list")
     return items
+
+
+def _count_list(text):
+    return [_count(s) for s in _comma_list(text)]
 
 
 def _build_method(name, beta, a_rule):
@@ -154,16 +159,15 @@ def write_reports(path, reports):
 
 
 def cmd_bound_a(args):
-    estimate, std_error = monte_carlo_a_beta(args.beta, args.d, args.reps, args.seed)
-    finite = resolve_a(ShrinkConfig(beta=args.beta, a_rule="finite"), args.d)
-    limit = args.d * c_beta(args.beta)
-    header = f"{'beta':>10} {'d':>8} {'a_beta':>14} {'std_error':>12} {'finite_rule':>14} {'d_c_beta':>14}"
-    row = (
-        f"{args.beta:>10.6g} {args.d:>8d} {estimate:>14.6g} "
-        f"{std_error:>12.3g} {finite:>14.6g} {limit:>14.6g}"
-    )
-    print(header)
-    print(row)
+    # every row is computed before the table is printed, so a bad d leaves no partial output
+    rows = []
+    for d in args.d:
+        estimate, std_error = monte_carlo_a_beta(args.beta, d, args.reps, args.seed)
+        finite = resolve_a(ShrinkConfig(beta=args.beta, a_rule="finite"), d)
+        rows.append(f"{args.beta:>10.6g} {d:>8d} {estimate:>14.6g} {std_error:>12.3g} "
+                    f"{finite:>14.6g} {d * c_beta(args.beta):>14.6g}")
+    print(f"{'beta':>10} {'d':>8} {'a_beta':>14} {'std_error':>12} {'finite_rule':>14} {'d_c_beta':>14}")
+    print("\n".join(rows))
     return 0
 
 
@@ -182,7 +186,7 @@ def _build_parser():
     den.add_argument("--beta", type=_real, default=4.0 / 3.0,
                      help="shrinkage exponent for method zh (accepts fractions like 4/3)")
     den.add_argument("--a-rule", type=_a_rule, default=("finite", None),
-                     help="constant rule for method zh: finite|asymptotic|eb|theorem|fixed:<real>")
+                     help=f"constant rule for method zh: {_A_RULE_CHOICES}")
     den.add_argument("--out", required=True, help="output CSV path")
     den.set_defaults(func=cmd_denoise)
 
@@ -198,7 +202,7 @@ def _build_parser():
     sim.add_argument("--sigma-mode", choices=("known", "estimated"), default="known")
     sim.add_argument("--beta", type=_real, default=4.0 / 3.0, help="exponent for method zh")
     sim.add_argument("--a-rule", type=_a_rule, default=("finite", None),
-                     help="constant rule for method zh: finite|asymptotic|eb|theorem|fixed:<real>")
+                     help=f"constant rule for method zh: {_A_RULE_CHOICES}")
     sim.add_argument("--workers", type=_count, default=1,
                      help="accepted for compatibility; no effect on results or execution")
     sim.add_argument("--out", required=True, help="output CSV path")
@@ -206,7 +210,7 @@ def _build_parser():
 
     bnd = sub.add_parser("bound-a", help="simulate the Bayes-risk-safe shrink constant")
     bnd.add_argument("--beta", type=_real, required=True, help="exponent in (1/2, 2]; fractions allowed")
-    bnd.add_argument("--d", type=_count, required=True)
+    bnd.add_argument("--d", type=_count_list, required=True, help="comma list of dimensions")
     bnd.add_argument("--reps", type=_count, default=100000)
     bnd.add_argument("--seed", type=_seed, default=0)
     bnd.set_defaults(func=cmd_bound_a)

@@ -123,7 +123,7 @@ def _pipeline_depth(n):
     return levels
 
 
-def _cell_errors(methods, signal, sigma_mode, reps, seed, workers):
+def _cell_errors(methods, signal, sigma_mode, reps, seed):
     # (len(methods), reps) squared errors; one analysis per replicate serves every method
     if sigma_mode not in ("known", "estimated"):
         raise ValueError(f"sigma_mode must be 'known' or 'estimated', got {sigma_mode!r}")
@@ -152,7 +152,7 @@ def wavelet_risk_replicates(method, signal, sigma_mode="known", reps=500, seed=0
     signal-to-noise ratio lives in the signal scaling.  ``workers`` has no
     effect on results or execution.
     """
-    return _cell_errors([method], signal, sigma_mode, reps, seed, workers)[0]
+    return _cell_errors([method], signal, sigma_mode, reps, seed)[0]
 
 
 def _report(method, signal, errs):
@@ -173,7 +173,7 @@ def _report(method, signal, errs):
 
 def wavelet_risk(method, signal, sigma_mode="known", reps=500, seed=0, workers=1):
     """RiskReport for one method on one signal (mean risk, std error, risk / n)."""
-    errs = wavelet_risk_replicates(method, signal, sigma_mode, reps, seed, workers)
+    errs = wavelet_risk_replicates(method, signal, sigma_mode, reps, seed)
     return _report(method, signal, errs)
 
 
@@ -191,6 +191,6 @@ def risk_sweep(methods, signals, n_values, snr, reps, seed, sigma_mode="known", 
     for name in signals:
         for n in n_values:
             sig = generate_signal(name, int(n), snr)
-            errs = _cell_errors(methods, sig, sigma_mode, reps, seed, workers)
+            errs = _cell_errors(methods, sig, sigma_mode, reps, seed)
             reports += [_report(method, sig, e) for method, e in zip(methods, errs)]
     return reports

@@ -17,13 +17,19 @@ from steinthresh.baselines import (
     resolution_cutoff,
     soft_threshold,
 )
-from steinthresh.canonical import CanonicalSample, ShrinkConfig, threshold_estimate
+from steinthresh.canonical import CanonicalSample, ShrinkConfig, batch_estimate, resolve_a
 from steinthresh.dwt import WaveletDecomposition, dwt_forward
 from steinthresh.testbed import generate_signal
 
 
 def fixed(beta, a):
     return ShrinkConfig(beta=beta, a_rule="fixed", fixed_a=a)
+
+
+def est(z, cfg, sigma=1.0):
+    # one sample through the canonical estimator, with a resolved for its dimension
+    z = np.asarray(z, dtype=float)
+    return batch_estimate(z, sigma, cfg.beta, resolve_a(cfg, z.size))
 
 
 def run(name, decomp, sigma, cutoff, **params):
@@ -231,7 +237,7 @@ class TestLevelwiseThresholding:
         z = (0.01, 5.0, 5.0, 5.0)
         cfg = fixed(4.0 / 3.0, 10.0 / 3.0)
         out = run("zh", small_decomp(z), 1.0, 2, config=cfg)
-        expect = threshold_estimate(CanonicalSample(np.asarray(z)), cfg)
+        expect = est(z, cfg)
         np.testing.assert_array_equal(out.details[1][1], expect)
         assert out.details[1][1][0] == 0.0
         np.testing.assert_array_equal(out.details[0][1], small_decomp(z).details[0][1])
@@ -245,7 +251,7 @@ class TestLevelwiseThresholding:
             cfg_d = fixed(4.0 / 3.0, float(0.97 * (d - 2) * 1.7207043598936434))
             np.testing.assert_allclose(
                 out.details[idx][1],
-                threshold_estimate(CanonicalSample(v), cfg_d),
+                est(v, cfg_d),
                 rtol=1e-12,
             )
 

@@ -22,15 +22,17 @@ from steinthresh.canonical import (
     monte_carlo_a_beta,
     resolve_a,
     select_beta_by_sure,
-    shrink_denominator,
-    sure,
-    threshold_estimate,
-    untruncated_estimate,
 )
 
 
 def fixed(beta, a):
     return ShrinkConfig(beta=beta, a_rule="fixed", fixed_a=a)
+
+
+def est(z, cfg, sigma=1.0, positive_part=True):
+    # one sample through the batched estimator, with a resolved for its dimension
+    z = np.asarray(z, dtype=float)
+    return batch_estimate(z, sigma, cfg.beta, resolve_a(cfg, z.size), positive_part)
 
 
 def oracle_sure(z, sigma, beta, a):
@@ -117,55 +119,31 @@ def seeded_levels(d, sigma, seed):
     return [v for v in noise if np.any(v)]
 
 
-class TestShrinkDenominator:
-    def test_hand_worked_power_sum(self):
-        s = CanonicalSample(np.array([2.0, 2.0, 2.0, 2.0]))
-        assert shrink_denominator(s, 4.0 / 3.0) == pytest.approx(4.0 * 2.0 ** (4.0 / 3.0), rel=1e-14)
-
-    def test_sigma_standardizes(self):
-        s = CanonicalSample(np.array([2.0, -4.0, 6.0]), sigma=2.0)
-        expect = 1.0 + 2.0**1.5 + 3.0**1.5
-        assert shrink_denominator(s, 1.5) == pytest.approx(expect, rel=1e-14)
-
-    def test_zero_vector_gives_zero(self):
-        assert shrink_denominator(CanonicalSample(np.zeros(5)), 1.0) == 0.0
-
-    def test_beta_out_of_range(self):
-        s = CanonicalSample(np.ones(3))
-        with pytest.raises(ValueError):
-            shrink_denominator(s, 2.5)
-        with pytest.raises(ValueError):
-            shrink_denominator(s, 0.0)
-
-
 class TestThresholdEstimate:
     def test_equal_coordinates_hand_value(self):
         # D = 4*2^{4/3}; shrink fraction = (10/3)*2^{-2/3}/D = 5/24; 2*(19/24) = 19/12
-        s = CanonicalSample(np.array([2.0, 2.0, 2.0, 2.0]))
-        est = threshold_estimate(s, fixed(4.0 / 3.0, 10.0 / 3.0))
-        np.testing.assert_allclose(est, 19.0 / 12.0, rtol=1e-13)
+        out = est([2.0, 2.0, 2.0, 2.0], fixed(4.0 / 3.0, 10.0 / 3.0))
+        np.testing.assert_allclose(out, 19.0 / 12.0, rtol=1e-13)
 
     def test_small_coordinate_zeroed_large_ones_shrunk(self):
         z = np.array([0.01, 5.0, 5.0, 5.0])
-        est = threshold_estimate(CanonicalSample(z), fixed(4.0 / 3.0, 10.0 / 3.0))
-        assert est[0] == 0.0
+        out = est(z, fixed(4.0 / 3.0, 10.0 / 3.0))
+        assert out[0] == 0.0
         # independent brute-force evaluation of the positive-part formula
         dnm = (np.abs(z) ** (4.0 / 3.0)).sum()
         brute = np.maximum(1.0 - (10.0 / 3.0) * np.abs(z) ** (-2.0 / 3.0) / dnm, 0.0) * z
-        np.testing.assert_allclose(est, brute, rtol=1e-13)
-        assert np.all(est[1:] > 0) and np.all(est[1:] < 5.0)
+        np.testing.assert_allclose(out, brute, rtol=1e-13)
+        assert np.all(out[1:] > 0) and np.all(out[1:] < 5.0)
 
     def test_james_stein_hand_value(self):
-        est = threshold_estimate(CanonicalSample(np.array([3.0, 0.0, 0.0])), fixed(2.0, 1.0))
-        np.testing.assert_allclose(est, [8.0 / 3.0, 0.0, 0.0], rtol=1e-14)
+        out = est([3.0, 0.0, 0.0], fixed(2.0, 1.0))
+        np.testing.assert_allclose(out, [8.0 / 3.0, 0.0, 0.0], rtol=1e-14)
 
     def test_all_zero_input_returns_zero_vector(self):
-        est = threshold_estimate(CanonicalSample(np.zeros(6)), fixed(1.5, 2.0))
-        assert np.all(est == 0.0)
+        assert np.all(est(np.zeros(6), fixed(1.5, 2.0)) == 0.0)
 
     def test_zero_coordinate_is_zeroed_for_beta_below_two(self):
-        est = threshold_estimate(CanonicalSample(np.array([0.0, 8.0, -9.0])), fixed(1.2, 0.5))
-        assert est[0] == 0.0
+        assert est([0.0, 8.0, -9.0], fixed(1.2, 0.5))[0] == 0.0
 
     def test_zero_characterization(self):
         # a coordinate is zeroed exactly when a*|z_i/sigma|**(beta-2) >= D
@@ -178,17 +156,17 @@ class TestThresholdEstimate:
             a = rng.uniform(0.2, 3.0) * d
             w = np.abs(z / sigma)
             dnm = (w**beta).sum()
-            est = threshold_estimate(CanonicalSample(z, sigma), fixed(beta, a))
+            out = est(z, fixed(beta, a), sigma)
             should_be_zero = a * w ** (beta - 2.0) >= dnm
-            np.testing.assert_array_equal(est == 0.0, should_be_zero)
+            np.testing.assert_array_equal(out == 0.0, should_be_zero)
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(6)
         z = rng.standard_normal(8)
         cfg = fixed(1.4, 3.0)
         for c in (0.25, 3.0, 117.0):
-            a = threshold_estimate(CanonicalSample(c * z, sigma=c * 1.0), cfg)
-            b = c * threshold_estimate(CanonicalSample(z, sigma=1.0), cfg)
+            a = est(c * z, cfg, sigma=c * 1.0)
+            b = c * est(z, cfg, sigma=1.0)
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
 
     @settings(max_examples=60, deadline=None)
@@ -200,43 +178,41 @@ class TestThresholdEstimate:
     def test_permutation_and_sign_equivariance(self, values, beta, a):
         z = np.asarray(values)
         cfg = fixed(beta, a)
-        est = threshold_estimate(CanonicalSample(z), cfg)
+        out = est(z, cfg)
         perm = np.random.default_rng(0).permutation(z.size)
-        np.testing.assert_allclose(
-            threshold_estimate(CanonicalSample(z[perm]), cfg), est[perm], rtol=1e-12, atol=1e-12
-        )
-        np.testing.assert_allclose(
-            threshold_estimate(CanonicalSample(-z), cfg), -est, rtol=1e-12, atol=1e-12
-        )
+        np.testing.assert_allclose(est(z[perm], cfg), out[perm], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(est(-z, cfg), -out, rtol=1e-12, atol=1e-12)
 
     def test_tiny_magnitudes_stay_finite(self):
         z = np.array([1e-300, 1e-12, 5.0, -6.0])
-        est = threshold_estimate(CanonicalSample(z), fixed(1.1, 2.0))
-        assert np.all(np.isfinite(est))
-        assert est[0] == 0.0 and est[1] == 0.0
+        out = est(z, fixed(1.1, 2.0))
+        assert np.all(np.isfinite(out))
+        assert out[0] == 0.0 and out[1] == 0.0
+
+    def test_beta_out_of_range(self):
+        for beta in (2.5, 0.0):
+            for positive_part in (True, False):
+                with pytest.raises(ValueError):
+                    batch_estimate(np.ones(3), 1.0, beta, 1.0, positive_part)
 
 
 class TestUntruncatedEstimate:
     def test_overshoot_past_zero(self):
         z = np.array([0.01, 5.0, 5.0, 5.0])
-        est = untruncated_estimate(CanonicalSample(z), fixed(4.0 / 3.0, 10.0 / 3.0))
+        out = est(z, fixed(4.0 / 3.0, 10.0 / 3.0), positive_part=False)
         dnm = (np.abs(z) ** (4.0 / 3.0)).sum()
         brute = z - (10.0 / 3.0) * np.sign(z) * np.abs(z) ** (1.0 / 3.0) / dnm
-        np.testing.assert_allclose(est, brute, rtol=1e-13)
-        assert est[0] < 0.0  # sign flip: shrinkage overshoots the small coordinate
+        np.testing.assert_allclose(out, brute, rtol=1e-13)
+        assert out[0] < 0.0  # sign flip: shrinkage overshoots the small coordinate
 
     def test_agrees_with_threshold_when_nothing_clips(self):
         z = np.array([4.0, -5.0, 6.0, 7.0])
         cfg = fixed(1.8, 1.0)
-        np.testing.assert_allclose(
-            untruncated_estimate(CanonicalSample(z), cfg),
-            threshold_estimate(CanonicalSample(z), cfg),
-            rtol=1e-13,
-        )
+        np.testing.assert_allclose(est(z, cfg, positive_part=False), est(z, cfg), rtol=1e-13)
 
     def test_all_zero_input_rejected(self):
         with pytest.raises(ValueError):
-            untruncated_estimate(CanonicalSample(np.zeros(4)), fixed(1.5, 1.0))
+            est(np.zeros(4), fixed(1.5, 1.0), positive_part=False)
 
 
 class TestMomentConstant:
@@ -321,9 +297,8 @@ class TestResolveA:
 class TestSure:
     def test_clipped_coordinate_hand_value(self):
         # coordinate 1 clips (a*0.01^{-2/3} ~ 71.8 > D ~ 25.65): contribution w^2 - 1
-        sv = sure(CanonicalSample(np.array([0.01, 5.0, 5.0, 5.0])), 4.0 / 3.0, 10.0 / 3.0)
-        assert sv.per_coordinate[0] == pytest.approx(0.01**2 - 1.0, abs=1e-15)
-        assert sv.total == pytest.approx(sv.per_coordinate.sum(), rel=1e-14)
+        per = batch_sure(np.array([0.01, 5.0, 5.0, 5.0]), 1.0, 4.0 / 3.0, 10.0 / 3.0)
+        assert per[0] == pytest.approx(0.01**2 - 1.0, abs=1e-15)
 
     def test_james_stein_closed_forms(self):
         # beta=2, a=d-2: total is d - (d-2)^2/||w||^2 when nothing clips,
@@ -331,21 +306,21 @@ class TestSure:
         z = np.array([2.0, -1.0, 3.0, 0.5, 1.5])
         d = z.size
         q = float(z @ z)
-        sv = sure(CanonicalSample(z), 2.0, float(d - 2))
+        total = batch_sure(z, 1.0, 2.0, float(d - 2)).sum()
         assert q > d - 2
-        assert sv.total == pytest.approx(d - (d - 2) ** 2 / q, rel=1e-13)
+        assert total == pytest.approx(d - (d - 2) ** 2 / q, rel=1e-13)
 
         z = np.array([0.1, 0.2, -0.3, 0.1, 0.05])
         q = float(z @ z)
-        sv = sure(CanonicalSample(z), 2.0, float(d - 2))
+        total = batch_sure(z, 1.0, 2.0, float(d - 2)).sum()
         assert q < d - 2
-        assert sv.total == pytest.approx(q - d, rel=1e-13)
+        assert total == pytest.approx(q - d, rel=1e-13)
 
     def test_sigma_rescaling(self):
         z = np.array([0.5, 4.0, -3.0, 2.0])
-        base = sure(CanonicalSample(z), 1.5, 2.0)
-        scaled = sure(CanonicalSample(3.0 * z, sigma=3.0), 1.5, 2.0)
-        np.testing.assert_allclose(scaled.per_coordinate, 9.0 * base.per_coordinate, rtol=1e-12)
+        base = batch_sure(z, 1.0, 1.5, 2.0)
+        scaled = batch_sure(3.0 * z, 3.0, 1.5, 2.0)
+        np.testing.assert_allclose(scaled, 9.0 * base, rtol=1e-12)
 
     def test_unbiasedness_at_origin(self):
         # mean total over draws should match the Monte Carlo risk of the estimator
@@ -353,8 +328,6 @@ class TestSure:
         a = resolve_a(ShrinkConfig(beta=beta), d)
         rng = np.random.default_rng(21)
         z = rng.standard_normal((100_000, d))
-        from steinthresh.canonical import batch_sure
-
         totals = batch_sure(z, 1.0, beta, a).sum(axis=1)
         errs = (batch_estimate(z, 1.0, beta, a) ** 2).sum(axis=1)
         diff = totals - errs
@@ -363,9 +336,9 @@ class TestSure:
 
     def test_degenerate_and_domain_errors(self):
         with pytest.raises(ValueError):
-            sure(CanonicalSample(np.zeros(4)), 1.5, 1.0)
+            batch_sure(np.zeros(4), 1.0, 1.5, 1.0)
         with pytest.raises(ValueError):
-            sure(CanonicalSample(np.ones(4)), 1.0, 1.0)  # needs beta > 1
+            batch_sure(np.ones(4), 1.0, 1.0, 1.0)  # needs beta > 1
 
 
 class TestSelectBeta:
@@ -382,7 +355,7 @@ class TestSelectBeta:
         s = CanonicalSample(z)
         beta, a = select_beta_by_sure(s)
         totals = {
-            b: sure(s, b, resolve_a(ShrinkConfig(beta=b), 32)).total
+            b: batch_sure(z, 1.0, b, resolve_a(ShrinkConfig(beta=b), 32)).sum()
             for b in [1.0 + 0.05 * k for k in range(1, 21)]
         }
         assert totals[beta] == min(totals.values())

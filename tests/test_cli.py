@@ -1,8 +1,11 @@
 """Command-line interface: exit codes, file formats, and byte-level determinism."""
 
+import argparse
 import csv
 import os
+import re
 import runpy
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +16,7 @@ import pytest
 import steinthresh
 from steinthresh import canonical, cli
 from steinthresh.baselines import METHOD_NAMES
-from steinthresh.canonical import ShrinkConfig, resolve_a
+from steinthresh.canonical import A_RULES, ShrinkConfig, resolve_a
 from steinthresh.testbed import generate_signal
 
 CSV_HEADER = "signal,method,n,snr,reps,mean_risk,std_error,relative_risk"
@@ -22,6 +25,7 @@ CSV_HEADER = "signal,method,n,snr,reps,mean_risk,std_error,relative_risk"
 # interpreter finds it without an installed copy
 SRC = str(Path(steinthresh.__file__).resolve().parent.parent)
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+README = SCRIPTS.parent / "README.md"
 
 
 def run_cli(*args, cwd=None, env=None):
@@ -320,9 +324,29 @@ class TestBoundA:
         outputs = []
         for cpus in (1, 3):
             monkeypatch.setattr(canonical, "_cpu_count", lambda: cpus)
-            assert cli.main(["bound-a", "--beta", "4/3", "--d", "50", "--reps", "2e5", "--seed", "0"]) == 0
+            assert cli.main(["bound-a", "--beta", "4/3", "--d", "5,50", "--reps", "2e5", "--seed", "0"]) == 0
             outputs.append(capsys.readouterr().out)
+        assert len(outputs[0].splitlines()) == 3
         assert outputs[0] == outputs[1]
+
+    def test_d_list_rows_equal_single_d_runs(self, capsys):
+        flags = ["--beta", "4/3", "--reps", "2e4", "--seed", "0"]
+        assert cli.main(["bound-a", "--d", "5,10,50", *flags]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 3
+        for d, row in zip((5, 10, 50), rows):
+            assert cli.main(["bound-a", "--d", str(d), *flags]) == 0
+            assert capsys.readouterr().out == f"{header}\n{row}\n"
+            fields = row.split()
+            assert int(fields[1]) == d
+            finite = resolve_a(ShrinkConfig(beta=4.0 / 3.0, a_rule="finite"), d)
+            assert fields[4] == f"{finite:.6g}"
+
+    def test_bad_d_in_list_prints_no_partial_table(self, capsys):
+        assert cli.main(["bound-a", "--beta", "4/3", "--d", "5,2", "--reps", "2000"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "d must be at least 3" in err
 
 
 class TestScripts:
@@ -337,21 +361,30 @@ class TestScripts:
         assert payload.startswith((CSV_HEADER + "\n").encode())
         assert payload == (tmp_path / "cli.csv").read_bytes()
 
-    def test_shrink_constant_table_uses_the_finite_rule(self, capsys):
-        script = runpy.run_path(str(SCRIPTS / "estimate_shrink_constants.py"))["main"]
-        assert script(["--beta", "4/3", "--d", "5,50", "--reps", "2000"]) == 0
-        rows = capsys.readouterr().out.splitlines()[2:]
-        for d, row in zip((5, 50), rows):
-            fields = row.split()
-            assert int(fields[0]) == d
-            finite = resolve_a(ShrinkConfig(beta=4.0 / 3.0, a_rule="finite"), d)
-            assert fields[3] == f"{finite:.4f}"
 
-    def test_shrink_constant_table_does_not_depend_on_core_count(self, monkeypatch, capsys):
-        script = runpy.run_path(str(SCRIPTS / "estimate_shrink_constants.py"))["main"]
-        outputs = []
-        for cpus in (1, 3):
-            monkeypatch.setattr(canonical, "_cpu_count", lambda: cpus)
-            assert script(["--d", "5,50"]) == 0
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
+class TestArgumentTypes:
+    def test_a_rule_names_come_from_the_rule_table(self):
+        for rule in A_RULES:
+            if rule != "fixed":
+                assert cli._a_rule(rule) == (rule, None)
+        with pytest.raises(argparse.ArgumentTypeError) as info:
+            cli._a_rule("nope")
+        assert str(info.value) == "invalid a-rule 'nope'; expected finite|asymptotic|eb|theorem|fixed:<real>"
+
+
+class TestReadme:
+    def test_command_examples_parse(self):
+        # every "steinthresh <subcommand> ..." example, continuation lines joined
+        text = README.read_text().replace("\\\n", " ")
+        examples = [shlex.split(line)[1:] for line in text.splitlines()
+                    if line.strip().startswith("steinthresh ")]
+        assert {argv[0] for argv in examples} == {"denoise", "simulate", "bound-a"}
+        parser = cli._build_parser()
+        for argv in examples:
+            parser.parse_args(argv)
+
+    def test_mentioned_scripts_exist(self):
+        names = re.findall(r"scripts/([\w-]+\.py)", README.read_text())
+        assert names
+        for name in names:
+            assert (SCRIPTS / name).is_file(), name

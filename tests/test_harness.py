@@ -216,7 +216,7 @@ class TestRiskSweep:
                              sigma_mode=sigma_mode, workers=workers)
         sig = generate_signal("bumps", 256, 3.0)
         methods = [make_method(name) for name in names]
-        rows = harness._cell_errors(methods, sig, sigma_mode, 40, 12, workers)
+        rows = harness._cell_errors(methods, sig, sigma_mode, 40, 12)
         assert rows.shape == (len(names), 40)
         for method, row, rep in zip(methods, rows, reports):
             errs = wavelet_risk_replicates(method, sig, sigma_mode, 40, 12, workers)

@@ -324,9 +324,8 @@ class TestBoundA:
         outputs = []
         for cpus in (1, 3):
             monkeypatch.setattr(canonical, "_cpu_count", lambda: cpus)
-            assert cli.main(["bound-a", "--beta", "4/3", "--d", "5,50", "--reps", "2e5", "--seed", "0"]) == 0
+            assert cli.main(["bound-a", "--beta", "4/3", "--d", "50", "--reps", "2e5", "--seed", "0"]) == 0
             outputs.append(capsys.readouterr().out)
-        assert len(outputs[0].splitlines()) == 3
         assert outputs[0] == outputs[1]
 
     def test_d_list_rows_equal_single_d_runs(self, capsys):
@@ -360,6 +359,16 @@ class TestScripts:
         payload = (tmp_path / "script.csv").read_bytes()
         assert payload.startswith((CSV_HEADER + "\n").encode())
         assert payload == (tmp_path / "cli.csv").read_bytes()
+
+    def test_shrink_constant_table_does_not_depend_on_core_count(self, monkeypatch, capsys):
+        # the table the shrink-constant script printed is now bound-a with a d list
+        outputs = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(canonical, "_cpu_count", lambda: cpus)
+            assert cli.main(["bound-a", "--beta", "4/3", "--d", "5,50", "--reps", "2e5", "--seed", "0"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert len(outputs[0].splitlines()) == 3
+        assert outputs[0] == outputs[1]
 
 
 class TestArgumentTypes:

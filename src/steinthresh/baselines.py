@@ -4,7 +4,9 @@ Every method maps a decomposition to a new decomposition of identical shape,
 touching only detail levels at or above a resolution cutoff; the coarse block
 and coarser details pass through bit-identical.  Coefficients stay in raw
 units where each has standard deviation sigma (the transform is orthonormal),
-so unit-variance thresholds are multiplied by sigma.
+so unit-variance thresholds are multiplied by sigma.  On a decomposition of
+rows (one signal each, sigma a scalar or one per row) each row's output is
+that of the row on its own.
 
 Methods are addressed by short tokens, the keys of one rule table that also
 supplies the CLI method names:
@@ -28,6 +30,7 @@ import numpy as np
 from .canonical import (
     CanonicalSample,
     ShrinkConfig,
+    _row_sigma,
     batch_estimate,
     resolve_a,
     select_beta_by_sure,
@@ -60,7 +63,10 @@ def soft_threshold(x, lam):
     """sign(x) * (|x| - lam)+ elementwise; lam must be nonnegative."""
     if not lam >= 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
-    x = np.asarray(x, dtype=float)
+    return _soft(np.asarray(x, dtype=float), lam)
+
+
+def _soft(x, lam):  # lam: a scalar, or an (m, 1) column with one value per row
     return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
 
 
@@ -96,15 +102,18 @@ def _visu(sigma, n, method):
     # soft thresholding at the universal level sigma*sqrt(2 ln n), with n the
     # global size (not the level size) as in the classical implementation
     lam = sigma * math.sqrt(2.0 * math.log(n))
-    return lambda v: soft_threshold(v, lam)
+    return lambda v: _soft(v, lam)
 
 
 def _sure(sigma, n, method):
-    # per-level hybrid soft thresholding: sparse levels get the universal threshold
-    def shrink(v):
+    # per-level hybrid soft thresholding: sparse levels get the universal
+    # threshold; each row is thresholded on its own
+    def shrink(v, s=sigma):
+        if v.ndim == 2:
+            return np.array([shrink(row, rs) for row, rs in zip(v, np.broadcast_to(s, (len(v), 1)))])
         if not np.any(v):
             return v.copy()
-        return soft_threshold(v, _hybrid_threshold(v / sigma) * sigma)
+        return _soft(v, _hybrid_threshold(v / s) * s)
 
     return shrink
 
@@ -120,19 +129,20 @@ def _blockjs(sigma, n, method):
     kill = BLOCK_CRITICAL * block_len * sigma * sigma
 
     def shrink(v):
-        d = v.size
+        lead, d = v.shape[:-1], v.shape[-1]
         out = np.empty_like(v)
         full = (d // block_len) * block_len
         if full:
-            blocks = v[:full].reshape(-1, block_len)
+            blocks = v[..., :full].reshape(lead + (-1, block_len))
             with np.errstate(divide="ignore"):
-                factor = np.maximum(1.0 - kill / (blocks * blocks).sum(axis=1), 0.0)
-            out[:full] = (factor[:, None] * blocks).ravel()
+                factor = np.maximum(1.0 - kill / (blocks * blocks).sum(axis=-1), 0.0)
+            out[..., :full] = (factor[..., None] * blocks).reshape(lead + (full,))
         if full < d:
-            padded = np.resize(np.roll(v, -full), block_len)
-            s2 = padded @ padded
-            factor = max(1.0 - kill / s2, 0.0) if s2 > 0 else 0.0
-            out[full:] = factor * v[full:]
+            padded = v.take(np.arange(full, full + block_len) % d, axis=-1)
+            s2 = (padded[..., None, :] @ padded[..., None])[..., 0]  # each row's padded @ padded, same bits
+            with np.errstate(divide="ignore"):
+                factor = np.where(s2 > 0, np.maximum(1.0 - kill / s2, 0.0), 0.0)
+            out[..., full:] = factor * v[..., full:]
         return out
 
     return shrink
@@ -142,9 +152,9 @@ def _js(sigma, n, method):
     # levelwise positive-part James-Stein, the canonical beta=2, a=d-2 path;
     # levels with fewer than 3 coefficients pass through unchanged
     def shrink(v):
-        if v.size < 3:
+        if v.shape[-1] < 3:
             return v.copy()
-        return batch_estimate(v[None, :], sigma, 2.0, float(v.size - 2))[0]
+        return batch_estimate(v, sigma, 2.0, float(v.shape[-1] - 2))
 
     return shrink
 
@@ -155,18 +165,32 @@ def _zh(sigma, n, method):
     config = method.config or ShrinkConfig()
 
     def shrink(v):
-        return batch_estimate(v[None, :], sigma, config.beta, resolve_a(config, v.size))[0]
+        return batch_estimate(v, sigma, config.beta, resolve_a(config, v.shape[-1]))
 
     return shrink
 
 
 def _zh_sure(sigma, n, method):
-    # like zh, but beta (and its finite-rule a) is tuned per level by unbiased risk
-    def shrink(v):
-        if not np.any(v):
-            return v.copy()
-        beta, a = select_beta_by_sure(CanonicalSample(v, sigma), method.beta_grid)
-        return batch_estimate(v[None, :], sigma, beta, a)[0]
+    # like zh, but beta (and its finite-rule a) is tuned per level and row by
+    # unbiased risk; all-zero rows pass through, and the rows that share a
+    # pick are shrunk together
+    def shrink(v, s=sigma):
+        z = np.atleast_2d(v)
+        live = z.any(axis=-1)
+        if not live.all():
+            out = z.copy()
+            if live.any():
+                out[live] = shrink(z[live], s if np.ndim(s) == 0 else s[live])
+            return out.reshape(v.shape)
+        betas, a = select_beta_by_sure(CanonicalSample(z, s), method.beta_grid)
+        picks = set(betas.tolist())
+        if len(picks) == 1:
+            return batch_estimate(v, s, picks.pop(), float(a[0]))
+        out = np.empty_like(z)
+        for beta in picks:
+            pick = betas == beta
+            out[pick] = batch_estimate(z[pick], s if np.ndim(s) == 0 else s[pick], beta, float(a[pick][0]))
+        return out
 
     return shrink
 
@@ -212,7 +236,7 @@ def make_method(name, config=None, beta_grid=None):
 
 
 def apply_method(method, decomp, sigma, cutoff_level):
-    """Apply a LevelwiseMethod to every detail level at or above ``cutoff_level``."""
-    if method.name != "identity" and not (sigma > 0 and math.isfinite(sigma)):
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    """Apply a LevelwiseMethod to every detail level at or above ``cutoff_level``; sigma may be per row."""
+    if method.name != "identity":
+        sigma = _row_sigma(sigma, decomp.coarse)
     return _map_levels(decomp, cutoff_level, _RULES[method.name](sigma, decomp.n, method))

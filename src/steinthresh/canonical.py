@@ -42,8 +42,8 @@ A_RULES = ("finite", "asymptotic", "eb", "theorem", "fixed")
 # beta > 1, and beta > 2 is outside the estimator family, hence a grid in (1, 2]
 DEFAULT_BETA_GRID = tuple(1.0 + 0.05 * k for k in range(1, 21))
 
-# most values one batch_sure call of select_beta_by_sure evaluates, so the
-# (candidates, d) temporaries stay small (64 KiB each)
+# most values (candidates x rows x d) one batch_sure call of select_beta_by_sure
+# evaluates, so its temporaries stay small (64 KiB each)
 _SURE_BLOCK = 8192
 
 # monte_carlo_a_beta draws 2**21 values (16 MiB) per block from the block's own
@@ -89,21 +89,33 @@ class ShrinkConfig:
             raise ValueError("fixed_a is only meaningful with a_rule 'fixed'")
 
 
+def _row_sigma(sigma, z):
+    # a scalar sigma as given; one value per row of a 2-d z as an (m, 1) column
+    values = (sigma,)
+    if np.ndim(sigma):
+        sigma = np.asarray(sigma, dtype=float).reshape(-1, 1)
+        if z.ndim != 2 or len(sigma) != len(z):
+            raise ValueError(f"need one sigma per row of a 2-d input, got {len(sigma)} values")
+        values = sigma.ravel()
+    if not all(0 < s < math.inf for s in values):
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    return sigma
+
+
 @dataclass
 class CanonicalSample:
-    """One observation vector ``z`` with known noise scale ``sigma``."""
+    """Observation vector ``z`` (d,), or rows of them (m, d), with known noise scale(s) ``sigma``."""
 
     z: np.ndarray
     sigma: float = 1.0
 
     def __post_init__(self):
         self.z = np.asarray(self.z, dtype=float)
-        if self.z.ndim != 1 or self.z.size < 1:
-            raise ValueError("z must be a nonempty 1-d array")
+        if self.z.ndim not in (1, 2) or self.z.size < 1:
+            raise ValueError("z must be a nonempty 1-d array, or a 2-d array of rows")
         if not np.all(np.isfinite(self.z)):
             raise ValueError("z must be finite")
-        if not (self.sigma > 0 and math.isfinite(self.sigma)):
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        self.sigma = _row_sigma(self.sigma, self.z)
 
 
 def moment_constant(beta):
@@ -172,6 +184,7 @@ def batch_estimate(z, sigma, beta, a, positive_part=True):
     ``a|w_i|**(beta-2) >= D`` (w_i = 0 too when beta < 2) are exactly zero.
     ``positive_part=False`` subtracts ``a sign(w_i)|w_i|**(beta-1)/D``
     instead, which can overshoot past zero and rejects an all-zero row.
+    ``sigma`` is a scalar or an (m, 1) column, one value per row.
     """
     z = np.asarray(z, dtype=float)
     if not (a > 0 and math.isfinite(a)):
@@ -204,7 +217,9 @@ def batch_sure(z, sigma, beta, a):
 
     ``beta`` and ``a`` are scalars or columns of candidates, shape (G, 1),
     broadcast against the rows of ``z``: a single level ``z[None, :]`` scored
-    against a column of G candidates gives a (G, d) result in one pass.  The
+    against a column of G candidates gives a (G, d) result in one pass, and
+    m rows against (G, 1, 1) candidates a (G, m, d) one.  ``sigma`` is a
+    scalar or an (m, 1) column, one value per row.  The
     powers of ``|w|`` come from one ``log|w|`` per call, with
     ``|w|**(2beta-2)/D**2`` formed as ``(|w|**(beta-2)/D) * (|w|**beta/D)``.
     Exact zeros follow ``pow``: ``|0|**beta`` is 0, and ``|0|**(beta-2)`` is
@@ -239,14 +254,14 @@ def batch_sure(z, sigma, beta, a):
 @lru_cache(maxsize=64)
 def _beta_candidates(beta_grid, d):
     # sorted distinct grid entries in (1, 2] and their finite-rule constants,
-    # as read-only (G, 1) columns
+    # as read-only (G, 1, 1) columns that broadcast against (m, d) rows
     betas = sorted({float(b) for b in beta_grid if 1.0 < b <= 2.0})
     if not betas:
         raise ValueError("beta grid contains no values in (1, 2]")
     if d < 3:
         raise ValueError("beta selection needs d >= 3")
     a = [resolve_a(ShrinkConfig(beta=b, a_rule="finite"), d) for b in betas]
-    cols = np.array(betas)[:, None], np.array(a)[:, None]
+    cols = np.array(betas)[:, None, None], np.array(a)[:, None, None]
     for col in cols:
         col.setflags(write=False)
     return cols
@@ -258,22 +273,26 @@ def select_beta_by_sure(sample, beta_grid=None):
     Grid entries outside (1, 2] are ignored; if none remain a ValueError is
     raised.  ``a`` follows the finite-sample rule at each candidate.  The
     candidates are scored as a column by one :func:`batch_sure` pass per
-    block of at most ``_SURE_BLOCK`` values (a single block for levels of up
-    to 409 coefficients on the default grid); exact zeros in the level score
-    as they would through ``pow``.  Exact ties go to the larger beta.
+    block of at most ``max(_SURE_BLOCK, m * d)`` values, counted over
+    candidates x rows x d (a single block for one level of up to 409
+    coefficients on the default grid); exact zeros in the level score as
+    they would through ``pow``.  Exact ties go to the larger beta.  A 1-d
+    sample gives floats; a sample of m rows gives arrays of m picks, each
+    the pick of its row alone.
     """
     if beta_grid is None:
         beta_grid = DEFAULT_BETA_GRID
-    d = sample.z.size
-    betas, a = _beta_candidates(tuple(beta_grid), d)
-    row = sample.z[None, :]
-    step = max(1, _SURE_BLOCK // d)
+    rows = np.atleast_2d(sample.z)
+    betas, a = _beta_candidates(tuple(beta_grid), rows.shape[1])
+    step = max(1, _SURE_BLOCK // rows.size)
     totals = np.concatenate([
-        batch_sure(row, sample.sigma, betas[i:i + step], a[i:i + step]).sum(axis=1)
+        batch_sure(rows, sample.sigma, betas[i:i + step], a[i:i + step]).sum(axis=-1)
         for i in range(0, betas.shape[0], step)
     ])
-    best = totals.size - 1 - int(np.argmin(totals[::-1]))
-    return float(betas[best, 0]), float(a[best, 0])
+    best = betas.shape[0] - 1 - np.argmin(totals[::-1], axis=0)
+    if sample.z.ndim == 1:
+        return float(betas[best[0], 0, 0]), float(a[best[0], 0, 0])
+    return betas[best, 0, 0], a[best, 0, 0]
 
 
 def _cpu_count():

@@ -159,7 +159,10 @@ def write_reports(path, reports):
 
 
 def cmd_bound_a(args):
-    # every row is computed before the table is printed, so a bad d leaves no partial output
+    # every d is checked before any is simulated, and every row is computed
+    # before the table is printed, so a bad d costs no run and no partial output
+    if min(args.d) < 3:
+        raise ValueError("d must be at least 3")
     rows = []
     for d in args.d:
         estimate, std_error = monte_carlo_a_beta(args.beta, d, args.reps, args.seed)

@@ -17,7 +17,8 @@ polyphase filter.  Analysis windows x, extended periodically by 14 values,
 with [lowpass | highpass].  Synthesis windows interleaved (approx, detail)
 pairs, extended periodically by 7 pairs in front, with the time-reversed even
 and odd taps; the flattened product is the interleaved output.  Extensions
-come from a cached index, so blocks down to m = 2 take the same path.
+come from a cached index, so blocks down to m = 2 take the same path.  A 2-d
+input holds one signal per row, and each step windows all rows at once.
 
 A detail block of length 2**j sits at resolution level j; decompositions
 store the coarse block first, then details from coarsest to finest.
@@ -79,49 +80,50 @@ def _periodic_index(size, lo, hi):
     return idx
 
 
-def _windows(buf, rows):
-    # (rows, 16) view of a contiguous float64 buffer whose row k is buf[2k : 2k + 16]
-    return np.ndarray((rows, LOWPASS.size), buffer=buf, strides=(16, 8))
+def _windows(buf, lead, count):
+    # (*lead, count, 16) view of a C-contiguous float64 buffer; per row, window k is values 2k .. 2k + 15
+    strides = buf.strides[:len(lead)] + (16, 8)
+    return np.ndarray(lead + (count, LOWPASS.size), buffer=buf, strides=strides)
 
 
 def _analysis_step(x):
-    m = x.size
-    out = _windows(x[_periodic_index(m, 0, m + 14)], m // 2) @ _ANALYSIS
-    return out[:, 0], out[:, 1]
+    lead, m = x.shape[:-1], x.shape[-1]
+    out = _windows(x.take(_periodic_index(m, 0, m + 14), axis=-1), lead, m // 2) @ _ANALYSIS
+    return out[..., 0], out[..., 1]
 
 
 def _synthesis_step(approx, detail):
-    h = approx.size
+    lead, h = approx.shape[:-1], approx.shape[-1]
     idx = _periodic_index(h, -7, h)
-    pairs = np.empty((h + 7, 2))
-    pairs[:, 0] = approx[idx]
-    pairs[:, 1] = detail[idx]
-    return (_windows(pairs, h) @ _SYNTHESIS).ravel()
+    pairs = np.empty(lead + (h + 7, 2))
+    pairs[..., 0] = approx.take(idx, axis=-1)
+    pairs[..., 1] = detail.take(idx, axis=-1)
+    return (_windows(pairs, lead, h) @ _SYNTHESIS).reshape(lead + (2 * h,))
 
 
 @dataclass
 class WaveletDecomposition:
-    """Coarse block plus detail blocks keyed by resolution level (ascending)."""
+    """Coarse block plus detail blocks keyed by level (ascending); 2-d blocks hold one signal per row."""
 
     coarse: np.ndarray
-    details: list  # [(level, values)] with len(values) == 2**level, coarsest first
-    n: int
+    details: list  # [(level, values)] with values.shape[-1] == 2**level, coarsest first
+    n: int  # the length of one signal
 
     def __post_init__(self):
         self.coarse = np.asarray(self.coarse, dtype=float)
         if not _is_pow2(self.n):
             raise ValueError(f"n must be a power of two, got {self.n}")
-        if self.coarse.ndim != 1 or not self.details:
-            raise ValueError("malformed decomposition: need 1-d coarse block and >= 1 detail block")
+        if self.coarse.ndim not in (1, 2) or not self.details:
+            raise ValueError("malformed decomposition: need 1-d or 2-d coarse block, >= 1 detail block")
         self.details = [(int(j), np.asarray(v, dtype=float)) for j, v in self.details]
         base = self.details[0][0]
-        if self.coarse.size != 2**base:
+        if self.coarse.shape[-1] != 2**base:
             raise ValueError("malformed decomposition: coarse block must match the coarsest detail level")
-        total = self.coarse.size
+        total = self.coarse.shape[-1]
         for offset, (j, v) in enumerate(self.details):
-            if j != base + offset or v.ndim != 1 or v.size != 2**j:
+            if j != base + offset or v.shape != self.coarse.shape[:-1] + (2**j,):
                 raise ValueError(f"malformed decomposition at level {j}")
-            total += v.size
+            total += 2**j
         if total != self.n:
             raise ValueError(f"malformed decomposition: blocks sum to {total}, expected {self.n}")
 
@@ -133,20 +135,20 @@ class WaveletDecomposition:
 
 
 def dwt_forward(signal, levels):
-    """Decompose a length-2**J signal through ``levels`` analysis steps."""
+    """Decompose a length-2**J signal, or (m, 2**J) rows of them, through ``levels`` analysis steps."""
     x = np.asarray(signal, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("signal must be 1-d")
+    if x.ndim not in (1, 2):
+        raise ValueError("signal must be 1-d, or 2-d with one signal per row")
     if not np.isfinite(x).all():
         raise ValueError("signal must be finite")
-    n = x.size
+    n = x.shape[-1]
     depth = max_levels(n)
     if not 1 <= levels <= depth:
         raise ValueError(f"levels must be in [1, {depth}] for n={n}, got {levels}")
     details = []
     for _ in range(levels):
         x, d = _analysis_step(x)
-        details.append((max_levels(2 * x.size) - 1, d))
+        details.append((max_levels(2 * x.shape[-1]) - 1, d))
     details.reverse()
     return WaveletDecomposition(coarse=x, details=details, n=n)
 

@@ -1,14 +1,16 @@
 """Monte Carlo risk engine for the canonical problem and the wavelet pipeline.
 
 Determinism contract: every replicate r draws from an independent substream
-keyed by (seed, r) (batches of replicates for the canonical engine), and
-replicates run one after another in index order, so results are bit-identical
-for a given seed.  The ``workers`` argument is still accepted and has no
-effect on results or execution.  Calling the wavelet engine for several
-methods with the same seed gives common random numbers: every method sees
-exactly the same noisy data, which is what makes paired risk comparisons
-sharp at a few hundred replicates.  A sweep cell
-shares one analysis per replicate (noise, forward transform, estimated sigma)
+keyed by (seed, r) (batches of replicates for the canonical engine), so
+results are bit-identical for a given seed.  The wavelet engine runs
+replicates in blocks of consecutive indices, one row each from the noise draw
+to the error; every step works row by row, so no replicate's error depends on
+the block size or on the other rows of its block.  The ``workers`` argument
+is still accepted and has no effect on results or execution.  Calling the
+wavelet engine for several methods with the same seed gives common random
+numbers: every method sees exactly the same noisy data, which is what makes
+paired risk comparisons sharp at a few hundred replicates.  A sweep cell
+shares one analysis per block (noise, forward transform, estimated sigma)
 among its methods, and each method's errors equal a single-method call's.
 """
 
@@ -35,6 +37,9 @@ __all__ = [
 ]
 
 _BATCH = 256  # canonical replicates per substream; fixed so the draws depend only on the seed
+# signal values per block of wavelet replicates: 8 rows at n = 1024, 1 row from
+# n = 8192 up; it bounds the block's arrays and does not change any result
+_BLOCK_VALUES = 2**13
 
 
 @dataclass
@@ -104,16 +109,19 @@ def estimate_sigma(decomp):
     On m pure-noise coefficients the estimate is asymptotically normal around
     sigma with sd 1.1664/sqrt(m) * sigma (37% Gaussian efficiency), about 5.2%
     of sigma at m = 512.  A degenerate finest level (all values equal) yields
-    0 with a warning.
+    0 with a warning.  A decomposition of rows gets one estimate per row, as
+    an (m, 1) column.
     """
     finest = decomp.details[-1][1]
-    if finest.size < 2:
+    if finest.shape[-1] < 2:
         raise ValueError("finest detail level needs at least 2 coefficients")
-    mad = np.median(np.abs(finest - np.median(finest)))
-    if mad == 0.0:
+    k = finest.shape[-1] // 2  # even length: the median is the mean of ranks k - 1 and k, as in np.median
+    mid = lambda x: np.partition(x, (k - 1, k), axis=-1)[..., k - 1:k + 1].sum(axis=-1, keepdims=True) / 2
+    mad = mid(np.abs(finest - mid(finest)))
+    if not mad.all():
         warnings.warn("degenerate finest detail level; sigma estimate is 0", stacklevel=2)
-        return 0.0
-    return float(mad) / 0.6745
+    sigma = mad / 0.6745
+    return float(sigma[0]) if finest.ndim == 1 else sigma
 
 
 def _pipeline_depth(n):
@@ -124,7 +132,7 @@ def _pipeline_depth(n):
 
 
 def _cell_errors(methods, signal, sigma_mode, reps, seed):
-    # (len(methods), reps) squared errors; one analysis per replicate serves every method
+    # (len(methods), reps) squared errors; one analysis per block of replicate rows serves every method
     if sigma_mode not in ("known", "estimated"):
         raise ValueError(f"sigma_mode must be 'known' or 'estimated', got {sigma_mode!r}")
     reps = int(reps)
@@ -135,12 +143,15 @@ def _cell_errors(methods, signal, sigma_mode, reps, seed):
     cutoff = resolution_cutoff(n)
     levels = _pipeline_depth(n)
     errs = np.empty((len(methods), reps))
-    for r in range(reps):
-        decomp = dwt_forward(f + substream(seed, r).standard_normal(n), levels)
+    block = max(1, _BLOCK_VALUES // n)
+    for lo in range(0, reps, block):
+        hi = min(lo + block, reps)
+        noise = np.array([substream(seed, r).standard_normal(n) for r in range(lo, hi)])
+        decomp = dwt_forward(f + noise, levels)
         sigma = 1.0 if sigma_mode == "known" else estimate_sigma(decomp)
         for i, method in enumerate(methods):
             fhat = dwt_inverse(apply_method(method, decomp, sigma, cutoff))
-            errs[i, r] = ((fhat - f) ** 2).sum()
+            errs[i, lo:hi] = ((fhat - f) ** 2).sum(axis=-1)
     return errs
 
 

@@ -551,9 +551,21 @@ class TestMonteCarloBlocks:
 
 class TestSampleValidation:
     def test_rejects_bad_inputs(self):
+        # 2-d input holds one sample per row; 3-d and empty inputs are rejected
         with pytest.raises(ValueError):
-            CanonicalSample(np.array([[1.0, 2.0]]))
+            CanonicalSample(np.ones((1, 2, 3)))
+        with pytest.raises(ValueError):
+            CanonicalSample(np.zeros((0, 4)))
         with pytest.raises(ValueError):
             CanonicalSample(np.array([1.0, np.nan]))
         with pytest.raises(ValueError):
             CanonicalSample(np.array([1.0]), sigma=0.0)
+        # any row's sigma <= 0 is rejected, as is a sigma count that does not match the rows
+        with pytest.raises(ValueError):
+            CanonicalSample(np.ones((3, 4)), sigma=np.array([1.0, 0.0, 2.0]))
+        with pytest.raises(ValueError):
+            CanonicalSample(np.ones((3, 4)), sigma=np.array([1.0, -1.0, 2.0]).reshape(3, 1))
+        with pytest.raises(ValueError):
+            CanonicalSample(np.ones((3, 4)), sigma=np.ones(2))
+        rows = CanonicalSample(np.array([[1.0, 2.0]]), sigma=[2.0])
+        assert rows.z.shape == (1, 2) and rows.sigma.shape == (1, 1)

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import hashlib
 import os
 import re
 import runpy
@@ -217,6 +218,26 @@ class TestSimulate:
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
+    # sha256 of the CSV from these flags, written before replicates ran in row blocks
+    PINNED_FLAGS = ["--methods", "identity,visu,sure,blockjs,js,zh,zh-sure",
+                    "--signals", "blocks,bumps,doppler", "--n", "256,1024,4096",
+                    "--snr", "3", "--reps", "20", "--seed", "11"]
+    PINNED_SHA256 = {
+        "estimated": "e30b13b7e7c6e0d8b85c5c5c10ed96c388ceae9a3708ccac33c5bbd1dce3a64b",
+        "known": "c3a012c5dcf85addf01288eb1e527f38e2a69357cae1c4dcf17675b4e8e2a4dd",
+    }
+
+    @pytest.mark.parametrize("rows_at_1024", [None, 1, 7, 64])
+    @pytest.mark.parametrize("sigma_mode", ["estimated", "known"])
+    def test_bytes_do_not_depend_on_the_row_block(self, tmp_path, monkeypatch, sigma_mode, rows_at_1024):
+        from steinthresh import harness
+
+        if rows_at_1024 is not None:
+            monkeypatch.setattr(harness, "_BLOCK_VALUES", rows_at_1024 * 1024)
+        path = tmp_path / "out.csv"
+        assert cli.main(["simulate", *self.PINNED_FLAGS, "--sigma-mode", sigma_mode, "--out", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.PINNED_SHA256[sigma_mode]
+
     def test_theorem_a_rule(self, tmp_path):
         flags = (
             "--methods", "zh",
@@ -346,6 +367,22 @@ class TestBoundA:
         out, err = capsys.readouterr()
         assert out == ""
         assert "d must be at least 3" in err
+
+    def test_every_d_is_checked_before_any_is_simulated(self, monkeypatch, capsys):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return canonical.monte_carlo_a_beta(*args)
+
+        monkeypatch.setattr(cli, "monte_carlo_a_beta", counting)
+        assert cli.main(["bound-a", "--beta", "4/3", "--d", "5,2", "--reps", "2000"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "d must be at least 3" in err
+        assert calls == []
+        assert cli.main(["bound-a", "--beta", "4/3", "--d", "5,6", "--reps", "2000"]) == 0
+        assert [args[1] for args in calls] == [5, 6]
 
 
 class TestScripts:

@@ -7,6 +7,7 @@ values round-trip exactly.
 
 import argparse
 import csv
+import functools
 import sys
 
 import numpy as np
@@ -42,9 +43,9 @@ def _real(text):
 def _count(text):
     try:
         value = float(text)
-    except ValueError:
+        rounded = int(round(value))  # inf overflows, nan is a ValueError
+    except (ValueError, OverflowError):
         raise argparse.ArgumentTypeError(f"not a count: {text!r}") from None
-    rounded = int(round(value))
     if rounded < 1 or abs(value - rounded) > 1e-9 * max(1.0, abs(value)):
         raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
     return rounded
@@ -104,10 +105,11 @@ def cmd_denoise(args):
     data = np.loadtxt(args.input, delimiter=",", ndmin=1)
     if data.ndim != 1:
         raise ValueError("input must be a single-column CSV")
-    data = data.astype(float)
     n = data.size
     if n < 2 or n & (n - 1):
         raise ValueError(f"input length must be a power of two, got {n}")
+    if not np.isfinite(data).all():
+        raise ValueError("signal must be finite")
     if args.method == "identity":
         values = data
     else:
@@ -125,8 +127,9 @@ def cmd_denoise(args):
             sigma = args.sigma
         method = _build_method(args.method, args.beta, args.a_rule)
         values = dwt_inverse(apply_method(method, decomp, sigma, cutoff))
+    # one %-format over all values writes the same bytes as _fmt on each
     with open(args.out, "w", newline="\n") as fh:
-        fh.writelines(_fmt(v) + "\n" for v in values)
+        fh.write(("%.17g\n" * values.size) % tuple(values.tolist()))
     return 0
 
 
@@ -174,7 +177,9 @@ def cmd_bound_a(args):
     return 0
 
 
+@functools.cache
 def _build_parser():
+    # built once per process and never mutated after, so repeated main() calls share it
     parser = argparse.ArgumentParser(
         prog="steinthresh",
         description="Thresholding shrinkage estimators and a wavelet-regression risk testbed.",
@@ -222,9 +227,8 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code is None else int(exc.code)
     try:

@@ -158,6 +158,73 @@ class TestDenoise:
         )
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    @pytest.mark.parametrize("method", ["identity", "zh"])
+    def test_non_finite_input_is_validation_error_for_every_method(self, tmp_path, capsys, method, bad):
+        src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
+        src.write_text("0.5\n" * 63 + bad + "\n")
+        assert cli.main(["denoise", "--input", str(src), "--method", method, "--out", str(dst)]) == 2
+        assert "signal must be finite" in capsys.readouterr().err
+        assert not dst.exists()
+
+    # sha256 of the stdout then the output file of each denoise run on noisy
+    # bumps, written while each value was formatted on its own
+    PINNED_SHA256 = {
+        "identity.n256": "8f013887de3ac0c21ee7a2f2db39a50abf4a02d2a73289988782a6da8f98015f",
+        "visu.n256": "429ceeec247b2ee15ddf360123e4c8e85de35a6a964cbafc468a522b788b4733",
+        "sure.n256": "c3fcb8a01b9f11974e77b829616079f1f6cab870160ff0a9ccfe4560dc5044c5",
+        "blockjs.n256": "83c027160429fd1beae83ac2b83addf53709bd6702cd0b77a84f489789a094f5",
+        "js.n256": "af6e5272cdc4f270f29d3a52799ad907e0681da21803bf48cb0c3c8fa8194e71",
+        "zh.n256": "ba0f1ccd0c83f15541e06dd44c79a30abd854702cb386b35a45bd89cdd066c7b",
+        "zh-sure.n256": "2bc0259bf75e053261246bb8bf2f468f635c7bcb7e07840b1d5c6ef04f5d20d8",
+        "identity.n1024": "26168a11c22158025de7883b4dd9d608d3b92eab0cc14a8811030f673a9d5cb9",
+        "visu.n1024": "afe57550248b9d6161b818bef5e075cef8ce38c5caf9cb39aee2a97292fbc3a3",
+        "sure.n1024": "6b6892976c343ac3916139cdfbd029cd350eb1f23507d48469c030131db42d00",
+        "blockjs.n1024": "d41cd072c3be6f8a2fc1c081612355ac388b44197997822a21cf6d6132196cb1",
+        "js.n1024": "9304e1a766676c63fd1feb9adf762d81e6b50a1dbe7466d43ecd691bcd5360de",
+        "zh.n1024": "671246782d7b027052b167cb8d5f1eef0c09a566a350217d54a7e1e7143811ca",
+        "zh-sure.n1024": "1ff31e8fcd4e64be51ec420629be796b30b534f6bb70ac929062ba8e58daafe0",
+        "zh.n256.theorem": "9f90484a098c7b113dd30e0b7ca1941b406949d8b51d412d79625d579a3866ec",
+        "zh.n1024.theorem": "27f846dfc13d5d67112e6451a293092d90d4fa3be875a096b5189408621c05e1",
+    }
+
+    def test_output_bytes_are_pinned(self, tmp_path, capsys):
+        assert set(METHOD_NAMES) == {key.split(".")[0] for key in self.PINNED_SHA256}
+        for key, expected in self.PINNED_SHA256.items():
+            method, size, *theorem = key.split(".")
+            n = int(size[1:])
+            src, dst = tmp_path / f"in{n}.csv", tmp_path / "out.csv"
+            write_signal(src, generate_signal("bumps", n, 3.0).samples + np.random.default_rng(n).standard_normal(n))
+            flags = ["--a-rule", "theorem", "--sigma", "1"] if theorem else ["--sigma", "auto"]
+            assert cli.main(["denoise", "--input", str(src), "--method", method, *flags, "--out", str(dst)]) == 0
+            payload = capsys.readouterr().out.encode() + dst.read_bytes()
+            assert hashlib.sha256(payload).hexdigest() == expected, key
+
+    def test_identity_round_trips_extreme_values_byte_for_byte(self, tmp_path):
+        src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
+        src.write_text("-0\n4.9406564584124654e-324\n1.7976931348623157e+308\n-4.9406564584124654e-324\n")
+        assert cli.main(["denoise", "--input", str(src), "--method", "identity", "--out", str(dst)]) == 0
+        assert dst.read_bytes() == src.read_bytes()
+
+    def test_cached_parser_carries_no_state_between_calls(self, tmp_path, capsys):
+        src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
+        write_signal(src, generate_signal("bumps", 256, 3.0).samples + np.random.default_rng(1).standard_normal(256))
+        argv = ["denoise", "--input", str(src), "--method", "zh", "--out", str(dst)]
+        assert cli._build_parser() is cli._build_parser()
+        assert cli._build_parser().parse_args(argv) is not cli._build_parser().parse_args(argv)
+        assert cli.main([*argv, "--a-rule", "fixed:12.5"]) == 0
+        fixed = dst.read_bytes()
+        assert cli.main([*argv[:-3], "magic", *argv[-2:]]) == 2
+        assert cli.main([*argv, "--help"]) == 0
+        capsys.readouterr()
+        assert cli.main(argv) == 0
+        in_process = dst.read_bytes()
+        stdout = capsys.readouterr().out
+        r = run_cli(*argv)
+        assert r.returncode == 0, r.stderr
+        assert (r.stdout, dst.read_bytes()) == (stdout, in_process)
+        assert in_process != fixed
+
 
 class TestSimulate:
     def test_single_cell_identity(self, tmp_path):
@@ -416,6 +483,23 @@ class TestArgumentTypes:
         with pytest.raises(argparse.ArgumentTypeError) as info:
             cli._a_rule("nope")
         assert str(info.value) == "invalid a-rule 'nope'; expected finite|asymptotic|eb|theorem|fixed:<real>"
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--methods", "zh", "--signals", "blocks", "--n", "64", "--reps", "1e400", "--out", "x.csv"],
+        ["simulate", "--methods", "zh", "--signals", "blocks", "--n", "64", "--reps", "inf", "--out", "x.csv"],
+        ["bound-a", "--beta", "4/3", "--d", "1e400"],
+    ])
+    def test_non_finite_count_is_validation_error(self, tmp_path, argv):
+        r = run_cli(*argv, cwd=tmp_path)
+        assert r.returncode == 2
+        assert "usage:" in r.stderr and "not a count" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("text", ["inf", "-inf", "nan", "1e400", "-1e400"])
+    def test_count_rejects_non_finite_values(self, text):
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli._count(text)
 
 
 class TestReadme:

@@ -30,7 +30,6 @@ def main(argv=None):
     p.add_argument("--reps", type=int, default=500)
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument("--sigma-mode", choices=("known", "estimated"), default="known")
-    p.add_argument("--workers", type=int, default=1, help="no effect on results or execution")
     p.add_argument("--out", help="also write rows as CSV to this path")
     args = p.parse_args(argv)
 
@@ -44,7 +43,6 @@ def main(argv=None):
         reps=args.reps,
         seed=args.seed,
         sigma_mode=args.sigma_mode,
-        workers=args.workers,
     )
 
     rel = {(r.signal, r.method): r.relative_risk for r in reports}

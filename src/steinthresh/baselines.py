@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import (
+    DEFAULT_BETA_GRID,
     CanonicalSample,
     ShrinkConfig,
     _row_sigma,
@@ -35,7 +36,7 @@ from .canonical import (
     resolve_a,
     select_beta_by_sure,
 )
-from .dwt import WaveletDecomposition
+from .dwt import WaveletDecomposition, max_levels
 
 __all__ = [
     "BLOCK_CRITICAL",
@@ -59,6 +60,14 @@ def resolution_cutoff(n):
     return math.ceil(math.log2(math.log(n)) + 1.0)
 
 
+def _pipeline_depth(n):
+    # transform levels that leave at least one detail level at or above the cutoff
+    levels = max_levels(n) - resolution_cutoff(n)
+    if levels < 1:
+        raise ValueError(f"n={n} leaves no detail level above the resolution cutoff")
+    return levels
+
+
 def soft_threshold(x, lam):
     """sign(x) * (|x| - lam)+ elementwise; lam must be nonnegative."""
     if not lam >= 0:
@@ -71,31 +80,41 @@ def _soft(x, lam):  # lam: a scalar, or an (m, 1) column with one value per row
 
 
 def _map_levels(decomp, cutoff_level, fn):
-    # below-cutoff levels and the coarse block are copied bit-identical
-    details = [(j, fn(v) if j >= cutoff_level else v.copy()) for j, v in decomp.details]
+    # every rule sees (m, d) rows, a 1-d level being m = 1; below-cutoff
+    # levels and the coarse block are copied bit-identical
+    details = [(j, fn(np.atleast_2d(v)).reshape(v.shape) if j >= cutoff_level else v.copy())
+               for j, v in decomp.details]
     return WaveletDecomposition(coarse=decomp.coarse.copy(), details=details, n=decomp.n)
 
 
 def _hybrid_threshold(w):
-    # per-level hybrid rule of Donoho-Johnstone (1995): if the standardized
-    # level looks sparse, take the universal threshold sqrt(2 ln d); otherwise
-    # minimize SURE(t) = d - 2#{|w|<=t} + sum min(w^2, t^2) over t in
-    # {0} u {|w_i| <= universal}.  Sparsity test: (sum w^2 - d)/d <= (log2 d)^{3/2}/sqrt(d).
-    d = w.size
+    # per-row hybrid rule of Donoho-Johnstone (1995) on (m, d) standardized
+    # rows, as an (m, 1) column: a row that looks sparse takes the universal
+    # threshold sqrt(2 ln d); any other minimizes SURE(t) = d - 2#{|w|<=t} +
+    # sum min(w^2, t^2) over t in {0} u {|w_i| <= universal}.  Sparsity test:
+    # (sum w^2 - d)/d <= (log2 d)^{3/2}/sqrt(d).
+    m, d = w.shape
     universal = math.sqrt(2.0 * math.log(d)) if d > 1 else 0.0
-    energy_excess = (w @ w - d) / d
-    if energy_excess <= math.log2(d) ** 1.5 / math.sqrt(d):
-        return universal
-    aw = np.sort(np.abs(w))
-    cand = np.concatenate([[0.0], aw[aw <= universal]])
-    counts = np.searchsorted(aw, cand, side="right")
-    cum = np.concatenate([[0.0], np.cumsum(aw * aw)])
-    risks = d - 2.0 * counts + cum[counts] + cand * cand * (d - counts)
-    return float(cand[np.argmin(risks)])
+    energy_excess = ((w[:, None, :] @ w[:, :, None])[:, 0] - d) / d  # each row's w @ w, same bits
+    thresh = np.full((m, 1), universal)
+    dense = np.flatnonzero(energy_excess[:, 0] > math.log2(d) ** 1.5 / math.sqrt(d))
+    if dense.size:
+        # column 0 is t = 0 and column k the k-th smallest |w|, counted as k
+        # kept; a tie overstates only its earlier copies, so argmin finds the
+        # same t as counting every |w| <= t
+        aw = np.sort(np.abs(w[dense]), axis=-1)
+        cand = np.concatenate([np.zeros((dense.size, 1)), aw], axis=-1)
+        cum = np.concatenate([np.zeros((dense.size, 1)), np.cumsum(aw * aw, axis=-1)], axis=-1)
+        counts = np.arange(d + 1)
+        risks = d - 2.0 * counts + cum + cand * cand * (d - counts)
+        risks[cand > universal] = np.inf
+        thresh[dense, 0] = cand[np.arange(dense.size), np.argmin(risks, axis=-1)]
+    return thresh
 
 
-# A rule takes (sigma, n, method), n the global sample size, does its set-up
-# once per call and returns the map that is applied to every treated level.
+# A rule takes (sigma, n, method), n the global sample size and sigma a scalar
+# or an (m, 1) column, does its set-up once per call and returns the map that
+# is applied to every treated level's (m, d) rows.
 
 
 def _visu(sigma, n, method):
@@ -108,14 +127,7 @@ def _visu(sigma, n, method):
 def _sure(sigma, n, method):
     # per-level hybrid soft thresholding: sparse levels get the universal
     # threshold; each row is thresholded on its own
-    def shrink(v, s=sigma):
-        if v.ndim == 2:
-            return np.array([shrink(row, rs) for row, rs in zip(v, np.broadcast_to(s, (len(v), 1)))])
-        if not np.any(v):
-            return v.copy()
-        return _soft(v, _hybrid_threshold(v / s) * s)
-
-    return shrink
+    return lambda v: _soft(v, _hybrid_threshold(v / sigma) * sigma)
 
 
 def _blockjs(sigma, n, method):
@@ -129,20 +141,20 @@ def _blockjs(sigma, n, method):
     kill = BLOCK_CRITICAL * block_len * sigma * sigma
 
     def shrink(v):
-        lead, d = v.shape[:-1], v.shape[-1]
+        m, d = v.shape
         out = np.empty_like(v)
         full = (d // block_len) * block_len
         if full:
-            blocks = v[..., :full].reshape(lead + (-1, block_len))
+            blocks = v[:, :full].reshape(m, -1, block_len)
             with np.errstate(divide="ignore"):
                 factor = np.maximum(1.0 - kill / (blocks * blocks).sum(axis=-1), 0.0)
-            out[..., :full] = (factor[..., None] * blocks).reshape(lead + (full,))
+            out[:, :full] = (factor[..., None] * blocks).reshape(m, full)
         if full < d:
             padded = v.take(np.arange(full, full + block_len) % d, axis=-1)
-            s2 = (padded[..., None, :] @ padded[..., None])[..., 0]  # each row's padded @ padded, same bits
+            s2 = (padded[:, None, :] @ padded[:, :, None])[:, 0]  # each row's padded @ padded, same bits
             with np.errstate(divide="ignore"):
                 factor = np.where(s2 > 0, np.maximum(1.0 - kill / s2, 0.0), 0.0)
-            out[..., full:] = factor * v[..., full:]
+            out[:, full:] = factor * v[:, full:]
         return out
 
     return shrink
@@ -173,23 +185,18 @@ def _zh(sigma, n, method):
 def _zh_sure(sigma, n, method):
     # like zh, but beta (and its finite-rule a) is tuned per level and row by
     # unbiased risk; all-zero rows pass through, and the rows that share a
-    # pick are shrunk together
-    def shrink(v, s=sigma):
-        z = np.atleast_2d(v)
-        live = z.any(axis=-1)
-        if not live.all():
-            out = z.copy()
-            if live.any():
-                out[live] = shrink(z[live], s if np.ndim(s) == 0 else s[live])
-            return out.reshape(v.shape)
-        betas, a = select_beta_by_sure(CanonicalSample(z, s), method.beta_grid)
-        picks = set(betas.tolist())
-        if len(picks) == 1:
-            return batch_estimate(v, s, picks.pop(), float(a[0]))
-        out = np.empty_like(z)
-        for beta in picks:
-            pick = betas == beta
-            out[pick] = batch_estimate(z[pick], s if np.ndim(s) == 0 else s[pick], beta, float(a[pick][0]))
+    # pick are shrunk together (each pick's beta stays a scalar, so beta = 2
+    # keeps numpy's exact square)
+    def shrink(v):
+        s = np.broadcast_to(sigma, (len(v), 1))
+        out = v.copy()
+        live = np.flatnonzero(v.any(axis=-1))
+        if live.size:
+            betas, a = select_beta_by_sure(CanonicalSample(v[live], s[live]), DEFAULT_BETA_GRID)
+            for beta in set(betas.tolist()):
+                pick = betas == beta
+                rows = live[pick]
+                out[rows] = batch_estimate(v[rows], s[rows], beta, float(a[pick][0]))
         return out
 
     return shrink
@@ -214,25 +221,19 @@ class LevelwiseMethod:
 
     name: str
     config: ShrinkConfig | None = None
-    beta_grid: tuple | None = None
 
     def __post_init__(self):
         if self.name not in METHOD_NAMES:
             raise ValueError(f"unknown method {self.name!r}; known: {METHOD_NAMES}")
         if self.config is not None and self.name != "zh":
             raise ValueError("config is only meaningful for method 'zh'")
-        if self.beta_grid is not None:
-            if self.name != "zh-sure":
-                raise ValueError("beta_grid is only meaningful for method 'zh-sure'")
-            if not any(1.0 < b <= 2.0 for b in self.beta_grid):
-                raise ValueError("beta_grid has no entries in (1, 2]")
 
 
-def make_method(name, config=None, beta_grid=None):
+def make_method(name, config=None):
     """Build a LevelwiseMethod, filling in the default config for 'zh'."""
     if name == "zh" and config is None:
         config = ShrinkConfig()
-    return LevelwiseMethod(name=name, config=config, beta_grid=beta_grid)
+    return LevelwiseMethod(name=name, config=config)
 
 
 def apply_method(method, decomp, sigma, cutoff_level):

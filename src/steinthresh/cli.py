@@ -12,9 +12,9 @@ import sys
 
 import numpy as np
 
-from .baselines import METHOD_NAMES, apply_method, make_method, resolution_cutoff
+from .baselines import METHOD_NAMES, _pipeline_depth, apply_method, make_method, resolution_cutoff
 from .canonical import A_RULES, ShrinkConfig, c_beta, monte_carlo_a_beta, resolve_a
-from .dwt import dwt_forward, dwt_inverse, max_levels
+from .dwt import dwt_forward, dwt_inverse
 from .harness import estimate_sigma, risk_sweep
 from .testbed import SIGNAL_NAMES
 
@@ -114,10 +114,7 @@ def cmd_denoise(args):
         values = data
     else:
         cutoff = resolution_cutoff(n)
-        levels = max_levels(n) - cutoff
-        if levels < 1:
-            raise ValueError(f"input of length {n} has no detail level above the resolution cutoff")
-        decomp = dwt_forward(data, levels)
+        decomp = dwt_forward(data, _pipeline_depth(n))
         if args.sigma == "auto":
             sigma = estimate_sigma(decomp)
             if not sigma > 0:
@@ -203,7 +200,7 @@ def _build_parser():
                      help=f"comma list from {','.join(METHOD_NAMES)}")
     sim.add_argument("--signals", type=_comma_list, required=True,
                      help=f"comma list from {','.join(SIGNAL_NAMES)}")
-    sim.add_argument("--n", type=_comma_list, required=True, help="comma list of sample sizes")
+    sim.add_argument("--n", type=_count_list, required=True, help="comma list of sample sizes")
     sim.add_argument("--snr", type=_real, default=3.0)
     sim.add_argument("--reps", type=_count, default=500)
     sim.add_argument("--seed", type=_seed, default=0)
@@ -232,8 +229,6 @@ def main(argv=None):
     except SystemExit as exc:
         return 0 if exc.code is None else int(exc.code)
     try:
-        if args.command == "simulate":
-            args.n = [int(v) for v in args.n]
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import substream
-from .baselines import apply_method, make_method, resolution_cutoff
+from .baselines import _pipeline_depth, apply_method, make_method, resolution_cutoff
 from .canonical import batch_estimate, resolve_a
-from .dwt import dwt_forward, dwt_inverse, max_levels
+from .dwt import dwt_forward, dwt_inverse
 from .testbed import generate_signal
 
 __all__ = [
@@ -122,13 +122,6 @@ def estimate_sigma(decomp):
         warnings.warn("degenerate finest detail level; sigma estimate is 0", stacklevel=2)
     sigma = mad / 0.6745
     return float(sigma[0]) if finest.ndim == 1 else sigma
-
-
-def _pipeline_depth(n):
-    levels = max_levels(n) - resolution_cutoff(n)
-    if levels < 1:
-        raise ValueError(f"n={n} leaves no detail level above the resolution cutoff")
-    return levels
 
 
 def _cell_errors(methods, signal, sigma_mode, reps, seed):

@@ -71,6 +71,17 @@ class TestDenoise:
         assert r.returncode == 2
         assert "power of two" in r.stderr
 
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_identity_skips_the_transform_at_tiny_n(self, tmp_path, capsys, n):
+        # n = 2 and 4 leave no level above the resolution cutoff, which only a transform needs
+        src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
+        write_signal(src, np.arange(1.0, n + 1.0))
+        assert cli.main(["denoise", "--input", str(src), "--method", "identity", "--out", str(dst)]) == 0
+        np.testing.assert_array_equal(np.loadtxt(dst), np.arange(1.0, n + 1.0))
+        assert cli.main(["denoise", "--input", str(src), "--method", "zh", "--sigma", "1",
+                         "--out", str(dst)]) == 2
+        assert "no detail level above the resolution cutoff" in capsys.readouterr().err
+
     def test_unknown_method_is_validation_error(self, tmp_path):
         src = tmp_path / "in.csv"
         write_signal(src, np.zeros(64))
@@ -488,6 +499,7 @@ class TestArgumentTypes:
         ["simulate", "--methods", "zh", "--signals", "blocks", "--n", "64", "--reps", "1e400", "--out", "x.csv"],
         ["simulate", "--methods", "zh", "--signals", "blocks", "--n", "64", "--reps", "inf", "--out", "x.csv"],
         ["bound-a", "--beta", "4/3", "--d", "1e400"],
+        ["simulate", "--methods", "zh", "--signals", "blocks", "--n", "64,1e400", "--out", "x.csv"],
     ])
     def test_non_finite_count_is_validation_error(self, tmp_path, argv):
         r = run_cli(*argv, cwd=tmp_path)

@@ -9,7 +9,11 @@ rows (one signal each, sigma a scalar or one per row) each row's output is
 that of the row on its own.
 
 Methods are addressed by short tokens, the keys of one rule table that also
-supplies the CLI method names:
+supplies the CLI method names.  Each rule is a plain function
+``rule(v, sigma, n, config)`` that maps one treated level's (m, d) rows ``v``
+to shrunk rows of the same shape, with n the length of one signal, sigma a
+scalar or an (m, 1) column and config the method's ShrinkConfig (None for all
+but zh):
 
     identity   pass-through (risk of the raw data)
     visu       soft thresholding at the universal level sigma*sqrt(2 ln n)
@@ -79,14 +83,6 @@ def _soft(x, lam):  # lam: a scalar, or an (m, 1) column with one value per row
     return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
 
 
-def _map_levels(decomp, cutoff_level, fn):
-    # every rule sees (m, d) rows, a 1-d level being m = 1; below-cutoff
-    # levels and the coarse block are copied bit-identical
-    details = [(j, fn(np.atleast_2d(v)).reshape(v.shape) if j >= cutoff_level else v.copy())
-               for j, v in decomp.details]
-    return WaveletDecomposition(coarse=decomp.coarse.copy(), details=details, n=decomp.n)
-
-
 def _hybrid_threshold(w):
     # per-row hybrid rule of Donoho-Johnstone (1995) on (m, d) standardized
     # rows, as an (m, 1) column: a row that looks sparse takes the universal
@@ -112,25 +108,19 @@ def _hybrid_threshold(w):
     return thresh
 
 
-# A rule takes (sigma, n, method), n the global sample size and sigma a scalar
-# or an (m, 1) column, does its set-up once per call and returns the map that
-# is applied to every treated level's (m, d) rows.
-
-
-def _visu(sigma, n, method):
+def _visu(v, sigma, n, config):
     # soft thresholding at the universal level sigma*sqrt(2 ln n), with n the
     # global size (not the level size) as in the classical implementation
-    lam = sigma * math.sqrt(2.0 * math.log(n))
-    return lambda v: _soft(v, lam)
+    return _soft(v, sigma * math.sqrt(2.0 * math.log(n)))
 
 
-def _sure(sigma, n, method):
+def _sure(v, sigma, n, config):
     # per-level hybrid soft thresholding: sparse levels get the universal
     # threshold; each row is thresholded on its own
-    return lambda v: _soft(v, _hybrid_threshold(v / sigma) * sigma)
+    return _soft(v, _hybrid_threshold(v / sigma) * sigma)
 
 
-def _blockjs(sigma, n, method):
+def _blockjs(v, sigma, n, config):
     # scale contiguous blocks of length floor(ln n) by (1 - c L sigma^2 / S^2)+,
     # S^2 the block's sum of squares; a trailing partial block is padded
     # cyclically from the start of its level when computing S^2, but only the
@@ -139,71 +129,56 @@ def _blockjs(sigma, n, method):
     if block_len < 1:
         raise ValueError(f"n must be at least 3 for a nonempty block, got {n}")
     kill = BLOCK_CRITICAL * block_len * sigma * sigma
-
-    def shrink(v):
-        m, d = v.shape
-        out = np.empty_like(v)
-        full = (d // block_len) * block_len
-        if full:
-            blocks = v[:, :full].reshape(m, -1, block_len)
-            with np.errstate(divide="ignore"):
-                factor = np.maximum(1.0 - kill / (blocks * blocks).sum(axis=-1), 0.0)
-            out[:, :full] = (factor[..., None] * blocks).reshape(m, full)
-        if full < d:
-            padded = v.take(np.arange(full, full + block_len) % d, axis=-1)
-            s2 = (padded[:, None, :] @ padded[:, :, None])[:, 0]  # each row's padded @ padded, same bits
-            with np.errstate(divide="ignore"):
-                factor = np.where(s2 > 0, np.maximum(1.0 - kill / s2, 0.0), 0.0)
-            out[:, full:] = factor * v[:, full:]
-        return out
-
-    return shrink
+    m, d = v.shape
+    out = np.empty_like(v)
+    full = (d // block_len) * block_len
+    if full:
+        blocks = v[:, :full].reshape(m, -1, block_len)
+        with np.errstate(divide="ignore"):
+            factor = np.maximum(1.0 - kill / (blocks * blocks).sum(axis=-1), 0.0)
+        out[:, :full] = (factor[..., None] * blocks).reshape(m, full)
+    if full < d:
+        padded = v.take(np.arange(full, full + block_len) % d, axis=-1)
+        s2 = (padded[:, None, :] @ padded[:, :, None])[:, 0]  # each row's padded @ padded, same bits
+        with np.errstate(divide="ignore"):
+            factor = np.where(s2 > 0, np.maximum(1.0 - kill / s2, 0.0), 0.0)
+        out[:, full:] = factor * v[:, full:]
+    return out
 
 
-def _js(sigma, n, method):
+def _js(v, sigma, n, config):
     # levelwise positive-part James-Stein, the canonical beta=2, a=d-2 path;
     # levels with fewer than 3 coefficients pass through unchanged
-    def shrink(v):
-        if v.shape[-1] < 3:
-            return v.copy()
-        return batch_estimate(v, sigma, 2.0, float(v.shape[-1] - 2))
-
-    return shrink
+    if v.shape[-1] < 3:
+        return v.copy()
+    return batch_estimate(v, sigma, 2.0, float(v.shape[-1] - 2))
 
 
-def _zh(sigma, n, method):
+def _zh(v, sigma, n, config):
     # the canonical thresholding estimator, with the constant a resolved
     # against each level's own coefficient count
-    config = method.config or ShrinkConfig()
-
-    def shrink(v):
-        return batch_estimate(v, sigma, config.beta, resolve_a(config, v.shape[-1]))
-
-    return shrink
+    return batch_estimate(v, sigma, config.beta, resolve_a(config, v.shape[-1]))
 
 
-def _zh_sure(sigma, n, method):
+def _zh_sure(v, sigma, n, config):
     # like zh, but beta (and its finite-rule a) is tuned per level and row by
     # unbiased risk; all-zero rows pass through, and the rows that share a
     # pick are shrunk together (each pick's beta stays a scalar, so beta = 2
     # keeps numpy's exact square)
-    def shrink(v):
-        s = np.broadcast_to(sigma, (len(v), 1))
-        out = v.copy()
-        live = np.flatnonzero(v.any(axis=-1))
-        if live.size:
-            betas, a = select_beta_by_sure(CanonicalSample(v[live], s[live]), DEFAULT_BETA_GRID)
-            for beta in set(betas.tolist()):
-                pick = betas == beta
-                rows = live[pick]
-                out[rows] = batch_estimate(v[rows], s[rows], beta, float(a[pick][0]))
-        return out
-
-    return shrink
+    s = np.broadcast_to(sigma, (len(v), 1))
+    out = v.copy()
+    live = np.flatnonzero(v.any(axis=-1))
+    if live.size:
+        betas, a = select_beta_by_sure(CanonicalSample(v[live], s[live]), DEFAULT_BETA_GRID)
+        for beta in set(betas.tolist()):
+            pick = betas == beta
+            rows = live[pick]
+            out[rows] = batch_estimate(v[rows], s[rows], beta, float(a[pick][0]))
+    return out
 
 
 _RULES = {
-    "identity": lambda sigma, n, method: np.copy,
+    "identity": lambda v, sigma, n, config: v.copy(),
     "visu": _visu,
     "sure": _sure,
     "blockjs": _blockjs,
@@ -217,7 +192,7 @@ METHOD_NAMES = tuple(_RULES)
 
 @dataclass(frozen=True)
 class LevelwiseMethod:
-    """A named levelwise method plus its method-specific parameters."""
+    """A named levelwise method plus its method-specific parameters; 'zh' defaults to ShrinkConfig()."""
 
     name: str
     config: ShrinkConfig | None = None
@@ -227,17 +202,23 @@ class LevelwiseMethod:
             raise ValueError(f"unknown method {self.name!r}; known: {METHOD_NAMES}")
         if self.config is not None and self.name != "zh":
             raise ValueError("config is only meaningful for method 'zh'")
+        if self.name == "zh" and self.config is None:
+            object.__setattr__(self, "config", ShrinkConfig())  # frozen, so set directly
 
 
-def make_method(name, config=None):
-    """Build a LevelwiseMethod, filling in the default config for 'zh'."""
-    if name == "zh" and config is None:
-        config = ShrinkConfig()
-    return LevelwiseMethod(name=name, config=config)
+make_method = LevelwiseMethod
 
 
 def apply_method(method, decomp, sigma, cutoff_level):
-    """Apply a LevelwiseMethod to every detail level at or above ``cutoff_level``; sigma may be per row."""
+    """Apply a LevelwiseMethod to every detail level at or above ``cutoff_level``; sigma may be per row.
+
+    Each treated level goes to the method's rule ``rule(v, sigma, n, config)``
+    as (m, d) rows, a 1-d level being m = 1; below-cutoff levels and the
+    coarse block are copied bit-identical.
+    """
+    rule, n = _RULES[method.name], decomp.n
     if method.name != "identity":
         sigma = _row_sigma(sigma, decomp.coarse)
-    return _map_levels(decomp, cutoff_level, _RULES[method.name](sigma, decomp.n, method))
+    details = [(j, rule(np.atleast_2d(v), sigma, n, method.config).reshape(v.shape) if j >= cutoff_level
+                else v.copy()) for j, v in decomp.details]
+    return WaveletDecomposition(coarse=decomp.coarse.copy(), details=details, n=n)

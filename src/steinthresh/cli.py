@@ -188,10 +188,6 @@ def _build_parser():
     den.add_argument("--method", required=True, choices=METHOD_NAMES)
     den.add_argument("--sigma", type=_sigma_flag, default="auto",
                      help="noise scale, or 'auto' to estimate from the finest level")
-    den.add_argument("--beta", type=_real, default=4.0 / 3.0,
-                     help="shrinkage exponent for method zh (accepts fractions like 4/3)")
-    den.add_argument("--a-rule", type=_a_rule, default=("finite", None),
-                     help=f"constant rule for method zh: {_A_RULE_CHOICES}")
     den.add_argument("--out", required=True, help="output CSV path")
     den.set_defaults(func=cmd_denoise)
 
@@ -205,13 +201,17 @@ def _build_parser():
     sim.add_argument("--reps", type=_count, default=500)
     sim.add_argument("--seed", type=_seed, default=0)
     sim.add_argument("--sigma-mode", choices=("known", "estimated"), default="known")
-    sim.add_argument("--beta", type=_real, default=4.0 / 3.0, help="exponent for method zh")
-    sim.add_argument("--a-rule", type=_a_rule, default=("finite", None),
-                     help=f"constant rule for method zh: {_A_RULE_CHOICES}")
     sim.add_argument("--workers", type=_count, default=1,
                      help="accepted for compatibility; no effect on results or execution")
     sim.add_argument("--out", required=True, help="output CSV path")
     sim.set_defaults(func=cmd_simulate)
+
+    zh = ShrinkConfig()
+    for cmd in (den, sim):
+        cmd.add_argument("--beta", type=_real, default=zh.beta,
+                         help="shrinkage exponent for method zh (accepts fractions like 4/3)")
+        cmd.add_argument("--a-rule", type=_a_rule, default=(zh.a_rule, zh.fixed_a),
+                         help=f"constant rule for method zh: {_A_RULE_CHOICES}")
 
     bnd = sub.add_parser("bound-a", help="simulate the Bayes-risk-safe shrink constant")
     bnd.add_argument("--beta", type=_real, required=True, help="exponent in (1/2, 2]; fractions allowed")

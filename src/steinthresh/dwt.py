@@ -148,7 +148,7 @@ def dwt_forward(signal, levels):
     details = []
     for _ in range(levels):
         x, d = _analysis_step(x)
-        details.append((max_levels(2 * x.shape[-1]) - 1, d))
+        details.append((x.shape[-1].bit_length() - 1, d))
     details.reverse()
     return WaveletDecomposition(coarse=x, details=details, n=n)
 

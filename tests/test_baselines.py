@@ -355,6 +355,7 @@ class TestMethodDispatch:
     def test_make_method_fills_default_config(self):
         m = make_method("zh")
         assert m.config == ShrinkConfig()
+        assert LevelwiseMethod("zh").config == ShrinkConfig()
         assert make_method("visu").config is None
 
     def test_identity_returns_independent_copy(self):

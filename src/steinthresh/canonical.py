@@ -43,8 +43,9 @@ A_RULES = ("finite", "asymptotic", "eb", "theorem", "fixed")
 DEFAULT_BETA_GRID = tuple(1.0 + 0.05 * k for k in range(1, 21))
 
 # most values (candidates x rows x d) one batch_sure call of select_beta_by_sure
-# evaluates, so its temporaries stay small (64 KiB each)
-_SURE_BLOCK = 8192
+# evaluates, so its temporaries stay small (128 KiB each); a (candidate, row)
+# total is one sum along d, so the block size does not change any pick
+_SURE_BLOCK = 2**14
 
 # monte_carlo_a_beta draws 2**21 values (16 MiB) per block from the block's own
 # substream, so the block size fixes the result; each block is drawn in row
@@ -171,7 +172,9 @@ def _clip_mask(absw, beta, a, dnm):
     if beta == 2.0:
         return np.broadcast_to((a >= dnm)[..., None], absw.shape)
     with np.errstate(divide="ignore"):
-        lhs = math.log(a) + (beta - 2.0) * np.log(absw)
+        lhs = np.log(absw)
+        lhs *= beta - 2.0
+        lhs += math.log(a)
         rhs = np.log(dnm)[..., None]
     return lhs >= rhs
 
@@ -194,22 +197,31 @@ def batch_estimate(z, sigma, beta, a, positive_part=True):
     w = z / sigma
     absw = np.abs(w)
     dnm = (absw**beta).sum(axis=-1)
+    # full-size passes in place; each swaps only the operand order of
+    # a*|w|**(beta-2)/D (a*sign(w)*|w|**(beta-1)/D untruncated), so kept values
+    # keep their bits, while the entries that copyto overwrites may pass
+    # through inf and nan (|0|**(beta-2) times 0)
     if positive_part:
         clip = _clip_mask(absw, beta, a, dnm)
-        keep = ~clip
-        frac = np.zeros_like(w)
-        wide = np.broadcast_to(dnm[..., None], w.shape)
-        frac[keep] = a * absw[keep] ** (beta - 2.0) / wide[keep]
-        est = np.where(clip, 0.0, (1.0 - frac) * w)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            est = np.power(absw, beta - 2.0)
+            est *= a
+            est /= dnm[..., None]
+            np.subtract(1.0, est, out=est)
+            est *= w
+        np.copyto(est, 0.0, where=clip)
     else:
         if np.any(dnm == 0.0):
             raise ValueError("degenerate input: all coordinates zero")
-        gain = np.zeros_like(w)
-        nz = absw > 0.0
-        wide = np.broadcast_to(dnm[..., None], w.shape)
-        gain[nz] = a * np.sign(w[nz]) * absw[nz] ** (beta - 1.0) / wide[nz]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            gain = np.power(absw, beta - 1.0)
+            gain *= np.sign(w)
+            gain *= a
+            gain /= dnm[..., None]
+        np.copyto(gain, 0.0, where=absw == 0.0)
         est = w - gain
-    return sigma * est
+    est *= sigma
+    return est
 
 
 def batch_sure(z, sigma, beta, a):
@@ -234,10 +246,15 @@ def batch_sure(z, sigma, beta, a):
         raise ValueError(f"unbiased risk formula requires beta in (1, 2], got {beta}")
     if not ((a > 0) & np.isfinite(a)).all():
         raise ValueError(f"a must be positive and finite, got {a}")
+    if beta.shape != a.shape:
+        # one candidate per (beta, a) pair, so the in-place passes below
+        # already have the shape of the result
+        beta, a = np.broadcast_arrays(beta, a)
     w = z / sigma
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         logw = np.maximum(np.log(np.abs(w)), _LOG_ZERO)
-        pb = np.exp(beta * logw)
+        pb = beta * logw
+        np.exp(pb, out=pb)
         dnm = pb.sum(axis=-1, keepdims=True)
         if not dnm.all():
             raise ValueError("degenerate input: all coordinates zero")
@@ -246,9 +263,18 @@ def batch_sure(z, sigma, beta, a):
         # tiny |w| cannot overflow; at beta = 2 (lead = 0) the test is a > D
         cut = np.where(beta == 2.0, np.where(a > dnm, -np.inf, np.inf), np.log(dnm) - np.log(a))
         clip = lead > cut
-        small = np.exp(lead) / dnm
-        kept = 1.0 + small * ((a * a + 2.0 * a * beta) * (pb / dnm) - 2.0 * a * (beta - 1.0))
-    return sigma**2 * np.where(clip, w * w - 1.0, kept)
+        np.exp(lead, out=lead)
+        lead /= dnm
+        # kept: 1 + |w|**(beta-2)/D * ((a*a + 2a*beta) * |w|**beta/D - 2a(beta-1)),
+        # in place on pb with only the operand order swapped
+        pb /= dnm
+        pb *= a * a + 2.0 * a * beta
+        pb -= 2.0 * a * (beta - 1.0)
+        pb *= lead
+        pb += 1.0
+    np.copyto(pb, w * w - 1.0, where=clip)
+    pb *= sigma**2
+    return pb
 
 
 @lru_cache(maxsize=64)
@@ -274,7 +300,7 @@ def select_beta_by_sure(sample, beta_grid=None):
     raised.  ``a`` follows the finite-sample rule at each candidate.  The
     candidates are scored as a column by one :func:`batch_sure` pass per
     block of at most ``max(_SURE_BLOCK, m * d)`` values, counted over
-    candidates x rows x d (a single block for one level of up to 409
+    candidates x rows x d (a single block for one level of up to 819
     coefficients on the default grid); exact zeros in the level score as
     they would through ``pow``.  Exact ties go to the larger beta.  A 1-d
     sample gives floats; a sample of m rows gives arrays of m picks, each

@@ -88,9 +88,13 @@ def canonical_risk(theta, config, sigma, reps, seed, positive_part=True, workers
     errs = np.empty(reps)
     for b, lo in enumerate(range(0, reps, _BATCH)):
         hi = min(lo + _BATCH, reps)
-        z = theta + sigma * substream(seed, b).standard_normal((hi - lo, d))
+        z = substream(seed, b).standard_normal((hi - lo, d))
+        z *= sigma
+        z += theta
         est = z if config is None else batch_estimate(z, sigma, beta, a, positive_part)
-        errs[lo:hi] = ((est - theta) ** 2).sum(axis=1)
+        est -= theta
+        est *= est
+        errs[lo:hi] = est.sum(axis=1)
         del z, est  # free this batch before the next one is drawn
     return CanonicalRiskReport(
         theta=label or f"vector of length {d}",

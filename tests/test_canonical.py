@@ -54,6 +54,68 @@ def oracle_sure(z, sigma, beta, a):
     return sigma**2 * val
 
 
+def oracle_batch_estimate(z, sigma, beta, a, positive_part=True):
+    # batch_estimate before its in-place rewrite: boolean indexing of the kept
+    # (or nonzero) entries and np.where, so nothing overwritten passes inf or nan
+    z = np.asarray(z, dtype=float)
+    w = z / sigma
+    absw = np.abs(w)
+    dnm = (absw**beta).sum(axis=-1)
+    wide = np.broadcast_to(dnm[..., None], w.shape)
+    if positive_part:
+        if beta == 2.0:
+            clip = np.broadcast_to((a >= dnm)[..., None], absw.shape)
+        else:
+            with np.errstate(divide="ignore"):
+                clip = math.log(a) + (beta - 2.0) * np.log(absw) >= np.log(dnm)[..., None]
+        keep = ~clip
+        frac = np.zeros_like(w)
+        frac[keep] = a * absw[keep] ** (beta - 2.0) / wide[keep]
+        est = np.where(clip, 0.0, (1.0 - frac) * w)
+    else:
+        gain = np.zeros_like(w)
+        nz = absw > 0.0
+        gain[nz] = a * np.sign(w[nz]) * absw[nz] ** (beta - 1.0) / wide[nz]
+        est = w - gain
+    return sigma * est
+
+
+def oracle_batch_sure(z, sigma, beta, a):
+    # batch_sure before its in-place rewrite: fresh arrays and a final np.where
+    w = np.asarray(z, dtype=float) / sigma
+    beta = np.asarray(beta, dtype=float)
+    a = np.asarray(a, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        logw = np.maximum(np.log(np.abs(w)), -1e300)
+        pb = np.exp(beta * logw)
+        dnm = pb.sum(axis=-1, keepdims=True)
+        lead = (beta - 2.0) * logw
+        cut = np.where(beta == 2.0, np.where(a > dnm, -np.inf, np.inf), np.log(dnm) - np.log(a))
+        clip = lead > cut
+        small = np.exp(lead) / dnm
+        kept = 1.0 + small * ((a * a + 2.0 * a * beta) * (pb / dnm) - 2.0 * a * (beta - 1.0))
+    return sigma**2 * np.where(clip, w * w - 1.0, kept)
+
+
+def byte_cases(seed, count, zero_rows):
+    # (z, sigma) with magnitudes over many decades, exact 0.0 and -0.0 entries,
+    # optionally all-zero rows, and a scalar or one-per-row sigma
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        m, d = int(rng.integers(1, 9)), int(rng.choice([1, 2, 3, 7, 50, 129]))
+        z = rng.standard_normal((m, d)) * np.exp(rng.uniform(-8.0, 4.0, (m, 1)))
+        z[:, : d // 4] *= 6.0
+        z[rng.random((m, d)) < 0.2] = 0.0
+        z[rng.random((m, d)) < 0.1] = -0.0
+        z[rng.random((m, d)) < 0.05] = 1e-300
+        if zero_rows and m > 1:
+            z[rng.integers(m)] = rng.choice([0.0, -0.0], d)
+        elif not zero_rows:
+            z[np.abs(z).max(axis=1) < 1e-100, 0] = 1.0
+        sigma = rng.uniform(0.3, 3.0, (m, 1)) if k % 2 else float(rng.uniform(0.3, 3.0))
+        yield z, sigma
+
+
 def oracle_select(z, sigma, grid):
     # one SURE evaluation per beta in increasing order; ties go to the later beta
     best = None
@@ -469,6 +531,61 @@ class TestBatchSureColumn:
             batch_sure(np.zeros((1, 4)), 1.0, good_b, good_a)
         with pytest.raises(ValueError):
             batch_sure(np.vstack([z[0], np.zeros(4)]), 1.0, 1.5, 2.0)
+
+
+class TestInPlaceKernelBytes:
+    # the in-place kernels only swap operand order against the oracles above,
+    # so every value, zeros and signs included, must keep its bits
+    @pytest.mark.parametrize("beta", [1.05, 4.0 / 3.0, 1.5, 2.0])
+    def test_positive_part_matches_indexed_kernel(self, beta):
+        rng = np.random.default_rng(int(100 * beta))
+        for z, sigma in byte_cases(int(1000 * beta), 150, zero_rows=True):
+            a = float(z.shape[1] * np.exp(rng.uniform(-3.0, 2.0)))
+            for rows in (z, z[0]) if np.ndim(sigma) == 0 else (z,):
+                got = batch_estimate(rows, sigma, beta, a)
+                want = oracle_batch_estimate(rows, sigma, beta, a)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("beta", [0.6, 1.05, 4.0 / 3.0, 1.5, 2.0])
+    def test_untruncated_matches_indexed_kernel(self, beta):
+        rng = np.random.default_rng(int(100 * beta))
+        for z, sigma in byte_cases(int(1000 * beta) + 1, 150, zero_rows=False):
+            a = float(z.shape[1] * np.exp(rng.uniform(-3.0, 2.0)))
+            got = batch_estimate(z, sigma, beta, a, positive_part=False)
+            want = oracle_batch_estimate(z, sigma, beta, a, positive_part=False)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sure_matches_fresh_array_kernel(self, seed):
+        rng = np.random.default_rng(seed)
+        grid = np.array([1.05, 4.0 / 3.0, 1.5, 2.0])
+        for z, sigma in byte_cases(seed, 150, zero_rows=False):
+            d = z.shape[1]
+            a = d * np.exp(rng.uniform(-3.0, 2.0, grid.size))
+            cases = [(grid[:, None, None], a[:, None, None])]
+            cases += [(b, c) for b, c in zip(grid, a)]
+            for beta, c in cases:
+                got = batch_sure(z, sigma, beta, c)
+                want = oracle_batch_sure(z, sigma, beta, c)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_sure_broadcasts_a_scalar_against_a_column(self):
+        # a scalar beta against a column of a (and the reverse) gives the
+        # broadcast (G, d) result, not an in-place shape error
+        rng = np.random.default_rng(31)
+        z = 2.0 * rng.standard_normal(40)
+        z[:3] = [0.0, -0.0, 9.0]
+        col_a = np.array([[5.0], [40.0], [400.0]])
+        col_b = np.array([[1.05], [1.5], [2.0]])
+        for rows, sigma in ((z, 1.5), (z[None, :], 1.5), (np.vstack([z, -z]), np.array([[1.5], [0.5]]))):
+            # (G, 1) columns for one level, (G, 1, 1) for rows of levels
+            shape = (-1,) + (1,) * rows.ndim
+            for beta, a in ((1.5, col_a.reshape(shape)), (col_b.reshape(shape), 40.0)):
+                got = batch_sure(rows, sigma, beta, a)
+                want = oracle_batch_sure(rows, sigma, beta, a)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert batch_sure(z, 1.0, 1.5, col_a).shape == (3, 40)
+        assert batch_sure(z, 1.0, col_b, 40.0).shape == (3, 40)
 
 
 class TestMonteCarloConstant:

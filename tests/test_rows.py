@@ -139,12 +139,20 @@ class TestSelectBetaRows:
             assert betas[-1] == max(DEFAULT_BETA_GRID)
 
     def test_block_size_does_not_change_row_picks(self, monkeypatch):
+        # a (candidate, row) total is one sum along d, whichever candidates
+        # share the batch_sure call, so no block size moves a bit of a pick
         from steinthresh import canonical
 
-        z = np.random.default_rng(5).standard_normal((4, 512)) * 2.0
-        z[:, 0] += 9.0
-        picks = select_beta_by_sure(CanonicalSample(z))
-        for block in (1, 100, 10**9):
-            monkeypatch.setattr(canonical, "_SURE_BLOCK", block)
-            got = select_beta_by_sure(CanonicalSample(z))
-            assert same_bytes(got[0], picks[0]) and same_bytes(got[1], picks[1])
+        rng = np.random.default_rng(5)
+        for m in (1, 4, 8):
+            for d in (16, 64, 512):
+                z = rng.standard_normal((m, d)) * 2.0
+                z[:, : d // 8] += 9.0 * rng.random((m, 1))
+                z[rng.random((m, d)) < 0.1] = 0.0
+                sample = CanonicalSample(z, rng.uniform(0.5, 2.0, m))
+                monkeypatch.setattr(canonical, "_SURE_BLOCK", 1)
+                picks = select_beta_by_sure(sample)
+                for block in (100, 8192, 2**14, 10**9):
+                    monkeypatch.setattr(canonical, "_SURE_BLOCK", block)
+                    got = select_beta_by_sure(sample)
+                    assert same_bytes(got[0], picks[0]) and same_bytes(got[1], picks[1])

@@ -30,9 +30,8 @@ from .harness import (
     canonical_risk,
     estimate_sigma,
     risk_sweep,
-    wavelet_risk,
     wavelet_risk_replicates,
 )
-from .testbed import CANONICAL_SIGNALS, SIGNAL_NAMES, TestSignal, add_noise, generate_signal
+from .testbed import CANONICAL_SIGNALS, SIGNAL_NAMES, TestSignal, generate_signal
 
 __version__ = "0.1.0"

@@ -167,18 +167,6 @@ def resolve_a(config, d):
     return a
 
 
-def _clip_mask(absw, beta, a, dnm):
-    # decide a*|w|**(beta-2) >= D in log space so tiny |w| cannot overflow
-    if beta == 2.0:
-        return np.broadcast_to((a >= dnm)[..., None], absw.shape)
-    with np.errstate(divide="ignore"):
-        lhs = np.log(absw)
-        lhs *= beta - 2.0
-        lhs += math.log(a)
-        rhs = np.log(dnm)[..., None]
-    return lhs >= rhs
-
-
 def batch_estimate(z, sigma, beta, a, positive_part=True):
     """Estimator over rows: ``z`` has shape (m, d), or (d,) for one sample.
 
@@ -202,11 +190,13 @@ def batch_estimate(z, sigma, beta, a, positive_part=True):
     # keep their bits, while the entries that copyto overwrites may pass
     # through inf and nan (|0|**(beta-2) times 0)
     if positive_part:
-        clip = _clip_mask(absw, beta, a, dnm)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             est = np.power(absw, beta - 2.0)
             est *= a
             est /= dnm[..., None]
+            # zero where the ratio is not below 1; it is nan only where
+            # |0|**(beta-2) = inf meets a D that overflowed to inf, a zero coordinate
+            clip = ~(est < 1.0)
             np.subtract(1.0, est, out=est)
             est *= w
         np.copyto(est, 0.0, where=clip)
@@ -234,10 +224,12 @@ def batch_sure(z, sigma, beta, a):
     scalar or an (m, 1) column, one value per row.  The
     powers of ``|w|`` come from one ``log|w|`` per call, with
     ``|w|**(2beta-2)/D**2`` formed as ``(|w|**(beta-2)/D) * (|w|**beta/D)``.
-    Exact zeros follow ``pow``: ``|0|**beta`` is 0, and ``|0|**(beta-2)`` is
-    1 at beta = 2 (whose clip test stays the direct ``a > D``) and infinite
-    below it, where such coordinates are always zeroed and score ``-1``.
-    Clipped coordinates score ``w**2 - 1`` times ``sigma**2``.
+    A coordinate is clipped when ``a|w|**(beta-2) > D``, tested as
+    ``|w|**(beta-2) > D/a``, which at beta = 2 is exactly ``a > D``.  Exact
+    zeros follow ``pow``: ``|0|**beta`` is 0, and ``|0|**(beta-2)`` is 1 at
+    beta = 2 and infinite below it, where such coordinates are always
+    clipped, even in a row whose ``D`` overflows.  Clipped coordinates score
+    ``w**2 - 1`` times ``sigma**2``.
     """
     z = np.asarray(z, dtype=float)
     beta = np.asarray(beta, dtype=float)
@@ -259,11 +251,11 @@ def batch_sure(z, sigma, beta, a):
         if not dnm.all():
             raise ValueError("degenerate input: all coordinates zero")
         lead = (beta - 2.0) * logw
-        # zero a coordinate when a*|w|**(beta-2) > D, decided in log space so
-        # tiny |w| cannot overflow; at beta = 2 (lead = 0) the test is a > D
-        cut = np.where(beta == 2.0, np.where(a > dnm, -np.inf, np.inf), np.log(dnm) - np.log(a))
-        clip = lead > cut
         np.exp(lead, out=lead)
+        # zero a coordinate when a*|w|**(beta-2) > D, tested as |w|**(beta-2) > D/a:
+        # at beta = 2 (lead = 1) that is exactly a > D, and capping D/a below inf
+        # zeroes |0|**(beta-2) = inf even where D overflowed
+        clip = lead > np.minimum(dnm / a, np.finfo(float).max)
         lead /= dnm
         # kept: 1 + |w|**(beta-2)/D * ((a*a + 2a*beta) * |w|**beta/D - 2a(beta-1)),
         # in place on pb with only the operand order swapped

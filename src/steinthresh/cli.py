@@ -143,6 +143,12 @@ def cmd_simulate(args):
         workers=args.workers,
     )
     write_reports(args.out, reports)
+    # relative risk (mean_risk / n): one row per (signal, n), one column per method
+    width = len(methods)
+    print(f"{'signal':>10} {'n':>6} " + " ".join(f"{m.name:>9}" for m in methods))
+    for k in range(0, len(reports), width):
+        cell = reports[k:k + width]
+        print(f"{cell[0].signal:>10} {cell[0].n:>6} " + " ".join(f"{r.relative_risk:9.4f}" for r in cell))
     return 0
 
 

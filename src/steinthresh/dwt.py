@@ -127,12 +127,6 @@ class WaveletDecomposition:
         if total != self.n:
             raise ValueError(f"malformed decomposition: blocks sum to {total}, expected {self.n}")
 
-    def level_values(self, j):
-        for level, v in self.details:
-            if level == j:
-                return v
-        raise KeyError(f"no detail block at level {j}")
-
 
 def dwt_forward(signal, levels):
     """Decompose a length-2**J signal, or (m, 2**J) rows of them, through ``levels`` analysis steps."""

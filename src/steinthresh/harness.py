@@ -32,7 +32,6 @@ __all__ = [
     "canonical_risk",
     "estimate_sigma",
     "risk_sweep",
-    "wavelet_risk",
     "wavelet_risk_replicates",
 ]
 
@@ -179,26 +178,20 @@ def _report(method, signal, errs):
     )
 
 
-def wavelet_risk(method, signal, sigma_mode="known", reps=500, seed=0, workers=1):
-    """RiskReport for one method on one signal (mean risk, std error, risk / n)."""
-    errs = wavelet_risk_replicates(method, signal, sigma_mode, reps, seed)
-    return _report(method, signal, errs)
-
-
 def risk_sweep(methods, signals, n_values, snr, reps, seed, sigma_mode="known", workers=1):
     """Cartesian sweep over (signal, n, method) with common random numbers.
 
     ``methods`` may hold LevelwiseMethod objects or bare method names;
-    ``signals`` holds registry names.  Within one (signal, n) cell every
-    method consumes identical noise draws, and each replicate's forward
-    transform is computed once for all of them.  Reports are ordered by
-    signal, then n, then method.
+    ``signals`` holds names from ``SIGNAL_NAMES``.  Within one (signal, n)
+    cell every method consumes identical noise draws, and each replicate's
+    forward transform is computed once for all of them.  Every (signal, n)
+    is generated before any cell runs, so a bad name or size costs no run.
+    Reports are ordered by signal, then n, then method.
     """
     methods = [make_method(m) if isinstance(m, str) else m for m in methods]
+    cells = [generate_signal(name, int(n), snr) for name in signals for n in n_values]
     reports = []
-    for name in signals:
-        for n in n_values:
-            sig = generate_signal(name, int(n), snr)
-            errs = _cell_errors(methods, sig, sigma_mode, reps, seed)
-            reports += [_report(method, sig, e) for method, e in zip(methods, errs)]
+    for sig in cells:
+        errs = _cell_errors(methods, sig, sigma_mode, reps, seed)
+        reports += [_report(method, sig, e) for method, e in zip(methods, errs)]
     return reports

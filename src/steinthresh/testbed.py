@@ -1,28 +1,22 @@
-"""Benchmark regression functions on a dyadic grid, with seeded Gaussian noise.
+"""Benchmark regression functions on a dyadic grid.
 
 Signals are sampled at t_i = (i-1)/n for i = 1..n (so t starts at 0) and then
 scaled so the sample standard deviation equals ``snr`` under the sigma = 1
 noise convention.  No mean-centering is applied, matching the classical
 wavelet simulation setup.  Blocks, Bumps, HeaviSine, and Doppler follow the
 standard Donoho-Johnstone definitions; Spikes and Corner are documented
-stand-ins rounding out a six-signal registry and can be replaced through
-:func:`register_signal`.
+stand-ins rounding out six signals.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from ._rng import substream
 
 __all__ = [
     "CANONICAL_SIGNALS",
     "SIGNAL_NAMES",
     "TestSignal",
-    "add_noise",
     "generate_signal",
-    "register_signal",
 ]
 
 
@@ -84,7 +78,7 @@ def _corner(t):
     return np.where(t < 0.25, 4.0 * t, np.where(t < 0.5, 2.0 - 4.0 * t, 8.0 * (t - 0.5) ** 2))
 
 
-_REGISTRY = {
+_SIGNALS = {
     "blocks": _blocks,
     "bumps": _bumps,
     "heavisine": _heavisine,
@@ -94,35 +88,20 @@ _REGISTRY = {
 }
 
 CANONICAL_SIGNALS = ("blocks", "bumps", "heavisine", "doppler")
-SIGNAL_NAMES = tuple(_REGISTRY)
-
-
-def register_signal(name, fn):
-    """Add or replace a raw signal function f(t); enables swapping the stand-ins."""
-    if not callable(fn):
-        raise ValueError("fn must be callable")
-    _REGISTRY[str(name)] = fn
+SIGNAL_NAMES = tuple(_SIGNALS)
 
 
 def generate_signal(name, n, snr):
     """Sample the named function on the dyadic grid and scale sd to ``snr``."""
-    if name not in _REGISTRY:
-        raise ValueError(f"unknown signal {name!r}; known: {sorted(_REGISTRY)}")
+    if name not in _SIGNALS:
+        raise ValueError(f"unknown signal {name!r}; known: {sorted(_SIGNALS)}")
     if n < 2 or n & (n - 1):
         raise ValueError(f"n must be a power of two >= 2, got {n}")
     if not snr > 0:
         raise ValueError(f"snr must be positive, got {snr}")
     t = np.arange(n, dtype=float) / n
-    raw = np.asarray(_REGISTRY[name](t), dtype=float)
+    raw = np.asarray(_SIGNALS[name](t), dtype=float)
     sd = raw.std(ddof=1)
     if not sd > 0:
         raise ValueError(f"signal {name!r} is constant on this grid; cannot scale to an snr")
     return TestSignal(name=name, samples=raw * (snr / sd), snr=float(snr))
-
-
-def add_noise(signal, sigma, seed):
-    """Samples plus sigma times standard normal draws; deterministic per seed."""
-    if not (sigma > 0 and math.isfinite(sigma)):
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
-    rng = substream(seed)
-    return signal.samples + sigma * rng.standard_normal(signal.samples.size)

@@ -1,5 +1,6 @@
 """Canonical normal-means estimators: worked examples, oracles, and properties."""
 
+import itertools
 import math
 import threading
 from functools import lru_cache
@@ -245,6 +246,18 @@ class TestThresholdEstimate:
         np.testing.assert_allclose(est(z[perm], cfg), out[perm], rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(est(-z, cfg), -out, rtol=1e-12, atol=1e-12)
 
+    def test_beta_two_zeroes_exactly_when_a_reaches_d(self):
+        # at beta = 2 the ratio a*|w|**0/D >= 1 is exactly a >= D: a = D zeroes
+        # the row, and a one ulp below D keeps every coordinate with its sign
+        rng = np.random.default_rng(41)
+        rows = [np.ones(3072), np.array([3.0, 4.0])]
+        rows += [rng.standard_normal(int(rng.integers(1, 60))) * 3.0 for _ in range(300)]
+        for z in rows:
+            dnm = (np.abs(z) ** 2.0).sum()
+            assert not batch_estimate(z, 1.0, 2.0, dnm).any()
+            kept = batch_estimate(z, 1.0, 2.0, np.nextafter(dnm, 0.0))
+            np.testing.assert_array_equal(np.sign(kept), np.sign(z))
+
     def test_tiny_magnitudes_stay_finite(self):
         z = np.array([1e-300, 1e-12, 5.0, -6.0])
         out = est(z, fixed(1.1, 2.0))
@@ -396,6 +409,15 @@ class TestSure:
         se = diff.std(ddof=1) / math.sqrt(diff.size)
         assert abs(diff.mean()) < 3.0 * se
 
+    def test_zero_coordinates_clip_where_d_overflows(self):
+        # 1e200**1.9 overflows D to inf, yet a*|0|**(beta-2) = inf still
+        # exceeds it: the zeros score (w**2 - 1) * sigma**2, not nan
+        z = np.array([[0.0, -0.0, 1e200, 2.0]])
+        with np.errstate(over="ignore"):
+            sure, shrunk = batch_sure(z, 1.5, 1.9, 10.0), batch_estimate(z, 1.5, 1.9, 10.0)
+        np.testing.assert_array_equal(sure[0, :2], [-2.25, -2.25])
+        np.testing.assert_array_equal(shrunk[0, :2], [0.0, 0.0])
+
     def test_degenerate_and_domain_errors(self):
         with pytest.raises(ValueError):
             batch_sure(np.zeros(4), 1.0, 1.5, 1.0)
@@ -517,6 +539,17 @@ class TestBatchSureColumn:
         np.testing.assert_allclose(got[0], oracle_sure(z, 1.0, 2.0, 3072.0), rtol=1e-12)
         np.testing.assert_array_equal(got[1], oracle_sure(z, 1.0, 2.0, above))
 
+    def test_beta_two_row_clips_one_ulp_above_any_d(self):
+        # a = D keeps and a one ulp above D clips, also where 1/a and 1/D round
+        # to the same double (about a sixth of all D), so no test on 1/a can do
+        rng = np.random.default_rng(43)
+        for _ in range(300):
+            z = rng.standard_normal((1, int(rng.integers(1, 40)))) * rng.uniform(0.5, 4.0)
+            dnm = np.exp(2.0 * np.log(np.abs(z))).sum()  # D as the kernel forms it
+            clipped = z * z - 1.0
+            assert (batch_sure(z, 1.0, 2.0, dnm) != clipped).all()
+            assert (batch_sure(z, 1.0, 2.0, np.nextafter(dnm, np.inf)) == clipped).all()
+
     def test_column_domain_errors(self):
         z = np.array([[4.0, -3.0, 0.2, 5.0]])
         good_b, good_a = np.array([[1.5], [2.0]]), np.array([[2.0], [3.0]])
@@ -536,14 +569,19 @@ class TestBatchSureColumn:
 class TestInPlaceKernelBytes:
     # the in-place kernels only swap operand order against the oracles above,
     # so every value, zeros and signs included, must keep its bits
-    @pytest.mark.parametrize("beta", [1.05, 4.0 / 3.0, 1.5, 2.0])
+    @pytest.mark.parametrize("beta", [1.05, 4.0 / 3.0, 1.5, 1.9, 2.0])
     def test_positive_part_matches_indexed_kernel(self, beta):
         rng = np.random.default_rng(int(100 * beta))
-        for z, sigma in byte_cases(int(1000 * beta), 150, zero_rows=True):
+        # rows whose D overflows to inf from beta = 1.9 up; below beta = 2 a
+        # zero's ratio there is inf/inf = nan, and it must still be zeroed
+        overflow = np.array([[0.0, -0.0, 1e200], [1e200, 3.0, -0.0]])
+        cases = [(overflow, 1.0), (overflow, np.array([[0.5], [2.0]]))]
+        for z, sigma in itertools.chain(byte_cases(int(1000 * beta), 150, zero_rows=True), cases):
             a = float(z.shape[1] * np.exp(rng.uniform(-3.0, 2.0)))
             for rows in (z, z[0]) if np.ndim(sigma) == 0 else (z,):
-                got = batch_estimate(rows, sigma, beta, a)
-                want = oracle_batch_estimate(rows, sigma, beta, a)
+                with np.errstate(over=("ignore" if z is overflow else "warn")):
+                    got = batch_estimate(rows, sigma, beta, a)
+                    want = oracle_batch_estimate(rows, sigma, beta, a)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("beta", [0.6, 1.05, 4.0 / 3.0, 1.5, 2.0])

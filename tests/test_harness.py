@@ -13,7 +13,6 @@ from steinthresh.harness import (
     canonical_risk,
     estimate_sigma,
     risk_sweep,
-    wavelet_risk,
     wavelet_risk_replicates,
 )
 from steinthresh.testbed import generate_signal
@@ -108,8 +107,7 @@ class TestEstimateSigma:
 
 class TestWaveletRisk:
     def test_identity_relative_risk_is_one(self):
-        sig = generate_signal("blocks", 64, 3.0)
-        rep = wavelet_risk(make_method("identity"), sig, reps=400, seed=3)
+        rep = risk_sweep(["identity"], ["blocks"], [64], snr=3.0, reps=400, seed=3)[0]
         se_rel = rep.std_error / 64
         assert abs(rep.relative_risk - 1.0) < 3.0 * se_rel
         assert rep.n == 64 and rep.signal == "blocks" and rep.method == "identity"
@@ -130,8 +128,7 @@ class TestWaveletRisk:
         np.testing.assert_array_equal(r1, r4)
 
     def test_estimated_sigma_mode_runs(self):
-        sig = generate_signal("heavisine", 256, 3.0)
-        rep = wavelet_risk(make_method("zh"), sig, sigma_mode="estimated", reps=60, seed=4)
+        rep = risk_sweep(["zh"], ["heavisine"], [256], snr=3.0, reps=60, seed=4, sigma_mode="estimated")[0]
         assert math.isfinite(rep.relative_risk) and 0.0 < rep.relative_risk < 1.0
 
     def test_pipeline_error_matches_coefficient_error(self):
@@ -139,16 +136,15 @@ class TestWaveletRisk:
         # error between the shrunk and the clean decompositions
         from steinthresh.baselines import apply_method
         from steinthresh.dwt import dwt_inverse
-        from steinthresh.testbed import add_noise
 
         sig = generate_signal("bumps", 256, 3.0)
         levels = max_levels(256) - resolution_cutoff(256)
-        y = add_noise(sig, 1.0, seed=13)
+        y = sig.samples + np.random.default_rng(13).standard_normal(256)
         dec = apply_method(make_method("zh"), dwt_forward(y, levels), 1.0, resolution_cutoff(256))
         fhat = dwt_inverse(dec)
         clean = dwt_forward(sig.samples, levels)
         coef_err = float(np.sum((dec.coarse - clean.coarse) ** 2)) + sum(
-            float(np.sum((v - clean.level_values(j)) ** 2)) for j, v in dec.details
+            float(np.sum((v - dict(clean.details)[j]) ** 2)) for j, v in dec.details
         )
         sig_err = float(np.sum((fhat - sig.samples) ** 2))
         assert coef_err == pytest.approx(sig_err, rel=1e-8)
@@ -156,9 +152,9 @@ class TestWaveletRisk:
     def test_validation(self):
         sig = generate_signal("blocks", 64, 3.0)
         with pytest.raises(ValueError):
-            wavelet_risk(make_method("zh"), sig, sigma_mode="exact", reps=50, seed=0)
+            wavelet_risk_replicates(make_method("zh"), sig, sigma_mode="exact", reps=50, seed=0)
         with pytest.raises(ValueError):
-            wavelet_risk(make_method("zh"), sig, reps=1, seed=0)
+            wavelet_risk_replicates(make_method("zh"), sig, reps=1, seed=0)
 
 
 class TestRiskSweep:
@@ -221,7 +217,7 @@ class TestRiskSweep:
         for method, row, rep in zip(methods, rows, reports):
             errs = wavelet_risk_replicates(method, sig, sigma_mode, 40, 12, workers)
             assert row.tobytes() == errs.tobytes()
-            assert rep == wavelet_risk(method, sig, sigma_mode, 40, 12, workers)
+            assert rep == risk_sweep([method], ["bumps"], [256], 3.0, 40, 12, sigma_mode, workers)[0]
         assert rows[0].tobytes() == rows[3].tobytes()
 
     def test_validation(self):

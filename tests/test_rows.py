@@ -78,7 +78,7 @@ class TestMethodRows:
                 assert same_bytes(v[k], w)
         if name in ("sure", "zh-sure"):
             for k in np.flatnonzero(~x.any(axis=1)):  # all-zero rows pass through
-                assert all(same_bytes(v[k], rows.level_values(j)[k]) for j, v in out.details)
+                assert all(same_bytes(v[k], dict(rows.details)[j][k]) for j, v in out.details)
 
     def test_scalar_sigma_is_every_rows_sigma(self):
         rows = dwt_forward(np.random.default_rng(4).standard_normal((3, 256)) * 2.0, 4)

@@ -1,18 +1,9 @@
-"""Synthetic benchmark curves and the noise channel."""
-
-import math
+"""Synthetic benchmark curves."""
 
 import numpy as np
 import pytest
 
-from steinthresh import testbed
-from steinthresh.testbed import (
-    CANONICAL_SIGNALS,
-    SIGNAL_NAMES,
-    add_noise,
-    generate_signal,
-    register_signal,
-)
+from steinthresh.testbed import CANONICAL_SIGNALS, SIGNAL_NAMES, generate_signal
 
 
 class TestRegistry:
@@ -22,21 +13,10 @@ class TestRegistry:
         assert {"spikes", "corner"} <= set(SIGNAL_NAMES)
         assert len(SIGNAL_NAMES) == 6
 
-    def test_register_custom_signal(self):
-        register_signal("testonly-line", lambda t: t)
-        try:
-            sig = generate_signal("testonly-line", 64, 2.0)
-            assert sig.samples.std(ddof=1) == pytest.approx(2.0, rel=1e-12)
-        finally:
-            testbed._REGISTRY.pop("testonly-line")
-
     def test_constant_signal_rejected(self):
-        register_signal("testonly-flat", lambda t: np.ones_like(t))
-        try:
-            with pytest.raises(ValueError):
-                generate_signal("testonly-flat", 64, 2.0)
-        finally:
-            testbed._REGISTRY.pop("testonly-flat")
+        # corner is 0 at both points of the n = 2 grid, t = 0 and t = 0.5
+        with pytest.raises(ValueError, match="constant"):
+            generate_signal("corner", 2, 3.0)
 
 
 class TestGenerateSignal:
@@ -81,31 +61,3 @@ class TestGenerateSignal:
         with pytest.raises(ValueError):
             generate_signal("blocks", 64, 0.0)
 
-
-class TestAddNoise:
-    def test_deterministic_per_seed(self):
-        sig = generate_signal("bumps", 256, 3.0)
-        y1 = add_noise(sig, 1.0, seed=42)
-        y2 = add_noise(sig, 1.0, seed=42)
-        y3 = add_noise(sig, 1.0, seed=43)
-        np.testing.assert_array_equal(y1, y2)
-        assert not np.array_equal(y1, y3)
-
-    def test_tiny_sigma_recovers_signal(self):
-        sig = generate_signal("blocks", 256, 3.0)
-        y = add_noise(sig, 1e-12, seed=0)
-        assert np.abs(y - sig.samples).max() < 1e-10
-
-    def test_noise_moments(self):
-        sig = generate_signal("heavisine", 2**16, 3.0)
-        noise = add_noise(sig, 2.0, seed=7) - sig.samples
-        n = noise.size
-        assert abs(noise.mean()) < 4.0 * 2.0 / math.sqrt(n)
-        assert noise.std(ddof=1) == pytest.approx(2.0, rel=0.02)
-
-    def test_validation(self):
-        sig = generate_signal("blocks", 64, 3.0)
-        with pytest.raises(ValueError):
-            add_noise(sig, 0.0, seed=0)
-        with pytest.raises(ValueError):
-            add_noise(sig, math.inf, seed=0)

@@ -294,7 +294,9 @@ def select_beta_by_sure(sample, beta_grid=None):
     block of at most ``max(_SURE_BLOCK, m * d)`` values, counted over
     candidates x rows x d (a single block for one level of up to 819
     coefficients on the default grid); exact zeros in the level score as
-    they would through ``pow``.  Exact ties go to the larger beta.  A 1-d
+    they would through ``pow``.  Exact ties go to the larger beta.  A
+    ValueError is raised when any candidate's total overflows (``|z|/sigma``
+    near 1e154 or above), since no pick is defined then.  A 1-d
     sample gives floats; a sample of m rows gives arrays of m picks, each
     the pick of its row alone.
     """
@@ -303,10 +305,13 @@ def select_beta_by_sure(sample, beta_grid=None):
     rows = np.atleast_2d(sample.z)
     betas, a = _beta_candidates(tuple(beta_grid), rows.shape[1])
     step = max(1, _SURE_BLOCK // rows.size)
-    totals = np.concatenate([
-        batch_sure(rows, sample.sigma, betas[i:i + step], a[i:i + step]).sum(axis=-1)
-        for i in range(0, betas.shape[0], step)
-    ])
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals = np.concatenate([
+            batch_sure(rows, sample.sigma, betas[i:i + step], a[i:i + step]).sum(axis=-1)
+            for i in range(0, betas.shape[0], step)
+        ])
+    if not np.isfinite(totals).all():
+        raise ValueError("unbiased risk estimate overflowed: |z|/sigma too large to score a beta candidate")
     best = betas.shape[0] - 1 - np.argmin(totals[::-1], axis=0)
     if sample.z.ndim == 1:
         return float(betas[best[0], 0, 0]), float(a[best[0], 0, 0])

@@ -12,13 +12,19 @@ block of length m to approximation and detail blocks of length m/2 via
 orthonormal at every block size, so Parseval holds and the inverse is the
 adjoint.
 
-Each step is one product of a strided (m/2, 16) window with a (16, 2)
-polyphase filter.  Analysis windows x, extended periodically by 14 values,
-with [lowpass | highpass].  Synthesis windows interleaved (approx, detail)
-pairs, extended periodically by 7 pairs in front, with the time-reversed even
-and odd taps; the flattened product is the interleaved output.  Extensions
-come from a cached index, so blocks down to m = 2 take the same path.  A 2-d
-input holds one signal per row, and each step windows all rows at once.
+Each step is one BLAS matrix product.  A cached periodic index gathers the
+step's input into a contiguous (Q, 32) operand, and a fixed (32, 16) bank
+maps each operand row to 8 outputs in each of 2 channels; the bank is block
+banded, so half of its entries are zero.  Analysis row q holds
+x[(16q + s) mod m] for s < 32, Q = ceil(m/16), and its 16 outputs are the
+interleaved (approx, detail) pairs 8q .. 8q + 7.  Synthesis row q holds
+approx[(8q - 7 + s) mod h] for s < 16, then detail at the same positions,
+Q = ceil(h/8), and its 16 outputs are the output values 16q .. 16q + 15.
+The step keeps the first m/2 pairs or 2h values, so blocks down to m = 2
+take the same path.  A 2-d input holds one signal per row.  numpy runs a
+stacked product as one BLAS call per row, so a row's bytes do not depend on
+the other rows; a single flattened product would not keep that, since a
+one-row operand goes to a matrix-vector kernel with its own summation order.
 
 A detail block of length 2**j sits at resolution level j; decompositions
 store the coarse block first, then details from coarsest to finest.
@@ -69,36 +75,44 @@ def max_levels(n):
 
 
 _ANALYSIS = np.column_stack((LOWPASS, HIGHPASS))
-# row 2j pairs lowpass taps (14 - 2j, 15 - 2j) and row 2j + 1 the highpass ones
-_SYNTHESIS = np.hstack((LOWPASS.reshape(8, 2)[::-1], HIGHPASS.reshape(8, 2)[::-1])).reshape(16, 2)
+# row s < 8 pairs lowpass taps (14 - 2s, 15 - 2s) and row 16 + s the highpass ones
+_SYNTHESIS = np.vstack((LOWPASS.reshape(8, 2)[::-1], np.zeros((8, 2)), HIGHPASS.reshape(8, 2)[::-1]))
+
+
+def _bank(taps, shift):
+    # (32, 16) block-banded bank: column pair r holds the taps moved down by shift * r rows
+    bank = np.zeros((32, 16))
+    for r in range(8):
+        bank[shift * r:shift * r + len(taps), 2 * r:2 * r + 2] = taps
+    bank.setflags(write=False)
+    return bank
+
+
+_ANALYSIS_BANK = _bank(_ANALYSIS, 2)
+_SYNTHESIS_BANK = _bank(_SYNTHESIS, 1)
 
 
 @lru_cache(maxsize=128)
-def _periodic_index(size, lo, hi):
-    idx = np.arange(lo, hi) % size
+def _gather_index(size, stride, offset, channels):
+    # row q: (stride * q + offset + s) mod size for s < 32 / channels, once per channel of length size
+    pos = (stride * np.arange(-(-size // stride))[:, None] + offset + np.arange(32 // channels)) % size
+    idx = np.hstack([pos + c * size for c in range(channels)])
     idx.setflags(write=False)
     return idx
 
 
-def _windows(buf, lead, count):
-    # (*lead, count, 16) view of a C-contiguous float64 buffer; per row, window k is values 2k .. 2k + 15
-    strides = buf.strides[:len(lead)] + (16, 8)
-    return np.ndarray(lead + (count, LOWPASS.size), buffer=buf, strides=strides)
-
-
 def _analysis_step(x):
-    lead, m = x.shape[:-1], x.shape[-1]
-    out = _windows(x.take(_periodic_index(m, 0, m + 14), axis=-1), lead, m // 2) @ _ANALYSIS
+    m = x.shape[-1]
+    out = x.take(_gather_index(m, 16, 0, 1), axis=-1) @ _ANALYSIS_BANK
+    out = out.reshape(x.shape[:-1] + (-1, 2))[..., :m // 2, :]
     return out[..., 0], out[..., 1]
 
 
 def _synthesis_step(approx, detail):
-    lead, h = approx.shape[:-1], approx.shape[-1]
-    idx = _periodic_index(h, -7, h)
-    pairs = np.empty(lead + (h + 7, 2))
-    pairs[..., 0] = approx.take(idx, axis=-1)
-    pairs[..., 1] = detail.take(idx, axis=-1)
-    return (_windows(pairs, lead, h) @ _SYNTHESIS).reshape(lead + (2 * h,))
+    h = approx.shape[-1]
+    pairs = np.concatenate((approx, detail), axis=-1)
+    out = pairs.take(_gather_index(h, 8, -7, 2), axis=-1) @ _SYNTHESIS_BANK
+    return out.reshape(approx.shape[:-1] + (-1,))[..., :2 * h]
 
 
 @dataclass

@@ -512,6 +512,20 @@ class TestSelectBeta:
         assert select_beta_by_sure(CanonicalSample(z))[0] == 2.0
         assert select_beta_by_sure(CanonicalSample(z), [1.5, 1.25, 1.75])[0] == 1.75
 
+    def test_overflowing_total_is_an_error_not_a_nan_pick(self):
+        # 1e200**2 overflows, so SURE totals come out inf or nan; an argmin
+        # over them once picked beta = 2 for this level
+        with pytest.raises(ValueError, match="overflow"):
+            select_beta_by_sure(CanonicalSample([1e200, 2.0, 3.0, 0.5]))
+        rows = np.array([[4.0, -3.0, 0.2, 5.0], [1e200, 2.0, 3.0, 0.5]])
+        with pytest.raises(ValueError, match="overflow"):
+            select_beta_by_sure(CanonicalSample(rows))
+        # below the overflow every total is finite and the level is picked as before
+        big = np.array([1e70, 2.0, 3.0, 0.5])
+        assert select_beta_by_sure(CanonicalSample(big)) == oracle_select(big, 1.0, DEFAULT_BETA_GRID)
+        big[0] = 1e150
+        assert np.isfinite(select_beta_by_sure(CanonicalSample(big))).all()
+
 
 class TestBatchSureColumn:
     @pytest.mark.parametrize("d", [3, 16, 512])

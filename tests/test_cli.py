@@ -177,25 +177,36 @@ class TestDenoise:
         assert "signal must be finite" in capsys.readouterr().err
         assert not dst.exists()
 
+    def test_zh_sure_overflow_is_validation_error(self, tmp_path, capsys):
+        src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
+        x = np.random.default_rng(0).standard_normal(64)
+        x[20] = 1e200
+        write_signal(src, x)
+        argv = ["denoise", "--input", str(src), "--method", "zh-sure", "--sigma", "1", "--out", str(dst)]
+        assert cli.main(argv) == 2
+        assert "overflowed" in capsys.readouterr().err
+        assert not dst.exists()
+
     # sha256 of the stdout then the output file of each denoise run on noisy
-    # bumps, written while each value was formatted on its own
+    # bumps; the transform steps are BLAS products, so these bytes depend on
+    # the BLAS kernel's summation order as well as on numpy's own math
     PINNED_SHA256 = {
         "identity.n256": "8f013887de3ac0c21ee7a2f2db39a50abf4a02d2a73289988782a6da8f98015f",
-        "visu.n256": "429ceeec247b2ee15ddf360123e4c8e85de35a6a964cbafc468a522b788b4733",
-        "sure.n256": "c3fcb8a01b9f11974e77b829616079f1f6cab870160ff0a9ccfe4560dc5044c5",
-        "blockjs.n256": "83c027160429fd1beae83ac2b83addf53709bd6702cd0b77a84f489789a094f5",
-        "js.n256": "af6e5272cdc4f270f29d3a52799ad907e0681da21803bf48cb0c3c8fa8194e71",
-        "zh.n256": "ba0f1ccd0c83f15541e06dd44c79a30abd854702cb386b35a45bd89cdd066c7b",
-        "zh-sure.n256": "2bc0259bf75e053261246bb8bf2f468f635c7bcb7e07840b1d5c6ef04f5d20d8",
+        "visu.n256": "d7783440e1a8ae938dc6e13e2c38f61b7ef243003924ced79ac6c9d59fd33d9f",
+        "sure.n256": "efa8c663c837bb4374b8ccbfd20523bd160971fa24e62418c99ca0ba17aeca03",
+        "blockjs.n256": "90c804e263e4e80aaf52c12c53afc9269e85e8b09ccd6a0b64979bf12743ebbf",
+        "js.n256": "b712c1af98f0d0dc377fe8f7e94cb9f62de2e3a39e5a5dbdf3a8dd085455188a",
+        "zh.n256": "cd5645264634dcb1f9ac2374d459dad7a45bb6c41e7b0adb69fe5e336426da3f",
+        "zh-sure.n256": "621d0ef524ce5adabad70d7bd08a17a5fcef765febbcb63365d871335683ede0",
         "identity.n1024": "26168a11c22158025de7883b4dd9d608d3b92eab0cc14a8811030f673a9d5cb9",
-        "visu.n1024": "afe57550248b9d6161b818bef5e075cef8ce38c5caf9cb39aee2a97292fbc3a3",
-        "sure.n1024": "6b6892976c343ac3916139cdfbd029cd350eb1f23507d48469c030131db42d00",
-        "blockjs.n1024": "d41cd072c3be6f8a2fc1c081612355ac388b44197997822a21cf6d6132196cb1",
-        "js.n1024": "9304e1a766676c63fd1feb9adf762d81e6b50a1dbe7466d43ecd691bcd5360de",
-        "zh.n1024": "671246782d7b027052b167cb8d5f1eef0c09a566a350217d54a7e1e7143811ca",
-        "zh-sure.n1024": "1ff31e8fcd4e64be51ec420629be796b30b534f6bb70ac929062ba8e58daafe0",
-        "zh.n256.theorem": "9f90484a098c7b113dd30e0b7ca1941b406949d8b51d412d79625d579a3866ec",
-        "zh.n1024.theorem": "27f846dfc13d5d67112e6451a293092d90d4fa3be875a096b5189408621c05e1",
+        "visu.n1024": "b061557ab7b2bf0588f004d954494ddcfa4d89aad217602504f2ec8ef8eff35d",
+        "sure.n1024": "368648bfcdca19171c17631eff30090d02ceccaf5c1e0d7112211996d0c89d90",
+        "blockjs.n1024": "2265ed8c3e492c29ad36ef25ffd7dda0045032f9ef796df18290e598903cfc5f",
+        "js.n1024": "dd2b01a9895fa0ab9b6a990bdcc3064678a1e9cd96955a0cf8df0feb15bf3eee",
+        "zh.n1024": "f987a69261b263b7507ad29b0eb83f24f3e99ebbd6ad0af6f87f24c06cf5e8a1",
+        "zh-sure.n1024": "4dbaaff4e88bf2e72e4a8f0cc12a8f0dc3278b1e5b3b27306a41a18e62743cc3",
+        "zh.n256.theorem": "91432ce4fa1eb0eea4e2c6ccf6bf27a1840cf0a4f2b74609d8cbe7ba13c5ec57",
+        "zh.n1024.theorem": "b93eb43d2b4951497cfe6d7105eef117c6f42b07bd2b1ca5cff46929b7359440",
     }
 
     def test_output_bytes_are_pinned(self, tmp_path, capsys):
@@ -278,7 +289,8 @@ class TestSimulate:
 
     def test_byte_determinism_across_blas_thread_counts(self, tmp_path):
         # the transform runs on matrix products; their sums must not depend on
-        # how many threads the BLAS library uses (n=16384 gives 8192-row products)
+        # how many threads the BLAS library uses (at n=16384 the finest steps
+        # multiply a (1024, 32) operand by a (32, 16) filter bank)
         flags = (
             "--methods", "zh,blockjs",
             "--signals", "doppler",
@@ -295,13 +307,13 @@ class TestSimulate:
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
-    # sha256 of the CSV from these flags, written before replicates ran in row blocks
+    # sha256 of the CSV from these flags; every row block must give the same bytes
     PINNED_FLAGS = ["--methods", "identity,visu,sure,blockjs,js,zh,zh-sure",
                     "--signals", "blocks,bumps,doppler", "--n", "256,1024,4096",
                     "--snr", "3", "--reps", "20", "--seed", "11"]
     PINNED_SHA256 = {
-        "estimated": "e30b13b7e7c6e0d8b85c5c5c10ed96c388ceae9a3708ccac33c5bbd1dce3a64b",
-        "known": "c3a012c5dcf85addf01288eb1e527f38e2a69357cae1c4dcf17675b4e8e2a4dd",
+        "estimated": "75f99c8afa11c4cded4581ee3e1275441b374cbd97f60642b447911f00fe6ef5",
+        "known": "259f1b16e0390d9d03491a0b82f49616267c0608c4b672ef43859fc33e2aa546",
     }
 
     @pytest.mark.parametrize("rows_at_1024", [None, 1, 7, 64])

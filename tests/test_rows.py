@@ -7,7 +7,7 @@ from hypothesis import strategies as hst
 
 from steinthresh.baselines import METHOD_NAMES, apply_method, make_method
 from steinthresh.canonical import DEFAULT_BETA_GRID, CanonicalSample, select_beta_by_sure
-from steinthresh.dwt import WaveletDecomposition, dwt_forward, dwt_inverse
+from steinthresh.dwt import WaveletDecomposition, dwt_forward, dwt_inverse, max_levels
 from steinthresh.harness import estimate_sigma
 
 ROW_COUNTS = hst.sampled_from([1, 2, 5])
@@ -24,9 +24,9 @@ def row_of(decomp, k):
 
 
 @hst.composite
-def signal_rows(draw, sizes=(64, 256)):
+def signal_rows(draw, sizes=(64, 256), counts=ROW_COUNTS):
     """(m, n) noisy signals at mixed scales; for m > 1 one row is all zero."""
-    m = draw(ROW_COUNTS)
+    m = draw(counts)
     n = draw(hst.sampled_from(sizes))
     rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
     x = rng.standard_normal((m, n)) * rng.uniform(0.1, 20.0, (m, 1))
@@ -40,6 +40,19 @@ class TestTransformRows:
     @settings(max_examples=30, deadline=None)
     @given(signal_rows(sizes=(16, 64, 256, 1024)), hst.integers(1, 4))
     def test_forward_and_inverse_match_row_calls(self, x, levels):
+        self.check_rows(x, levels)
+
+    @pytest.mark.parametrize("m", [8, 64])
+    @pytest.mark.parametrize("n", [4096, 16384])
+    @settings(max_examples=3, deadline=None)
+    @given(data=hst.data())
+    def test_large_blocks_match_row_calls(self, n, m, data):
+        # the finest steps multiply a (n / 16, 32) operand per row
+        x = data.draw(signal_rows(sizes=(n,), counts=hst.just(m)))
+        self.check_rows(x, data.draw(hst.integers(1, max_levels(n))))
+
+    @staticmethod
+    def check_rows(x, levels):
         rows = dwt_forward(x, levels)
         assert rows.n == x.shape[1]
         back = dwt_inverse(rows)

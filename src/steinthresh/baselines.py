@@ -35,7 +35,7 @@ from .canonical import (
     DEFAULT_BETA_GRID,
     CanonicalSample,
     ShrinkConfig,
-    _row_sigma,
+    _per_row,
     batch_estimate,
     resolve_a,
     select_beta_by_sure,
@@ -88,10 +88,13 @@ def _hybrid_threshold(w):
     # rows, as an (m, 1) column: a row that looks sparse takes the universal
     # threshold sqrt(2 ln d); any other minimizes SURE(t) = d - 2#{|w|<=t} +
     # sum min(w^2, t^2) over t in {0} u {|w_i| <= universal}.  Sparsity test:
-    # (sum w^2 - d)/d <= (log2 d)^{3/2}/sqrt(d).
+    # (sum w^2 - d)/d <= (log2 d)^{3/2}/sqrt(d).  Squares that overflow (|w|
+    # near 1e154 and up) make a level dense and only reach the risks of
+    # candidates above the universal threshold, which are dropped anyway.
     m, d = w.shape
     universal = math.sqrt(2.0 * math.log(d)) if d > 1 else 0.0
-    energy_excess = ((w[:, None, :] @ w[:, :, None])[:, 0] - d) / d  # each row's w @ w, same bits
+    with np.errstate(over="ignore"):
+        energy_excess = ((w[:, None, :] @ w[:, :, None])[:, 0] - d) / d  # each row's w @ w, same bits
     thresh = np.full((m, 1), universal)
     dense = np.flatnonzero(energy_excess[:, 0] > math.log2(d) ** 1.5 / math.sqrt(d))
     if dense.size:
@@ -100,9 +103,10 @@ def _hybrid_threshold(w):
         # same t as counting every |w| <= t
         aw = np.sort(np.abs(w[dense]), axis=-1)
         cand = np.concatenate([np.zeros((dense.size, 1)), aw], axis=-1)
-        cum = np.concatenate([np.zeros((dense.size, 1)), np.cumsum(aw * aw, axis=-1)], axis=-1)
         counts = np.arange(d + 1)
-        risks = d - 2.0 * counts + cum + cand * cand * (d - counts)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cum = np.concatenate([np.zeros((dense.size, 1)), np.cumsum(aw * aw, axis=-1)], axis=-1)
+            risks = d - 2.0 * counts + cum + cand * cand * (d - counts)
         risks[cand > universal] = np.inf
         thresh[dense, 0] = cand[np.arange(dense.size), np.argmin(risks, axis=-1)]
     return thresh
@@ -124,7 +128,7 @@ def _blockjs(v, sigma, n, config):
     # scale contiguous blocks of length floor(ln n) by (1 - c L sigma^2 / S^2)+,
     # S^2 the block's sum of squares; a trailing partial block is padded
     # cyclically from the start of its level when computing S^2, but only the
-    # real coefficients are scaled
+    # real coefficients are scaled; an S^2 that overflows to inf scales by 1
     block_len = math.floor(math.log(n))
     if block_len < 1:
         raise ValueError(f"n must be at least 3 for a nonempty block, got {n}")
@@ -134,13 +138,13 @@ def _blockjs(v, sigma, n, config):
     full = (d // block_len) * block_len
     if full:
         blocks = v[:, :full].reshape(m, -1, block_len)
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             factor = np.maximum(1.0 - kill / (blocks * blocks).sum(axis=-1), 0.0)
         out[:, :full] = (factor[..., None] * blocks).reshape(m, full)
     if full < d:
         padded = v.take(np.arange(full, full + block_len) % d, axis=-1)
-        s2 = (padded[:, None, :] @ padded[:, :, None])[:, 0]  # each row's padded @ padded, same bits
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
+            s2 = (padded[:, None, :] @ padded[:, :, None])[:, 0]  # each row's padded @ padded, same bits
             factor = np.where(s2 > 0, np.maximum(1.0 - kill / s2, 0.0), 0.0)
         out[:, full:] = factor * v[:, full:]
     return out
@@ -162,18 +166,22 @@ def _zh(v, sigma, n, config):
 
 def _zh_sure(v, sigma, n, config):
     # like zh, but beta (and its finite-rule a) is tuned per level and row by
-    # unbiased risk; all-zero rows pass through, and the rows that share a
-    # pick are shrunk together (each pick's beta stays a scalar, so beta = 2
-    # keeps numpy's exact square)
-    s = np.broadcast_to(sigma, (len(v), 1))
+    # unbiased risk; all-zero rows pass through.  The live rows are shrunk in
+    # one call with beta and a as per-row columns, except those that picked
+    # beta = 2: they share one scalar call, as a scalar exponent 2 is numpy's
+    # exact square while a column exponent runs pow
+    s = sigma if np.ndim(sigma) else np.full((len(v), 1), sigma)
     out = v.copy()
     live = np.flatnonzero(v.any(axis=-1))
     if live.size:
         betas, a = select_beta_by_sure(CanonicalSample(v[live], s[live]), DEFAULT_BETA_GRID)
-        for beta in set(betas.tolist()):
-            pick = betas == beta
-            rows = live[pick]
-            out[rows] = batch_estimate(v[rows], s[rows], beta, float(a[pick][0]))
+        two = betas == 2.0
+        if two.any():
+            rows = live[two]
+            out[rows] = batch_estimate(v[rows], s[rows], 2.0, float(a[two][0]))
+        if not two.all():
+            rows = live[~two]
+            out[rows] = batch_estimate(v[rows], s[rows], betas[~two, None], a[~two, None])
     return out
 
 
@@ -218,7 +226,7 @@ def apply_method(method, decomp, sigma, cutoff_level):
     """
     rule, n = _RULES[method.name], decomp.n
     if method.name != "identity":
-        sigma = _row_sigma(sigma, decomp.coarse)
+        sigma = _per_row(sigma, decomp.coarse, "sigma")
     details = [(j, rule(np.atleast_2d(v), sigma, n, method.config).reshape(v.shape) if j >= cutoff_level
                 else v.copy()) for j, v in decomp.details]
     return WaveletDecomposition(coarse=decomp.coarse.copy(), details=details, n=n)

@@ -42,8 +42,8 @@ A_RULES = ("finite", "asymptotic", "eb", "theorem", "fixed")
 # beta > 1, and beta > 2 is outside the estimator family, hence a grid in (1, 2]
 DEFAULT_BETA_GRID = tuple(1.0 + 0.05 * k for k in range(1, 21))
 
-# most values (candidates x rows x d) one batch_sure call of select_beta_by_sure
-# evaluates, so its temporaries stay small (128 KiB each); a (candidate, row)
+# most values (candidates x rows x d) one kernel pass of a batch_sure total
+# scores, so its temporaries stay small (128 KiB each); a (candidate, row)
 # total is one sum along d, so the block size does not change any pick
 _SURE_BLOCK = 2**14
 
@@ -56,6 +56,8 @@ _MC_CHUNK = 2**17
 # finite stand-in for log 0: times beta - 2 = 0 it gives 0, as pow has 0**0 = 1,
 # while beta > 0 and beta - 2 < 0 still take |0|**beta to 0 and |0|**(beta-2) to inf
 _LOG_ZERO = -1e300
+
+_DOUBLE_MAX = np.finfo(float).max
 
 
 @dataclass(frozen=True)
@@ -90,17 +92,18 @@ class ShrinkConfig:
             raise ValueError("fixed_a is only meaningful with a_rule 'fixed'")
 
 
-def _row_sigma(sigma, z):
-    # a scalar sigma as given; one value per row of a 2-d z as an (m, 1) column
-    values = (sigma,)
-    if np.ndim(sigma):
-        sigma = np.asarray(sigma, dtype=float).reshape(-1, 1)
-        if z.ndim != 2 or len(sigma) != len(z):
-            raise ValueError(f"need one sigma per row of a 2-d input, got {len(sigma)} values")
-        values = sigma.ravel()
-    if not all(0 < s < math.inf for s in values):
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
-    return sigma
+def _per_row(x, z, name, ok=lambda v: 0 < v < math.inf, expected="positive and finite"):
+    # a scalar as given (a Python number is checked without numpy); one value
+    # per row of a 2-d z as an (m, 1) column
+    values = (x,)
+    if not isinstance(x, (int, float)) and np.ndim(x):
+        x = np.asarray(x, dtype=float).reshape(-1, 1)
+        if z.ndim != 2 or len(x) != len(z):
+            raise ValueError(f"need one {name} per row of a 2-d input, got {len(x)} values")
+        values = x.ravel()
+    if not all(map(ok, values)):
+        raise ValueError(f"{name} must be {expected}, got {x}")
+    return x
 
 
 @dataclass
@@ -114,9 +117,9 @@ class CanonicalSample:
         self.z = np.asarray(self.z, dtype=float)
         if self.z.ndim not in (1, 2) or self.z.size < 1:
             raise ValueError("z must be a nonempty 1-d array, or a 2-d array of rows")
-        if not np.all(np.isfinite(self.z)):
+        if not np.isfinite(self.z).all():
             raise ValueError("z must be finite")
-        self.sigma = _row_sigma(self.sigma, self.z)
+        self.sigma = _per_row(self.sigma, self.z, "sigma")
 
 
 def moment_constant(beta):
@@ -175,22 +178,26 @@ def batch_estimate(z, sigma, beta, a, positive_part=True):
     ``a|w_i|**(beta-2) >= D`` (w_i = 0 too when beta < 2) are exactly zero.
     ``positive_part=False`` subtracts ``a sign(w_i)|w_i|**(beta-1)/D``
     instead, which can overshoot past zero and rejects an all-zero row.
-    ``sigma`` is a scalar or an (m, 1) column, one value per row.
+    ``sigma``, ``beta`` and ``a`` are each a scalar or an (m, 1) column, one
+    value per row; a row's output does not depend on which form carries its
+    values, except where numpy's power takes a scalar exponent of 2, 0.5 or
+    -1 exactly and a column one through ``pow``: at beta = 2 or 0.5, at
+    beta = 1 (``|w|**(beta-2)``) and, untruncated, at beta = 1.5.  A row
+    whose ``D`` overflows (``|w|`` near 1e154 and up) has ``D = inf`` and is
+    returned unshrunk, apart from its exact zeros.
     """
     z = np.asarray(z, dtype=float)
-    if not (a > 0 and math.isfinite(a)):
-        raise ValueError(f"a must be positive and finite, got {a}")
-    if not (0.0 < beta <= 2.0):
-        raise ValueError(f"beta must be in (0, 2], got {beta}")
+    a = _per_row(a, z, "a")
+    beta = _per_row(beta, z, "beta", lambda b: 0.0 < b <= 2.0, "in (0, 2]")
     w = z / sigma
     absw = np.abs(w)
-    dnm = (absw**beta).sum(axis=-1)
     # full-size passes in place; each swaps only the operand order of
     # a*|w|**(beta-2)/D (a*sign(w)*|w|**(beta-1)/D untruncated), so kept values
     # keep their bits, while the entries that copyto overwrites may pass
     # through inf and nan (|0|**(beta-2) times 0)
-    if positive_part:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        dnm = (absw**beta).sum(axis=-1)
+        if positive_part:
             est = np.power(absw, beta - 2.0)
             est *= a
             est /= dnm[..., None]
@@ -199,37 +206,73 @@ def batch_estimate(z, sigma, beta, a, positive_part=True):
             clip = ~(est < 1.0)
             np.subtract(1.0, est, out=est)
             est *= w
-        np.copyto(est, 0.0, where=clip)
-    else:
-        if np.any(dnm == 0.0):
-            raise ValueError("degenerate input: all coordinates zero")
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            np.copyto(est, 0.0, where=clip)
+        else:
+            if np.any(dnm == 0.0):
+                raise ValueError("degenerate input: all coordinates zero")
             gain = np.power(absw, beta - 1.0)
             gain *= np.sign(w)
             gain *= a
             gain /= dnm[..., None]
-        np.copyto(gain, 0.0, where=absw == 0.0)
-        est = w - gain
+            np.copyto(gain, 0.0, where=absw == 0.0)
+            est = w - gain
     est *= sigma
     return est
 
 
-def batch_sure(z, sigma, beta, a):
+def _sure_kernel(logw, clipped, var, beta, lead_power, a, scale, shift):
+    # per-coordinate SURE of one level, prepared once by batch_sure as log|w|,
+    # clipped = w**2 - 1 and var = sigma**2, at candidates given by columns of
+    # one shape: beta, lead_power = beta - 2, a, scale = a*a + 2a*beta and
+    # shift = 2a(beta - 1); the caller sets numpy's error handling
+    pb = beta * logw
+    np.exp(pb, out=pb)
+    dnm = pb.sum(axis=-1, keepdims=True)
+    if not dnm.all():
+        raise ValueError("degenerate input: all coordinates zero")
+    lead = lead_power * logw
+    np.exp(lead, out=lead)
+    # zero a coordinate when a*|w|**(beta-2) > D, tested as |w|**(beta-2) > D/a:
+    # at beta = 2 (lead = 1) that is exactly a > D, and capping D/a below inf
+    # zeroes |0|**(beta-2) = inf even where D overflowed
+    clip = lead > np.minimum(dnm / a, _DOUBLE_MAX)
+    lead /= dnm
+    # kept: 1 + |w|**(beta-2)/D * (scale * |w|**beta/D - shift), in place on
+    # pb with only the operand order swapped
+    pb /= dnm
+    pb *= scale
+    pb -= shift
+    pb *= lead
+    pb += 1.0
+    np.copyto(pb, clipped, where=clip)
+    pb *= var
+    return pb
+
+
+def batch_sure(z, sigma, beta, a, total=False):
     """Per-coordinate unbiased risk estimate over rows of ``z`` (shape (m, d)).
 
     ``beta`` and ``a`` are scalars or columns of candidates, shape (G, 1),
     broadcast against the rows of ``z``: a single level ``z[None, :]`` scored
     against a column of G candidates gives a (G, d) result in one pass, and
     m rows against (G, 1, 1) candidates a (G, m, d) one.  ``sigma`` is a
-    scalar or an (m, 1) column, one value per row.  The
-    powers of ``|w|`` come from one ``log|w|`` per call, with
+    scalar or an (m, 1) column, one value per row.  The inputs are checked
+    and ``log|w|`` and ``w**2 - 1`` formed once per call; the
+    powers of ``|w|`` come from that ``log|w|``, with
     ``|w|**(2beta-2)/D**2`` formed as ``(|w|**(beta-2)/D) * (|w|**beta/D)``.
     A coordinate is clipped when ``a|w|**(beta-2) > D``, tested as
     ``|w|**(beta-2) > D/a``, which at beta = 2 is exactly ``a > D``.  Exact
     zeros follow ``pow``: ``|0|**beta`` is 0, and ``|0|**(beta-2)`` is 1 at
     beta = 2 and infinite below it, where such coordinates are always
     clipped, even in a row whose ``D`` overflows.  Clipped coordinates score
-    ``w**2 - 1`` times ``sigma**2``.
+    ``w**2 - 1`` times ``sigma**2``.  Overflow gives inf or nan scores, not
+    a warning.
+
+    With ``total`` true the scores are summed along d instead, and
+    candidates stacked on an extra leading axis (``beta`` or ``a`` of higher
+    rank than ``z``) are scored a block at a time, each block at most
+    ``max(_SURE_BLOCK, m * d)`` values, so the temporaries stay small.  Each
+    total is one sum along d, so it has the bits of the summed full result.
     """
     z = np.asarray(z, dtype=float)
     beta = np.asarray(beta, dtype=float)
@@ -239,34 +282,26 @@ def batch_sure(z, sigma, beta, a):
     if not ((a > 0) & np.isfinite(a)).all():
         raise ValueError(f"a must be positive and finite, got {a}")
     if beta.shape != a.shape:
-        # one candidate per (beta, a) pair, so the in-place passes below
-        # already have the shape of the result
+        # one candidate per (beta, a) pair, so the in-place passes of the
+        # kernel already have the shape of the result
         beta, a = np.broadcast_arrays(beta, a)
     w = z / sigma
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        logw = np.maximum(np.log(np.abs(w)), _LOG_ZERO)
-        pb = beta * logw
-        np.exp(pb, out=pb)
-        dnm = pb.sum(axis=-1, keepdims=True)
-        if not dnm.all():
-            raise ValueError("degenerate input: all coordinates zero")
-        lead = (beta - 2.0) * logw
-        np.exp(lead, out=lead)
-        # zero a coordinate when a*|w|**(beta-2) > D, tested as |w|**(beta-2) > D/a:
-        # at beta = 2 (lead = 1) that is exactly a > D, and capping D/a below inf
-        # zeroes |0|**(beta-2) = inf even where D overflowed
-        clip = lead > np.minimum(dnm / a, np.finfo(float).max)
-        lead /= dnm
-        # kept: 1 + |w|**(beta-2)/D * ((a*a + 2a*beta) * |w|**beta/D - 2a(beta-1)),
-        # in place on pb with only the operand order swapped
-        pb /= dnm
-        pb *= a * a + 2.0 * a * beta
-        pb -= 2.0 * a * (beta - 1.0)
-        pb *= lead
-        pb += 1.0
-    np.copyto(pb, w * w - 1.0, where=clip)
-    pb *= sigma**2
-    return pb
+        clipped = w * w - 1.0
+        # log|w| in place of w, with exact zeros at the finite stand-in _LOG_ZERO
+        logw = np.log(np.abs(w, out=w), out=w)
+        np.maximum(logw, _LOG_ZERO, out=logw)
+        terms = logw, clipped, sigma**2
+        coef = beta, beta - 2.0, a, a * a + 2.0 * a * beta, 2.0 * a * (beta - 1.0)
+        if not total:
+            return _sure_kernel(*terms, *coef)
+        if beta.ndim <= logw.ndim:  # no candidate axis to block over
+            return _sure_kernel(*terms, *coef).sum(axis=-1)
+        step = max(1, _SURE_BLOCK // logw.size)
+        return np.concatenate([
+            _sure_kernel(*terms, *(c[i:i + step] for c in coef)).sum(axis=-1)
+            for i in range(0, len(beta), step)
+        ])
 
 
 @lru_cache(maxsize=64)
@@ -290,26 +325,24 @@ def select_beta_by_sure(sample, beta_grid=None):
 
     Grid entries outside (1, 2] are ignored; if none remain a ValueError is
     raised.  ``a`` follows the finite-sample rule at each candidate.  The
-    candidates are scored as a column by one :func:`batch_sure` pass per
-    block of at most ``max(_SURE_BLOCK, m * d)`` values, counted over
-    candidates x rows x d (a single block for one level of up to 819
-    coefficients on the default grid); exact zeros in the level score as
-    they would through ``pow``.  Exact ties go to the larger beta.  A
-    ValueError is raised when any candidate's total overflows (``|z|/sigma``
-    near 1e154 or above), since no pick is defined then.  A 1-d
-    sample gives floats; a sample of m rows gives arrays of m picks, each
-    the pick of its row alone.
+    candidates are scored as a column by one :func:`batch_sure` call with
+    ``total`` set, so the level is checked and its ``log|w|`` formed once,
+    and its kernel runs once per block of at most ``max(_SURE_BLOCK, m * d)``
+    values, counted over candidates x rows x d (a single block for one
+    level of up to 819 coefficients on the default grid); exact zeros in the
+    level score as they would through ``pow``.  Exact ties go to the larger
+    beta.  A ValueError is raised when any candidate's total overflows
+    (``|z|/sigma`` near 1e154 or above), since no pick is defined then.  A
+    1-d sample gives floats; a sample of m rows gives arrays of m picks,
+    each the pick of its row alone.
     """
     if beta_grid is None:
         beta_grid = DEFAULT_BETA_GRID
     rows = np.atleast_2d(sample.z)
     betas, a = _beta_candidates(tuple(beta_grid), rows.shape[1])
-    step = max(1, _SURE_BLOCK // rows.size)
-    with np.errstate(over="ignore", invalid="ignore"):
-        totals = np.concatenate([
-            batch_sure(rows, sample.sigma, betas[i:i + step], a[i:i + step]).sum(axis=-1)
-            for i in range(0, betas.shape[0], step)
-        ])
+    # positional, so a wrapper that forwards *args (as bench/tracing.py's
+    # call counter does) sees the same call
+    totals = batch_sure(rows, sample.sigma, betas, a, True)
     if not np.isfinite(totals).all():
         raise ValueError("unbiased risk estimate overflowed: |z|/sigma too large to score a beta candidate")
     best = betas.shape[0] - 1 - np.argmin(totals[::-1], axis=0)

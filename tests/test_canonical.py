@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from steinthresh import canonical
+from steinthresh import baselines, canonical
 from steinthresh._rng import substream
 from steinthresh.canonical import (
     DEFAULT_BETA_GRID,
@@ -126,6 +126,52 @@ def oracle_select(z, sigma, grid):
         if best is None or total <= best[2]:
             best = (beta, a, total)
     return best[:2]
+
+
+def oracle_block_select(rows, sigma, grid=DEFAULT_BETA_GRID, block=2**14):
+    # select_beta_by_sure before the shared log pass: one full batch_sure call,
+    # checks, log|w| and w**2 - 1 included, per block of at most `block`
+    # values; returns (betas, a, totals) for (m, d) rows
+    betas, a = canonical._beta_candidates(tuple(grid), rows.shape[1])
+    step = max(1, block // rows.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals = np.concatenate([
+            oracle_batch_sure(rows, sigma, betas[i:i + step], a[i:i + step]).sum(axis=-1)
+            for i in range(0, betas.shape[0], step)
+        ])
+    best = betas.shape[0] - 1 - np.argmin(totals[::-1], axis=0)
+    return betas[best, 0, 0], a[best, 0, 0], totals
+
+
+def oracle_zh_sure(v, sigma):
+    # the zh-sure rule before the single shrink call: one scalar-beta
+    # batch_estimate per distinct pick, on the rows that share it
+    s = np.broadcast_to(sigma, (len(v), 1))
+    out = v.copy()
+    live = np.flatnonzero(v.any(axis=-1))
+    if live.size:
+        betas, a, _ = oracle_block_select(v[live], s[live])
+        for beta in set(betas.tolist()):
+            pick = betas == beta
+            rows = live[pick]
+            out[rows] = oracle_batch_estimate(v[rows], s[rows], beta, float(a[pick][0]))
+    return out
+
+
+def shared_pass_levels(m, d, seed):
+    # (v, sigma) rows as a zh-sure level sees them: noise with a few large
+    # coefficients, exact zeros, a row built to pick beta = 2 (every
+    # coordinate zeroed at every beta) and, for m > 1, an all-zero row;
+    # sigma is a scalar and then one value per row
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((m, d)) * rng.uniform(0.5, 3.0, (m, 1))
+    v[:, : max(1, d // 16)] += rng.uniform(0.0, 12.0, (m, 1))
+    v[rng.random((m, d)) < 0.1] = 0.0
+    v[0] = 1e-3 * rng.standard_normal(d)
+    if m > 1:
+        v[rng.integers(1, m)] = 0.0
+    yield v, float(rng.uniform(0.5, 2.0))
+    yield v, rng.uniform(0.5, 2.0, (m, 1))
 
 
 @lru_cache(maxsize=None)
@@ -638,6 +684,118 @@ class TestInPlaceKernelBytes:
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert batch_sure(z, 1.0, 1.5, col_a).shape == (3, 40)
         assert batch_sure(z, 1.0, col_b, 40.0).shape == (3, 40)
+
+
+class TestSharedLogPass:
+    # one batch_sure call per level, its kernel run per block of candidates,
+    # and one shrink call for the rows off beta = 2, against the per-block
+    # and per-pick code they replaced: every pick, total and row keeps its bits
+    @pytest.mark.parametrize("m", [1, 8, 64])
+    @pytest.mark.parametrize("d", [16, 512, 2048])
+    def test_picks_totals_and_rows_match_the_per_block_oracles(self, m, d):
+        for v, sigma in shared_pass_levels(m, d, 100 * m + d):
+            live = np.flatnonzero(v.any(axis=-1))
+            rows = v[live]
+            s = np.broadcast_to(sigma, (m, 1))[live]
+            want_b, want_a, want_totals = oracle_block_select(rows, s)
+            betas, a = canonical._beta_candidates(DEFAULT_BETA_GRID, d)
+            assert batch_sure(rows, s, betas, a, True).tobytes() == want_totals.tobytes()
+            got_b, got_a = select_beta_by_sure(CanonicalSample(rows, s))
+            assert got_b.tobytes() == want_b.tobytes() and got_a.tobytes() == want_a.tobytes()
+            assert want_b[0] == 2.0
+            got = baselines._zh_sure(v, sigma, 1024, None)
+            assert got.tobytes() == oracle_zh_sure(v, sigma).tobytes()
+
+    @pytest.mark.parametrize("d", [3, 16, 512])
+    def test_exact_zeros_and_all_zero_rows(self, d):
+        rng = np.random.default_rng(d)
+        for frac in (0.1, 0.5, 0.9):
+            v = 2.0 * rng.standard_normal((6, d))
+            v[rng.random((6, d)) < frac] = -0.0
+            v[:, 0] += 1.0  # each live row keeps a nonzero coordinate
+            v[2] = 0.0
+            v[4] = -0.0
+            for sigma in (1.5, rng.uniform(0.5, 2.0, (6, 1))):
+                got = baselines._zh_sure(v, sigma, 1024, None)
+                assert got.tobytes() == oracle_zh_sure(v, sigma).tobytes()
+                np.testing.assert_array_equal(got[[2, 4]], 0.0)
+
+    def test_all_clipped_rows_pick_beta_two_in_their_own_call(self, monkeypatch):
+        # rows like test_all_clipped_level_ties_go_to_largest_beta go to one
+        # scalar beta = 2 call, the others to one column call
+        rng = np.random.default_rng(8)
+        v = rng.standard_normal((5, 64)) * 2.0
+        v[:, :4] += 9.0
+        v[[1, 3]] = 1e-3 * rng.standard_normal((2, 64))
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return batch_estimate(*args)
+
+        monkeypatch.setattr(baselines, "batch_estimate", counting)
+        got = baselines._zh_sure(v, 1.0, 1024, None)
+        assert got.tobytes() == oracle_zh_sure(v, 1.0).tobytes()
+        assert [np.ndim(beta) for _, _, beta, _ in calls] == [0, 2]
+        assert calls[0][2] == 2.0 and calls[0][0].shape == (2, 64)
+        assert calls[1][2].shape == (3, 1) and (calls[1][2] != 2.0).all()
+
+    def test_total_without_a_candidate_axis_sums_the_scores(self):
+        z = np.array([[4.0, -3.0, 0.2, 0.0], [1.0, 0.5, -2.0, 7.0]])
+        for beta, a in ((1.5, 2.0), (np.array([[1.5], [2.0]]), np.array([[2.0], [3.0]]))):
+            got = batch_sure(z, 1.5, beta, a, True)
+            assert got.tobytes() == batch_sure(z, 1.5, beta, a).sum(axis=-1).tobytes()
+
+
+class TestBatchEstimateColumns:
+    @pytest.mark.parametrize("positive_part", [True, False])
+    def test_columns_match_per_row_scalar_calls(self, positive_part):
+        # a column exponent runs pow on every row, while a scalar 2, 0.5 or -1
+        # takes numpy's exact shortcut: |w|**beta at beta = 2 or 0.5,
+        # |w|**(beta-2) at beta = 1 and |w|**(beta-1) at beta = 1.5 differ
+        rng = np.random.default_rng(12)
+        grid = [b for b in DEFAULT_BETA_GRID if b not in (1.5, 2.0)] + [0.6, 4.0 / 3.0]
+        for m, d in ((1, 16), (8, 64), (64, 512)):
+            z = rng.standard_normal((m, d)) * 2.0
+            z[:, 0] += 5.0
+            z[rng.random((m, d)) < 0.1] = 0.0
+            beta = rng.choice(grid, (m, 1))
+            a = d * np.exp(rng.uniform(-2.0, 1.0, (m, 1)))
+            for sigma in (1.3, rng.uniform(0.5, 2.0, (m, 1))):
+                s = np.broadcast_to(sigma, (m, 1))
+                got = batch_estimate(z, sigma, beta, a, positive_part)
+                for k in range(m):
+                    want = batch_estimate(z[k], s[k, 0], float(beta[k, 0]), float(a[k, 0]), positive_part)
+                    assert got[k].tobytes() == want.tobytes()
+
+    def test_bad_column_values_raise_like_scalars(self):
+        z = np.array([[4.0, -3.0, 0.2, 5.0], [1.0, 2.0, 3.0, 4.0]])
+        good_b, good_a = np.array([[1.5], [1.2]]), np.array([[2.0], [3.0]])
+        batch_estimate(z, 1.0, good_b, good_a)
+        for bad in (np.nan, 0.0, -1.0, np.inf, 2.1):
+            with pytest.raises(ValueError, match="beta must be in"):
+                batch_estimate(z, 1.0, np.array([[1.5], [bad]]), good_a)
+            with pytest.raises(ValueError, match="beta must be in"):
+                batch_estimate(z, 1.0, bad, 2.0)
+        for bad in (np.nan, 0.0, -1.0, np.inf):
+            with pytest.raises(ValueError, match="a must be positive"):
+                batch_estimate(z, 1.0, good_b, np.array([[2.0], [bad]]))
+            with pytest.raises(ValueError, match="a must be positive"):
+                batch_estimate(z, 1.0, 1.5, bad)
+        # a column needs one value per row of a 2-d input
+        with pytest.raises(ValueError, match="per row"):
+            batch_estimate(z, 1.0, np.array([[1.5], [1.2], [1.1]]), 2.0)
+        with pytest.raises(ValueError, match="per row"):
+            batch_estimate(z[0], 1.0, 1.5, np.array([[2.0]]))
+
+    @pytest.mark.parametrize("beta", [1.5, 1.9, 2.0])
+    def test_overflowing_d_leaves_the_row_unshrunk(self, beta):
+        # |w|**beta overflows D to inf: no RuntimeWarning, the row comes back
+        # as it went in, and only its exact zeros are zeroed
+        z = np.array([[1e200, 2.0, -0.0, -3.0], [4.0, -3.0, 0.2, 5.0]])
+        got = batch_estimate(z, 1.0, beta, 2.0)
+        np.testing.assert_array_equal(got[0], z[0])
+        assert got[1].tobytes() == batch_estimate(z[1], 1.0, beta, 2.0).tobytes()
 
 
 class TestMonteCarloConstant:

@@ -177,6 +177,20 @@ class TestDenoise:
         assert "signal must be finite" in capsys.readouterr().err
         assert not dst.exists()
 
+    @pytest.mark.parametrize("method", ["visu", "sure", "blockjs", "js", "zh"])
+    def test_huge_sample_denoises_without_overflow_warnings(self, tmp_path, capsys, method):
+        # |w| near 1e200 overflows the squares and D of these rules; they
+        # take it as documented (D = inf shrinks nothing), with no
+        # RuntimeWarning, which the suite turns into an error
+        src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
+        x = np.random.default_rng(0).standard_normal(64)
+        x[20] = 1e200
+        write_signal(src, x)
+        argv = ["denoise", "--input", str(src), "--method", method, "--sigma", "1", "--out", str(dst)]
+        assert cli.main(argv) == 0
+        out = np.loadtxt(dst)
+        assert out.shape == (64,) and np.isfinite(out).all()
+
     def test_zh_sure_overflow_is_validation_error(self, tmp_path, capsys):
         src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
         x = np.random.default_rng(0).standard_normal(64)

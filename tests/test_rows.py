@@ -153,7 +153,8 @@ class TestSelectBetaRows:
 
     def test_block_size_does_not_change_row_picks(self, monkeypatch):
         # a (candidate, row) total is one sum along d, whichever candidates
-        # share the batch_sure call, so no block size moves a bit of a pick
+        # share a kernel pass, so no block size moves a bit of a total or a
+        # pick, and every total is the sum of the unblocked per-coordinate scores
         from steinthresh import canonical
 
         rng = np.random.default_rng(5)
@@ -163,9 +164,12 @@ class TestSelectBetaRows:
                 z[:, : d // 8] += 9.0 * rng.random((m, 1))
                 z[rng.random((m, d)) < 0.1] = 0.0
                 sample = CanonicalSample(z, rng.uniform(0.5, 2.0, m))
+                betas, a = canonical._beta_candidates(DEFAULT_BETA_GRID, d)
+                whole = canonical.batch_sure(z, sample.sigma, betas, a).sum(axis=-1)
                 monkeypatch.setattr(canonical, "_SURE_BLOCK", 1)
                 picks = select_beta_by_sure(sample)
-                for block in (100, 8192, 2**14, 10**9):
+                for block in (1, 100, 8192, 2**14, 10**9):
                     monkeypatch.setattr(canonical, "_SURE_BLOCK", block)
+                    assert same_bytes(canonical.batch_sure(z, sample.sigma, betas, a, True), whole)
                     got = select_beta_by_sure(sample)
                     assert same_bytes(got[0], picks[0]) and same_bytes(got[1], picks[1])

@@ -1,6 +1,7 @@
 """Deterministic random-stream construction shared across modules."""
 
 import numpy as np
+import numpy.random  # numpy 2 loads this lazily; load it with the package, not on the first draw
 
 
 def substream(seed, *path):

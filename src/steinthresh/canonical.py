@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy import special
 
 from ._rng import substream
 
@@ -129,7 +128,7 @@ def moment_constant(beta):
     """
     if not beta > -1.0:
         raise ValueError(f"absolute moment requires beta > -1, got {beta}")
-    return 2.0 ** (beta / 2.0) * math.exp(special.gammaln((beta + 1.0) / 2.0)) / math.sqrt(math.pi)
+    return 2.0 ** (beta / 2.0) * math.exp(math.lgamma((beta + 1.0) / 2.0)) / math.sqrt(math.pi)
 
 
 def c_beta(beta):
@@ -139,7 +138,7 @@ def c_beta(beta):
     """
     if not (0.5 < beta <= 2.0):
         raise ValueError(f"c_beta requires beta in (1/2, 2], got {beta}")
-    log_c = 2.0 * special.gammaln((beta + 1.0) / 2.0) - special.gammaln((2.0 * beta - 1.0) / 2.0)
+    log_c = 2.0 * math.lgamma((beta + 1.0) / 2.0) - math.lgamma((2.0 * beta - 1.0) / 2.0)
     return 4.0 * math.exp(log_c) / math.sqrt(math.pi)
 
 

@@ -376,6 +376,19 @@ class TestCBeta:
                 c_beta(bad)
 
 
+class TestGammaConstantsAgainstScipy:
+    # the constants came from scipy.special.gammaln before math.lgamma; the
+    # two differ in the last digits, and this bounds how far that moved them
+    def test_grid_agrees_with_gammaln_formulas(self):
+        from scipy import special
+
+        for beta in sorted(set(DEFAULT_BETA_GRID) | {4.0 / 3.0, 7.0 / 6.0}):
+            moment = 2.0 ** (beta / 2.0) * math.exp(special.gammaln((beta + 1.0) / 2.0)) / math.sqrt(math.pi)
+            log_c = 2.0 * special.gammaln((beta + 1.0) / 2.0) - special.gammaln((2.0 * beta - 1.0) / 2.0)
+            assert moment_constant(beta) == pytest.approx(moment, rel=1e-14), beta
+            assert c_beta(beta) == pytest.approx(4.0 * math.exp(log_c) / math.sqrt(math.pi), rel=1e-14), beta
+
+
 class TestResolveA:
     def test_finite_sample_rule(self):
         a = resolve_a(ShrinkConfig(beta=4.0 / 3.0, a_rule="finite"), 50)

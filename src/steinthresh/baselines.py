@@ -10,10 +10,16 @@ that of the row on its own.
 
 Methods are addressed by short tokens, the keys of one rule table that also
 supplies the CLI method names.  Each rule is a plain function
-``rule(v, sigma, n, config)`` that maps one treated level's (m, d) rows ``v``
-to shrunk rows of the same shape, with n the length of one signal, sigma a
-scalar or an (m, 1) column and config the method's ShrinkConfig (None for all
-but zh):
+``rule(t, sigma, n, config, levels)`` that shrinks ``t`` in place: the
+treated slice of a copy of the decomposition's dyadic array, as (m, T) rows
+holding every treated level side by side.  ``levels`` gives each level's
+(start, stop) columns within the slice, n is the length of one signal, sigma
+a scalar or an (m, 1) column and config the method's ShrinkConfig (None for
+all but zh).  A level's output has the bits of the rule run on that level
+alone.  visu, js and zh are one elementwise pass over the whole slice, with
+per-level constants and sums spread over each level's columns; sure picks
+its threshold level by level, then thresholds the slice in one pass;
+blockjs and zh-sure run level by level on views of the slice.
 
     identity   pass-through (risk of the raw data)
     visu       soft thresholding at the universal level sigma*sqrt(2 ln n)
@@ -36,6 +42,7 @@ from .canonical import (
     CanonicalSample,
     ShrinkConfig,
     _per_row,
+    _spread,
     batch_estimate,
     resolve_a,
     select_beta_by_sure,
@@ -76,11 +83,18 @@ def soft_threshold(x, lam):
     """sign(x) * (|x| - lam)+ elementwise; lam must be nonnegative."""
     if not lam >= 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
-    return _soft(np.asarray(x, dtype=float), lam)
+    return _soft(np.array(x, dtype=float), lam)
 
 
-def _soft(x, lam):  # lam: a scalar, or an (m, 1) column with one value per row
-    return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
+def _soft(x, lam):
+    # sign(x) * (|x| - lam)+ in place on x, and x returned; lam is a scalar or
+    # an array that broadcasts against x
+    sign = np.sign(x)
+    np.abs(x, out=x)
+    x -= lam
+    np.maximum(x, 0.0, out=x)
+    x *= sign
+    return x
 
 
 def _hybrid_threshold(w):
@@ -112,16 +126,18 @@ def _hybrid_threshold(w):
     return thresh
 
 
-def _visu(v, sigma, n, config):
+def _visu(t, sigma, n, config, levels):
     # soft thresholding at the universal level sigma*sqrt(2 ln n), with n the
     # global size (not the level size) as in the classical implementation
-    return _soft(v, sigma * math.sqrt(2.0 * math.log(n)))
+    _soft(t, sigma * math.sqrt(2.0 * math.log(n)))
 
 
-def _sure(v, sigma, n, config):
+def _sure(t, sigma, n, config, levels):
     # per-level hybrid soft thresholding: sparse levels get the universal
     # threshold; each row is thresholded on its own
-    return _soft(v, _hybrid_threshold(v / sigma) * sigma)
+    w = t / sigma
+    thresh = np.hstack([_hybrid_threshold(w[:, lo:hi]) for lo, hi in levels]) * sigma
+    _soft(t, _spread(thresh, levels))
 
 
 def _blockjs(v, sigma, n, config):
@@ -150,18 +166,22 @@ def _blockjs(v, sigma, n, config):
     return out
 
 
-def _js(v, sigma, n, config):
+def _js(t, sigma, n, config, levels):
     # levelwise positive-part James-Stein, the canonical beta=2, a=d-2 path;
-    # levels with fewer than 3 coefficients pass through unchanged
-    if v.shape[-1] < 3:
-        return v.copy()
-    return batch_estimate(v, sigma, 2.0, float(v.shape[-1] - 2))
+    # levels with fewer than 3 coefficients (at most the first two) pass through unchanged
+    kept = [(lo, hi) for lo, hi in levels if hi - lo >= 3]
+    if kept:
+        skip = kept[0][0]
+        segments = tuple((lo - skip, hi - skip) for lo, hi in kept)
+        t[:, skip:] = batch_estimate(t[:, skip:], sigma, 2.0, [hi - lo - 2.0 for lo, hi in kept],
+                                     True, segments)
 
 
-def _zh(v, sigma, n, config):
+def _zh(t, sigma, n, config, levels):
     # the canonical thresholding estimator, with the constant a resolved
     # against each level's own coefficient count
-    return batch_estimate(v, sigma, config.beta, resolve_a(config, v.shape[-1]))
+    t[:] = batch_estimate(t, sigma, config.beta, [resolve_a(config, hi - lo) for lo, hi in levels],
+                          True, levels)
 
 
 def _zh_sure(v, sigma, n, config):
@@ -185,14 +205,23 @@ def _zh_sure(v, sigma, n, config):
     return out
 
 
+def _each_level(level_rule):
+    # a rule that runs level_rule(v, sigma, n, config) on each treated
+    # level's view of the slice and writes the shrunk level back in place
+    def rule(t, sigma, n, config, levels):
+        for lo, hi in levels:
+            t[:, lo:hi] = level_rule(t[:, lo:hi], sigma, n, config)
+    return rule
+
+
 _RULES = {
-    "identity": lambda v, sigma, n, config: v.copy(),
+    "identity": lambda t, sigma, n, config, levels: None,
     "visu": _visu,
     "sure": _sure,
-    "blockjs": _blockjs,
+    "blockjs": _each_level(_blockjs),
     "js": _js,
     "zh": _zh,
-    "zh-sure": _zh_sure,
+    "zh-sure": _each_level(_zh_sure),
 }
 
 METHOD_NAMES = tuple(_RULES)
@@ -220,13 +249,17 @@ make_method = LevelwiseMethod
 def apply_method(method, decomp, sigma, cutoff_level):
     """Apply a LevelwiseMethod to every detail level at or above ``cutoff_level``; sigma may be per row.
 
-    Each treated level goes to the method's rule ``rule(v, sigma, n, config)``
-    as (m, d) rows, a 1-d level being m = 1; below-cutoff levels and the
-    coarse block are copied bit-identical.
+    The result is a new decomposition over a copy of the input's dyadic
+    array.  The method's rule shrinks that copy's treated levels in place,
+    as one (m, T) slice of rows, a 1-d decomposition being m = 1;
+    below-cutoff levels and the coarse block keep their bits.
     """
-    rule, n = _RULES[method.name], decomp.n
+    out = decomp.values.copy()
     if method.name != "identity":
         sigma = _per_row(sigma, decomp.coarse, "sigma")
-    details = [(j, rule(np.atleast_2d(v), sigma, n, method.config).reshape(v.shape) if j >= cutoff_level
-                else v.copy()) for j, v in decomp.details]
-    return WaveletDecomposition(coarse=decomp.coarse.copy(), details=details, n=n)
+    size, n = decomp.coarse.shape[-1], decomp.n
+    first = max(math.ceil(cutoff_level), size.bit_length() - 1)
+    if 2**first < n:
+        levels = tuple((2**j - 2**first, 2**(j + 1) - 2**first) for j in range(first, n.bit_length() - 1))
+        _RULES[method.name](np.atleast_2d(out)[:, 2**first:], sigma, n, method.config, levels)
+    return WaveletDecomposition._of(out, size)

@@ -169,7 +169,20 @@ def resolve_a(config, d):
     return a
 
 
-def batch_estimate(z, sigma, beta, a, positive_part=True):
+def _spread(x, segments):
+    # one value per segment along the last axis, repeated over the segment's columns
+    return np.repeat(x, [hi - lo for lo, hi in segments], axis=-1)
+
+
+def _row_sums(x, segments):
+    # row sums along the last axis as a column, or with segments each
+    # segment's sum over its own columns, every sum its own call on a view
+    if segments is None:
+        return x.sum(axis=-1, keepdims=True)
+    return _spread(np.stack([x[..., lo:hi].sum(axis=-1) for lo, hi in segments], axis=-1), segments)
+
+
+def batch_estimate(z, sigma, beta, a, positive_part=True, segments=None):
     """Estimator over rows: ``z`` has shape (m, d), or (d,) for one sample.
 
     Per row, with ``w = z / sigma`` and ``D = sum |w_i|**beta``, returns
@@ -184,9 +197,20 @@ def batch_estimate(z, sigma, beta, a, positive_part=True):
     beta = 1 (``|w|**(beta-2)``) and, untruncated, at beta = 1.5.  A row
     whose ``D`` overflows (``|w|`` near 1e154 and up) has ``D = inf`` and is
     returned unshrunk, apart from its exact zeros.
+
+    ``segments``, a tuple of (start, stop) column bounds that tile the last
+    axis, makes each segment of a row a sample of its own with its own
+    ``D``; ``a`` then holds one value per segment, and each segment's output
+    has the bits of a call on that segment alone.
     """
     z = np.asarray(z, dtype=float)
-    a = _per_row(a, z, "a")
+    if segments is None:
+        a = _per_row(a, z, "a")
+    else:
+        a = np.asarray(a, dtype=float)
+        if a.shape != (len(segments),) or not ((a > 0) & (a < math.inf)).all():
+            raise ValueError(f"a must be positive and finite, one value per segment, got {a}")
+        a = _spread(a, segments)
     beta = _per_row(beta, z, "beta", lambda b: 0.0 < b <= 2.0, "in (0, 2]")
     w = z / sigma
     absw = np.abs(w)
@@ -195,11 +219,11 @@ def batch_estimate(z, sigma, beta, a, positive_part=True):
     # keep their bits, while the entries that copyto overwrites may pass
     # through inf and nan (|0|**(beta-2) times 0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        dnm = (absw**beta).sum(axis=-1)
+        dnm = _row_sums(absw**beta, segments)
         if positive_part:
             est = np.power(absw, beta - 2.0)
             est *= a
-            est /= dnm[..., None]
+            est /= dnm
             # zero where the ratio is not below 1; it is nan only where
             # |0|**(beta-2) = inf meets a D that overflowed to inf, a zero coordinate
             clip = ~(est < 1.0)
@@ -212,7 +236,7 @@ def batch_estimate(z, sigma, beta, a, positive_part=True):
             gain = np.power(absw, beta - 1.0)
             gain *= np.sign(w)
             gain *= a
-            gain /= dnm[..., None]
+            gain /= dnm
             np.copyto(gain, 0.0, where=absw == 0.0)
             est = w - gain
     est *= sigma

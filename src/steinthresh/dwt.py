@@ -20,18 +20,28 @@ x[(16q + s) mod m] for s < 32, Q = ceil(m/16), and its 16 outputs are the
 interleaved (approx, detail) pairs 8q .. 8q + 7.  Synthesis row q holds
 approx[(8q - 7 + s) mod h] for s < 16, then detail at the same positions,
 Q = ceil(h/8), and its 16 outputs are the output values 16q .. 16q + 15.
-The step keeps the first m/2 pairs or 2h values, so blocks down to m = 2
-take the same path.  A 2-d input holds one signal per row.  numpy runs a
+An analysis step keeps the first m/2 pairs, so blocks down to m = 2 take the
+same path.  A synthesis step from h = 8 up writes its product straight into
+its output block, viewed as (Q, 16); a smaller one keeps the first 2h of its
+one operand row's outputs.  A 2-d input holds one signal per row.  numpy runs a
 stacked product as one BLAS call per row, so a row's bytes do not depend on
 the other rows; a single flattened product would not keep that, since a
 one-row operand goes to a matrix-vector kernel with its own summation order.
 
-A detail block of length 2**j sits at resolution level j; decompositions
-store the coarse block first, then details from coarsest to finest.
+A detail block of length 2**j sits at resolution level j.  A decomposition
+keeps every coefficient of a signal (or of each row) in one array of the
+signal's length, in WaveLab's dyadic layout: the coarse block of length
+2**b at [0, 2**b), then level j at [2**j, 2**(j+1)) for j = b .. J-1.  The
+forward transform writes each step's detail block into its slice of that
+array.  The inverse runs in place on a copy of it: before the step that
+rebuilds a block of length 2h, the prefix [0, 2h) holds exactly that step's
+approximation and detail blocks side by side, which is the synthesis
+step's input, and the step writes its output over the same prefix.  So no
+step concatenates blocks, and the prefix is gathered into the operand
+before it is overwritten.
 """
 
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -108,38 +118,69 @@ def _analysis_step(x):
     return out[..., 0], out[..., 1]
 
 
-def _synthesis_step(approx, detail):
-    h = approx.shape[-1]
-    pairs = np.concatenate((approx, detail), axis=-1)
-    out = pairs.take(_gather_index(h, 8, -7, 2), axis=-1) @ _SYNTHESIS_BANK
-    return out.reshape(approx.shape[:-1] + (-1,))[..., :2 * h]
+def _synthesis_step(pairs, out=None):
+    # the block of length 2h synthesized from pairs (the approximation block
+    # then the detail block, h values each), written to out (a new array if
+    # None); from h = 8 up the product lands in out directly, and a smaller
+    # block is the first 2h of its one operand row's 16 outputs
+    h = pairs.shape[-1] // 2
+    out = np.empty(pairs.shape) if out is None else out
+    operand = pairs.take(_gather_index(h, 8, -7, 2), axis=-1)
+    if h < 8:
+        out[...] = (operand @ _SYNTHESIS_BANK)[..., 0, :2 * h]
+    else:
+        np.matmul(operand, _SYNTHESIS_BANK, out=out.reshape(out.shape[:-1] + (-1, 16)))
+    return out
 
 
-@dataclass
 class WaveletDecomposition:
-    """Coarse block plus detail blocks keyed by level (ascending); 2-d blocks hold one signal per row."""
+    """All coefficients of a signal, or of (m, n) rows of them, in one array in dyadic layout.
 
-    coarse: np.ndarray
-    details: list  # [(level, values)] with values.shape[-1] == 2**level, coarsest first
-    n: int  # the length of one signal
+    ``values`` holds the array; ``coarse`` and ``details`` (the (level,
+    block) pairs, coarsest first) are views of it, and ``n`` is the length
+    of one signal.  The constructor packs a coarse block and its detail
+    blocks into a new array and checks their shapes.
+    """
 
-    def __post_init__(self):
-        self.coarse = np.asarray(self.coarse, dtype=float)
-        if not _is_pow2(self.n):
-            raise ValueError(f"n must be a power of two, got {self.n}")
-        if self.coarse.ndim not in (1, 2) or not self.details:
+    def __init__(self, coarse, details, n):
+        coarse = np.asarray(coarse, dtype=float)
+        if not _is_pow2(n):
+            raise ValueError(f"n must be a power of two, got {n}")
+        if coarse.ndim not in (1, 2) or not details:
             raise ValueError("malformed decomposition: need 1-d or 2-d coarse block, >= 1 detail block")
-        self.details = [(int(j), np.asarray(v, dtype=float)) for j, v in self.details]
-        base = self.details[0][0]
-        if self.coarse.shape[-1] != 2**base:
+        details = [(int(j), np.asarray(v, dtype=float)) for j, v in details]
+        base = details[0][0]
+        if coarse.shape[-1] != 2**base:
             raise ValueError("malformed decomposition: coarse block must match the coarsest detail level")
-        total = self.coarse.shape[-1]
-        for offset, (j, v) in enumerate(self.details):
-            if j != base + offset or v.shape != self.coarse.shape[:-1] + (2**j,):
+        total = coarse.shape[-1]
+        for offset, (j, v) in enumerate(details):
+            if j != base + offset or v.shape != coarse.shape[:-1] + (2**j,):
                 raise ValueError(f"malformed decomposition at level {j}")
             total += 2**j
-        if total != self.n:
-            raise ValueError(f"malformed decomposition: blocks sum to {total}, expected {self.n}")
+        if total != n:
+            raise ValueError(f"malformed decomposition: blocks sum to {total}, expected {n}")
+        self.values = np.empty(coarse.shape[:-1] + (n,))
+        self.values[..., :2**base] = coarse
+        for j, v in details:
+            self.values[..., 2**j:2**(j + 1)] = v
+        self.coarse = self.values[..., :2**base]
+
+    @classmethod
+    def _of(cls, values, coarse_size):
+        # wrap an array already in dyadic layout, without copying or checking it
+        self = cls.__new__(cls)
+        self.values = values
+        self.coarse = values[..., :coarse_size]
+        return self
+
+    @property
+    def n(self):
+        return self.values.shape[-1]
+
+    @cached_property
+    def details(self):
+        h, n = self.coarse.shape[-1], self.n
+        return [(j, self.values[..., 2**j:2**(j + 1)]) for j in range(h.bit_length() - 1, n.bit_length() - 1)]
 
 
 def dwt_forward(signal, levels):
@@ -153,17 +194,19 @@ def dwt_forward(signal, levels):
     depth = max_levels(n)
     if not 1 <= levels <= depth:
         raise ValueError(f"levels must be in [1, {depth}] for n={n}, got {levels}")
-    details = []
+    values = np.empty(x.shape)
     for _ in range(levels):
-        x, d = _analysis_step(x)
-        details.append((x.shape[-1].bit_length() - 1, d))
-    details.reverse()
-    return WaveletDecomposition(coarse=x, details=details, n=n)
+        h = x.shape[-1] // 2
+        x, values[..., h:2 * h] = _analysis_step(x)
+    values[..., :h] = x
+    return WaveletDecomposition._of(values, h)
 
 
 def dwt_inverse(decomp):
     """Reconstruct the signal; exact inverse of :func:`dwt_forward` up to roundoff."""
-    x = decomp.coarse
-    for _, v in decomp.details:
-        x = _synthesis_step(x, v)
+    x = decomp.values.copy()
+    h = decomp.coarse.shape[-1]
+    while h < decomp.n:
+        _synthesis_step(x[..., :2 * h], x[..., :2 * h])
+        h *= 2
     return x

@@ -141,14 +141,33 @@ def _cell_errors(methods, signal, sigma_mode, reps, seed):
     errs = np.empty((len(methods), reps))
     block = max(1, _BLOCK_VALUES // n)
     for lo in range(0, reps, block):
-        hi = min(lo + block, reps)
-        noise = np.array([substream(seed, r).standard_normal(n) for r in range(lo, hi)])
-        decomp = dwt_forward(f + noise, levels)
+        decomp = dwt_forward(_noisy_rows(f, seed, lo, min(lo + block, reps)), levels)
         sigma = 1.0 if sigma_mode == "known" else estimate_sigma(decomp)
         for i, method in enumerate(methods):
-            fhat = dwt_inverse(apply_method(method, decomp, sigma, cutoff))
-            errs[i, lo:hi] = ((fhat - f) ** 2).sum(axis=-1)
+            errs[i, lo:lo + block] = _squared_errors(
+                dwt_inverse(apply_method(method, decomp, sigma, cutoff)), f)
     return errs
+
+
+# _noisy_rows and _squared_errors own their arrays, so a block's noisy rows are
+# freed once the forward transform has read them, and each reconstruction
+# before the next method's is made.  At n = 16384 a row is 128 KiB, just above
+# glibc's default mmap threshold and top pad; the fewer such arrays are live at
+# once, the less often the heap top is trimmed and refaulted between methods.
+
+
+def _noisy_rows(f, seed, lo, hi):
+    # replicates lo .. hi - 1 of f plus unit noise, one row each
+    y = np.array([substream(seed, r).standard_normal(f.size) for r in range(lo, hi)])
+    y += f
+    return y
+
+
+def _squared_errors(fhat, f):
+    # each row's squared distance from f, computed in place on fhat
+    fhat -= f
+    fhat *= fhat
+    return fhat.sum(axis=-1)
 
 
 def wavelet_risk_replicates(method, signal, sigma_mode="known", reps=500, seed=0, workers=1):

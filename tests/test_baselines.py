@@ -387,12 +387,12 @@ class TestMethodDispatch:
         js = apply_method(make_method("js"), dec, 1.0, 4)
         np.testing.assert_array_equal(zh.details[2][1], js.details[2][1])
 
-    @pytest.mark.parametrize("name, hooks", [
-        ("zh", {"batch_estimate"}),
-        ("js", {"batch_estimate"}),
-        ("zh-sure", {"batch_estimate", "select_beta_by_sure"}),
-    ])
-    def test_rules_look_up_canonical_calls_at_call_time(self, monkeypatch, name, hooks):
+    @pytest.mark.parametrize("name, hooks, estimates", [
+        ("zh", {"batch_estimate"}, 1),  # one pass over both treated levels
+        ("js", {"batch_estimate"}, 1),
+        ("zh-sure", {"batch_estimate", "select_beta_by_sure"}, 2),  # one per treated level
+    ], ids=["zh-hooks0", "js-hooks1", "zh-sure-hooks2"])
+    def test_rules_look_up_canonical_calls_at_call_time(self, monkeypatch, name, hooks, estimates):
         # a wrapper swapped into the baselines module after import must see every call
         calls = {"batch_estimate": [], "select_beta_by_sure": []}
 
@@ -409,6 +409,6 @@ class TestMethodDispatch:
         monkeypatch.undo()
         np.testing.assert_array_equal(out.details[2][1], run(name, dec, 1.0, 3).details[2][1])
         assert {attr for attr, seen in calls.items() if seen} == hooks
-        assert len(calls["batch_estimate"]) == 2  # one per treated level
+        assert len(calls["batch_estimate"]) == estimates
         for sample, _grid in calls["select_beta_by_sure"]:
             assert isinstance(sample, CanonicalSample)

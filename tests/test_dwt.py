@@ -100,7 +100,7 @@ class TestStepsMatchDefinition:
         assert np.abs(approx - want_a).max() <= tol
         assert np.abs(detail - want_d).max() <= tol
         a, d = rng.standard_normal(m // 2), rng.standard_normal(m // 2)
-        got = dwt._synthesis_step(a, d)
+        got = dwt._synthesis_step(np.concatenate((a, d)))  # the step reads (approx, detail) side by side
         assert got.shape == (m,)
         assert np.abs(got - oracle_synthesis(a, d)).max() <= 1e-13 * max(np.abs(a).max(), np.abs(d).max())
 

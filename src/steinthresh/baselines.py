@@ -9,17 +9,18 @@ rows (one signal each, sigma a scalar or one per row) each row's output is
 that of the row on its own.
 
 Methods are addressed by short tokens, the keys of one rule table that also
-supplies the CLI method names.  Each rule is a plain function
-``rule(t, sigma, n, config, levels)`` that shrinks ``t`` in place: the
-treated slice of a copy of the decomposition's dyadic array, as (m, T) rows
-holding every treated level side by side.  ``levels`` gives each level's
-(start, stop) columns within the slice, n is the length of one signal, sigma
-a scalar or an (m, 1) column and config the method's ShrinkConfig (None for
-all but zh).  A level's output has the bits of the rule run on that level
-alone.  visu, js and zh are one elementwise pass over the whole slice, with
-per-level constants and sums spread over each level's columns; sure picks
-its threshold level by level, then thresholds the slice in one pass;
-blockjs and zh-sure run level by level on views of the slice.
+supplies the CLI method names.  Every rule has the one shape
+``rule(t, sigma, n, config, levels)``: it shrinks ``t`` in place and returns
+None.  ``t`` is the treated slice of a copy of the decomposition's dyadic
+array, as (m, T) rows holding every treated level side by side.  ``levels``
+gives each level's (start, stop) columns within the slice, n is the length
+of one signal, sigma a scalar or an (m, 1) column and config the method's
+ShrinkConfig (None for all but zh).  A level's output has the bits of the
+rule run on that level alone.  visu, js and zh are one elementwise pass over
+the whole slice, with per-level constants and sums spread over each level's
+columns; sure picks its threshold level by level, then thresholds the slice
+in one pass; blockjs and zh-sure loop over the levels themselves, each
+shrinking its level's view of the slice in place.
 
     identity   pass-through (risk of the raw data)
     visu       soft thresholding at the universal level sigma*sqrt(2 ln n)
@@ -140,30 +141,33 @@ def _sure(t, sigma, n, config, levels):
     _soft(t, _spread(thresh, levels))
 
 
-def _blockjs(v, sigma, n, config):
-    # scale contiguous blocks of length floor(ln n) by (1 - c L sigma^2 / S^2)+,
-    # S^2 the block's sum of squares; a trailing partial block is padded
-    # cyclically from the start of its level when computing S^2, but only the
-    # real coefficients are scaled; an S^2 that overflows to inf scales by 1
+def _blockjs(t, sigma, n, config, levels):
+    # scale each level's contiguous blocks of length floor(ln n) by
+    # (1 - c L sigma^2 / S^2)+, S^2 the block's sum of squares; a trailing
+    # partial block is padded cyclically from the start of its level when
+    # computing S^2, but only the real coefficients are scaled; an S^2 that
+    # overflows to inf scales by 1
     block_len = math.floor(math.log(n))
     if block_len < 1:
         raise ValueError(f"n must be at least 3 for a nonempty block, got {n}")
     kill = BLOCK_CRITICAL * block_len * sigma * sigma
-    m, d = v.shape
-    out = np.empty_like(v)
-    full = (d // block_len) * block_len
-    if full:
-        blocks = v[:, :full].reshape(m, -1, block_len)
-        with np.errstate(divide="ignore", over="ignore"):
-            factor = np.maximum(1.0 - kill / (blocks * blocks).sum(axis=-1), 0.0)
-        out[:, :full] = (factor[..., None] * blocks).reshape(m, full)
-    if full < d:
-        padded = v.take(np.arange(full, full + block_len) % d, axis=-1)
-        with np.errstate(divide="ignore", over="ignore"):
-            s2 = (padded[:, None, :] @ padded[:, :, None])[:, 0]  # each row's padded @ padded, same bits
-            factor = np.where(s2 > 0, np.maximum(1.0 - kill / s2, 0.0), 0.0)
-        out[:, full:] = factor * v[:, full:]
-    return out
+    m = len(t)
+    for lo, hi in levels:
+        v = t[:, lo:hi]
+        d = hi - lo
+        full = (d // block_len) * block_len
+        if full < d:
+            # the pad reads the level's first values, so the tail goes before the full blocks
+            padded = v.take(np.arange(full, full + block_len) % d, axis=-1)
+            with np.errstate(divide="ignore", over="ignore"):
+                s2 = (padded[:, None, :] @ padded[:, :, None])[:, 0]  # each row's padded @ padded, same bits
+                factor = np.where(s2 > 0, np.maximum(1.0 - kill / s2, 0.0), 0.0)
+            v[:, full:] *= factor
+        if full:
+            blocks = v[:, :full].reshape(m, -1, block_len)  # a view: the level's columns are contiguous
+            with np.errstate(divide="ignore", over="ignore"):
+                factor = np.maximum(1.0 - kill / (blocks * blocks).sum(axis=-1), 0.0)
+            blocks *= factor[..., None]
 
 
 def _js(t, sigma, n, config, levels):
@@ -184,44 +188,35 @@ def _zh(t, sigma, n, config, levels):
                           True, levels)
 
 
-def _zh_sure(v, sigma, n, config):
+def _zh_sure(t, sigma, n, config, levels):
     # like zh, but beta (and its finite-rule a) is tuned per level and row by
-    # unbiased risk; all-zero rows pass through.  The live rows are shrunk in
-    # one call with beta and a as per-row columns, except those that picked
-    # beta = 2: they share one scalar call, as a scalar exponent 2 is numpy's
-    # exact square while a column exponent runs pow
-    s = sigma if np.ndim(sigma) else np.full((len(v), 1), sigma)
-    out = v.copy()
-    live = np.flatnonzero(v.any(axis=-1))
-    if live.size:
-        betas, a = select_beta_by_sure(CanonicalSample(v[live], s[live]), DEFAULT_BETA_GRID)
-        two = betas == 2.0
-        if two.any():
-            rows = live[two]
-            out[rows] = batch_estimate(v[rows], s[rows], 2.0, float(a[two][0]))
-        if not two.all():
-            rows = live[~two]
-            out[rows] = batch_estimate(v[rows], s[rows], betas[~two, None], a[~two, None])
-    return out
-
-
-def _each_level(level_rule):
-    # a rule that runs level_rule(v, sigma, n, config) on each treated
-    # level's view of the slice and writes the shrunk level back in place
-    def rule(t, sigma, n, config, levels):
-        for lo, hi in levels:
-            t[:, lo:hi] = level_rule(t[:, lo:hi], sigma, n, config)
-    return rule
+    # unbiased risk; all-zero rows pass through.  A level's live rows are
+    # shrunk in one call with beta and a as per-row columns, except those that
+    # picked beta = 2: they share one scalar call, as a scalar exponent 2 is
+    # numpy's exact square while a column exponent runs pow
+    s = sigma if np.ndim(sigma) else np.full((len(t), 1), sigma)
+    for lo, hi in levels:
+        v = t[:, lo:hi]
+        live = np.flatnonzero(v.any(axis=-1))
+        if live.size:
+            betas, a = select_beta_by_sure(CanonicalSample(v[live], s[live]), DEFAULT_BETA_GRID)
+            two = betas == 2.0
+            if two.any():
+                rows = live[two]
+                v[rows] = batch_estimate(v[rows], s[rows], 2.0, float(a[two][0]))
+            if not two.all():
+                rows = live[~two]
+                v[rows] = batch_estimate(v[rows], s[rows], betas[~two, None], a[~two, None])
 
 
 _RULES = {
     "identity": lambda t, sigma, n, config, levels: None,
     "visu": _visu,
     "sure": _sure,
-    "blockjs": _each_level(_blockjs),
+    "blockjs": _blockjs,
     "js": _js,
     "zh": _zh,
-    "zh-sure": _each_level(_zh_sure),
+    "zh-sure": _zh_sure,
 }
 
 METHOD_NAMES = tuple(_RULES)
@@ -254,6 +249,8 @@ def apply_method(method, decomp, sigma, cutoff_level):
     as one (m, T) slice of rows, a 1-d decomposition being m = 1;
     below-cutoff levels and the coarse block keep their bits.
     """
+    if not math.isfinite(cutoff_level):
+        raise ValueError(f"cutoff_level must be finite, got {cutoff_level}")
     out = decomp.values.copy()
     if method.name != "identity":
         sigma = _per_row(sigma, decomp.coarse, "sigma")
@@ -262,4 +259,4 @@ def apply_method(method, decomp, sigma, cutoff_level):
     if 2**first < n:
         levels = tuple((2**j - 2**first, 2**(j + 1) - 2**first) for j in range(first, n.bit_length() - 1))
         _RULES[method.name](np.atleast_2d(out)[:, 2**first:], sigma, n, method.config, levels)
-    return WaveletDecomposition._of(out, size)
+    return WaveletDecomposition(out, size)

@@ -31,14 +31,16 @@ one-row operand goes to a matrix-vector kernel with its own summation order.
 A detail block of length 2**j sits at resolution level j.  A decomposition
 keeps every coefficient of a signal (or of each row) in one array of the
 signal's length, in WaveLab's dyadic layout: the coarse block of length
-2**b at [0, 2**b), then level j at [2**j, 2**(j+1)) for j = b .. J-1.  The
-forward transform writes each step's detail block into its slice of that
-array.  The inverse runs in place on a copy of it: before the step that
-rebuilds a block of length 2h, the prefix [0, 2h) holds exactly that step's
-approximation and detail blocks side by side, which is the synthesis
-step's input, and the step writes its output over the same prefix.  So no
-step concatenates blocks, and the prefix is gathered into the operand
-before it is overwritten.
+2**b at [0, 2**b), then level j at [2**j, 2**(j+1)) for j = b .. J-1.
+That layout fixes where every level sits, so the one constructor,
+``WaveletDecomposition(values, coarse_size)``, wraps such an array with
+nothing more than 2**b.  The forward transform writes each step's detail
+block into its slice of that array.  The inverse runs in place on a copy of
+it: before the step that rebuilds a block of length 2h, the prefix [0, 2h)
+holds exactly that step's approximation and detail blocks side by side,
+which is the synthesis step's input, and the step writes its output over
+the same prefix.  So no step concatenates blocks, and the prefix is
+gathered into the operand before it is overwritten.
 """
 
 from functools import cached_property, lru_cache
@@ -74,7 +76,7 @@ HIGHPASS.setflags(write=False)
 
 
 def _is_pow2(n):
-    return n >= 1 and (n & (n - 1)) == 0
+    return isinstance(n, (int, np.integer)) and n >= 1 and (n & (n - 1)) == 0
 
 
 def max_levels(n):
@@ -118,60 +120,43 @@ def _analysis_step(x):
     return out[..., 0], out[..., 1]
 
 
-def _synthesis_step(pairs, out=None):
-    # the block of length 2h synthesized from pairs (the approximation block
-    # then the detail block, h values each), written to out (a new array if
-    # None); from h = 8 up the product lands in out directly, and a smaller
-    # block is the first 2h of its one operand row's 16 outputs
-    h = pairs.shape[-1] // 2
-    out = np.empty(pairs.shape) if out is None else out
-    operand = pairs.take(_gather_index(h, 8, -7, 2), axis=-1)
+def _synthesis_step(x):
+    # x holds an approximation block then a detail block, h values each, and
+    # is overwritten with the block of length 2h they synthesize, then
+    # returned; from h = 8 up the product lands in x directly, and a smaller
+    # block is the first 2h of its one operand row's 16 outputs.  The operand
+    # is gathered before x is written.
+    h = x.shape[-1] // 2
+    operand = x.take(_gather_index(h, 8, -7, 2), axis=-1)
     if h < 8:
-        out[...] = (operand @ _SYNTHESIS_BANK)[..., 0, :2 * h]
+        x[...] = (operand @ _SYNTHESIS_BANK)[..., 0, :2 * h]
     else:
-        np.matmul(operand, _SYNTHESIS_BANK, out=out.reshape(out.shape[:-1] + (-1, 16)))
-    return out
+        np.matmul(operand, _SYNTHESIS_BANK, out=x.reshape(x.shape[:-1] + (-1, 16)))
+    return x
 
 
 class WaveletDecomposition:
     """All coefficients of a signal, or of (m, n) rows of them, in one array in dyadic layout.
 
-    ``values`` holds the array; ``coarse`` and ``details`` (the (level,
-    block) pairs, coarsest first) are views of it, and ``n`` is the length
-    of one signal.  The constructor packs a coarse block and its detail
-    blocks into a new array and checks their shapes.
+    ``WaveletDecomposition(values, coarse_size)`` wraps ``values``, a float64
+    array of one signal or of one signal per row, without copying it: the
+    coarse block is its first ``coarse_size`` columns, and every further
+    power of two 2**j marks the start of level j.  ``coarse`` and
+    ``details`` (the (level, block) pairs, coarsest first) are views of
+    ``values``, and ``n`` is the length of one signal.  The layout fixes
+    where every level sits, so the constructor checks only the dtype, the
+    shape and ``coarse_size``, and never reads a value.
     """
 
-    def __init__(self, coarse, details, n):
-        coarse = np.asarray(coarse, dtype=float)
-        if not _is_pow2(n):
-            raise ValueError(f"n must be a power of two, got {n}")
-        if coarse.ndim not in (1, 2) or not details:
-            raise ValueError("malformed decomposition: need 1-d or 2-d coarse block, >= 1 detail block")
-        details = [(int(j), np.asarray(v, dtype=float)) for j, v in details]
-        base = details[0][0]
-        if coarse.shape[-1] != 2**base:
-            raise ValueError("malformed decomposition: coarse block must match the coarsest detail level")
-        total = coarse.shape[-1]
-        for offset, (j, v) in enumerate(details):
-            if j != base + offset or v.shape != coarse.shape[:-1] + (2**j,):
-                raise ValueError(f"malformed decomposition at level {j}")
-            total += 2**j
-        if total != n:
-            raise ValueError(f"malformed decomposition: blocks sum to {total}, expected {n}")
-        self.values = np.empty(coarse.shape[:-1] + (n,))
-        self.values[..., :2**base] = coarse
-        for j, v in details:
-            self.values[..., 2**j:2**(j + 1)] = v
-        self.coarse = self.values[..., :2**base]
-
-    @classmethod
-    def _of(cls, values, coarse_size):
-        # wrap an array already in dyadic layout, without copying or checking it
-        self = cls.__new__(cls)
+    def __init__(self, values, coarse_size):
+        n = values.shape[-1] if values.ndim in (1, 2) else 0
+        if not (_is_pow2(n) and n >= 2 and values.dtype == np.float64):
+            raise ValueError(f"values must be float64, 1-d or 2-d, with a power-of-two length >= 2, "
+                             f"got {values.dtype} {values.shape}")
+        if not (_is_pow2(coarse_size) and coarse_size < n):
+            raise ValueError(f"coarse_size must be an int power of two below {n}, got {coarse_size!r}")
         self.values = values
         self.coarse = values[..., :coarse_size]
-        return self
 
     @property
     def n(self):
@@ -192,14 +177,14 @@ def dwt_forward(signal, levels):
         raise ValueError("signal must be finite")
     n = x.shape[-1]
     depth = max_levels(n)
-    if not 1 <= levels <= depth:
+    if not isinstance(levels, (int, np.integer)) or not 1 <= levels <= depth:
         raise ValueError(f"levels must be in [1, {depth}] for n={n}, got {levels}")
     values = np.empty(x.shape)
     for _ in range(levels):
         h = x.shape[-1] // 2
         x, values[..., h:2 * h] = _analysis_step(x)
     values[..., :h] = x
-    return WaveletDecomposition._of(values, h)
+    return WaveletDecomposition(values, h)
 
 
 def dwt_inverse(decomp):
@@ -207,6 +192,6 @@ def dwt_inverse(decomp):
     x = decomp.values.copy()
     h = decomp.coarse.shape[-1]
     while h < decomp.n:
-        _synthesis_step(x[..., :2 * h], x[..., :2 * h])
+        _synthesis_step(x[..., :2 * h])
         h *= 2
     return x

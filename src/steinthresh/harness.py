@@ -204,11 +204,14 @@ def risk_sweep(methods, signals, n_values, snr, reps, seed, sigma_mode="known", 
     ``signals`` holds names from ``SIGNAL_NAMES``.  Within one (signal, n)
     cell every method consumes identical noise draws, and each replicate's
     forward transform is computed once for all of them.  Every (signal, n)
-    is generated before any cell runs, so a bad name or size costs no run.
+    is generated, and every n checked against the pipeline's depth, before
+    any cell runs, so a bad name or size costs no run.
     Reports are ordered by signal, then n, then method.
     """
     methods = [make_method(m) if isinstance(m, str) else m for m in methods]
     cells = [generate_signal(name, int(n), snr) for name in signals for n in n_values]
+    for sig in cells:
+        _pipeline_depth(sig.samples.size)  # an n too small for the pipeline fails before any cell runs
     reports = []
     for sig in cells:
         errs = _cell_errors(methods, sig, sigma_mode, reps, seed)

@@ -1,5 +1,6 @@
 """Levelwise denoising rules: thresholds, block scaling, and dispatch."""
 
+import inspect
 import math
 
 import numpy as np
@@ -39,36 +40,21 @@ def run(name, decomp, sigma, cutoff, **params):
 
 def small_decomp(level2=(1.0, -2.0, 0.5, 3.0)):
     """n=8 container: coarse(2) + detail levels 1 (d=2) and 2 (d=4)."""
-    return WaveletDecomposition(
-        np.array([5.0, -1.0]),
-        [(1, np.array([0.3, -0.7])), (2, np.asarray(level2, dtype=float))],
-        8,
-    )
+    return WaveletDecomposition(np.concatenate(([5.0, -1.0], [0.3, -0.7], level2)), 2)
 
 
 def mid_decomp(level4):
     """n=32 container: coarse(4) + detail levels 2 (d=4), 3 (d=8), 4 (d=16)."""
     rng = np.random.default_rng(11)
-    return WaveletDecomposition(
-        rng.standard_normal(4),
-        [
-            (2, rng.standard_normal(4)),
-            (3, rng.standard_normal(8)),
-            (4, np.asarray(level4, dtype=float)),
-        ],
-        32,
-    )
+    blocks = [rng.standard_normal(4), rng.standard_normal(4), rng.standard_normal(8), level4]
+    return WaveletDecomposition(np.concatenate(blocks), 4)
 
 
 def wide_decomp(level4):
     """n=1024 container: coarse(16) + detail levels 4 (d=16, given) through 9."""
     rng = np.random.default_rng(11)
-    return WaveletDecomposition(
-        rng.standard_normal(16),
-        [(4, np.asarray(level4, dtype=float))]
-        + [(j, rng.standard_normal(2**j)) for j in range(5, 10)],
-        1024,
-    )
+    blocks = [rng.standard_normal(16), level4] + [rng.standard_normal(2**j) for j in range(5, 10)]
+    return WaveletDecomposition(np.concatenate(blocks), 16)
 
 
 class TestResolutionCutoff:
@@ -280,7 +266,7 @@ class TestBlockJS:
 
     def test_tiny_n_rejected(self):
         # n=2 gives floor(ln 2) = 0, an empty block
-        dec = WaveletDecomposition(np.array([1.0]), [(0, np.array([2.0]))], 2)
+        dec = WaveletDecomposition(np.array([1.0, 2.0]), 1)
         with pytest.raises(ValueError):
             run("blockjs", dec, 1.0, 0)
 
@@ -380,6 +366,22 @@ class TestMethodDispatch:
                 np.testing.assert_array_equal(vout, vin)
             elif name != "identity":
                 assert np.all(np.abs(vout) <= np.abs(vin) + 1e-12)
+
+    @pytest.mark.parametrize("name", METHOD_NAMES)
+    def test_every_rule_shrinks_its_slice_in_place(self, name):
+        # one shape for every rule: rule(t, sigma, n, config, levels) writes
+        # into t (levels 3 and 4 here) and returns None
+        rule = baselines._RULES[name]
+        assert list(inspect.signature(rule).parameters) == ["t", "sigma", "n", "config", "levels"]
+        dec = mid_decomp(np.random.default_rng(15).standard_normal(16) * 3.0)
+        t = dec.values[None, 8:].copy()
+        assert rule(t, 1.0, 32, make_method(name).config, ((0, 8), (8, 24))) is None
+        assert t[0].tobytes() == run(name, dec, 1.0, 3).values[8:].tobytes()
+
+    @pytest.mark.parametrize("cutoff", [math.inf, -math.inf, math.nan])
+    def test_cutoff_level_must_be_finite(self, cutoff):
+        with pytest.raises(ValueError):
+            run("visu", mid_decomp(np.ones(16)), 1.0, cutoff)
 
     def test_quadratic_config_reproduces_james_stein_when_a_matches(self):
         dec = mid_decomp(np.random.default_rng(13).standard_normal(16) * 2.0)

@@ -158,6 +158,13 @@ def oracle_zh_sure(v, sigma):
     return out
 
 
+def zh_sure_level(v, sigma):
+    # the zh-sure rule on a copy of v, with v's columns as its one treated level
+    out = v.copy()
+    baselines._zh_sure(out, sigma, 1024, None, ((0, v.shape[-1]),))
+    return out
+
+
 def shared_pass_levels(m, d, seed):
     # (v, sigma) rows as a zh-sure level sees them: noise with a few large
     # coefficients, exact zeros, a row built to pick beta = 2 (every
@@ -716,7 +723,7 @@ class TestSharedLogPass:
             got_b, got_a = select_beta_by_sure(CanonicalSample(rows, s))
             assert got_b.tobytes() == want_b.tobytes() and got_a.tobytes() == want_a.tobytes()
             assert want_b[0] == 2.0
-            got = baselines._zh_sure(v, sigma, 1024, None)
+            got = zh_sure_level(v, sigma)
             assert got.tobytes() == oracle_zh_sure(v, sigma).tobytes()
 
     @pytest.mark.parametrize("d", [3, 16, 512])
@@ -729,7 +736,7 @@ class TestSharedLogPass:
             v[2] = 0.0
             v[4] = -0.0
             for sigma in (1.5, rng.uniform(0.5, 2.0, (6, 1))):
-                got = baselines._zh_sure(v, sigma, 1024, None)
+                got = zh_sure_level(v, sigma)
                 assert got.tobytes() == oracle_zh_sure(v, sigma).tobytes()
                 np.testing.assert_array_equal(got[[2, 4]], 0.0)
 
@@ -747,7 +754,7 @@ class TestSharedLogPass:
             return batch_estimate(*args)
 
         monkeypatch.setattr(baselines, "batch_estimate", counting)
-        got = baselines._zh_sure(v, 1.0, 1024, None)
+        got = zh_sure_level(v, 1.0)
         assert got.tobytes() == oracle_zh_sure(v, 1.0).tobytes()
         assert [np.ndim(beta) for _, _, beta, _ in calls] == [0, 2]
         assert calls[0][2] == 2.0 and calls[0][0].shape == (2, 64)
@@ -816,6 +823,24 @@ class TestMonteCarloConstant:
         est, se = monte_carlo_a_beta(2.0, 10, 30_000, seed=7)
         assert se > 0
         assert abs(est - 16.0) < 4.0 * se
+
+    @pytest.mark.parametrize("d", [5, 10])
+    @pytest.mark.parametrize("beta", [1.75, 2.0])
+    def test_stein_identity_cross_check(self, beta, d):
+        # Stein's identity for g_i = sign(xi_i)|xi_i|**(beta-1)/D, D = sum|xi|**beta,
+        # gives (beta-1)E[B] - beta E[A] = 1 with A = sum|xi|**(2beta-2)/D**2 and
+        # B = sum|xi|**(beta-2)/D, so a_beta = 2/E[A] = 2beta/((beta-1)E[B] - 1).
+        # The package's A-based estimate and a B-based one from independent
+        # draws agree within 4 combined se.  B has finite variance only for
+        # beta > 1.5 (and d > 4), so no smaller beta is checked this way.
+        reps = 100_000
+        est, se = monte_carlo_a_beta(beta, d, reps, seed=18)
+        xi = np.abs(np.random.default_rng([18, d, round(100 * beta)]).standard_normal((reps, d)))
+        b = (xi ** (beta - 2.0)).sum(axis=1) / (xi**beta).sum(axis=1)
+        g = (beta - 1.0) * b.mean() - 1.0
+        est_b = 2.0 * beta / g
+        se_b = 2.0 * beta * (beta - 1.0) * b.std(ddof=1) / math.sqrt(reps) / g**2  # delta method
+        assert abs(est - est_b) < 4.0 * math.hypot(se, se_b)
 
     def test_deterministic_per_seed(self):
         assert monte_carlo_a_beta(1.5, 5, 2000, seed=3) == monte_carlo_a_beta(1.5, 5, 2000, seed=3)

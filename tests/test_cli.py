@@ -443,6 +443,19 @@ class TestSimulate:
         assert cli.main([*base, "--signals", "blocks,bumps", "--n", "64,128"]) == 0
         assert calls == [("blocks", 64), ("blocks", 128), ("bumps", 64), ("bumps", 128)]
 
+    def test_too_small_n_fails_before_any_cell_runs(self, tmp_path, monkeypatch, capsys):
+        # n = 8 is a power of two, but it leaves no detail level above the cutoff
+        from steinthresh import harness
+
+        calls = []
+        monkeypatch.setattr(harness, "_cell_errors", lambda *args: calls.append(args))
+        path = tmp_path / "x.csv"
+        argv = ["simulate", "--methods", "zh", "--signals", "blocks", "--n", "1024,8", "--reps", "2",
+                "--out", str(path)]
+        assert cli.main(argv) == 2
+        assert "no detail level above the resolution cutoff" in capsys.readouterr().err
+        assert calls == [] and not path.exists()
+
     def test_unwritable_output_is_io_error(self, tmp_path):
         r = run_cli(
             "simulate",

@@ -212,13 +212,27 @@ class TestStructure:
         with pytest.raises(ValueError):
             dwt_forward(np.array([1.0, np.inf] + [0.0] * 62), 2)
 
+    def test_float_levels_rejected(self):
+        for levels in (2.0, 2.5):
+            with pytest.raises(ValueError):
+                dwt_forward(np.zeros(64), levels)
+
     def test_decomposition_validation(self):
-        good = dwt_forward(np.ones(32), 2)
+        # the array's dtype and shape and the coarse size are all there is to
+        # check: a level's place and length follow from the dyadic layout
+        for shape in [(), (48,), (15,), (1,), (2, 2, 32)]:
+            with pytest.raises(ValueError):
+                WaveletDecomposition(np.zeros(shape), 1)
         with pytest.raises(ValueError):
-            WaveletDecomposition(good.coarse, [(3, np.zeros(8)), (4, np.zeros(17))], 32)
+            WaveletDecomposition(np.zeros(32, dtype=int), 8)  # a method shrinks the array in place
+        for coarse_size in (0, 3, 7, 32, 64, -8):
+            with pytest.raises(ValueError):
+                WaveletDecomposition(np.zeros(32), coarse_size)
+        for rows in (1, 3):
+            dec = WaveletDecomposition(np.zeros((rows, 32)), 8)
+            assert dec.coarse.shape == (rows, 8) and [j for j, _ in dec.details] == [3, 4]
+
+    @pytest.mark.parametrize("coarse_size", [8.0, 8.5, "8", None])
+    def test_coarse_size_must_be_an_int(self, coarse_size):
         with pytest.raises(ValueError):
-            WaveletDecomposition(good.coarse, [(3, np.zeros(8)), (5, np.zeros(32))], 48)
-        with pytest.raises(ValueError):
-            WaveletDecomposition(good.coarse, [(4, np.zeros(16)), (3, np.zeros(8))], 32)
-        with pytest.raises(ValueError):
-            WaveletDecomposition(np.zeros(7), [(3, np.zeros(8))], 15)
+            WaveletDecomposition(np.zeros(32), coarse_size)

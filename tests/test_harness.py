@@ -68,33 +68,23 @@ class TestCanonicalRisk:
 
 class TestEstimateSigma:
     def test_alternating_unit_coefficients(self):
-        dec = WaveletDecomposition(
-            np.array([3.0, 1.0]),
-            [(1, np.array([0.2, 0.4])), (2, np.zeros(4)), (3, np.tile([1.0, -1.0], 4))],
-            16,
-        )
+        finest = np.tile([1.0, -1.0], 4)
+        dec = WaveletDecomposition(np.concatenate(([3.0, 1.0, 0.2, 0.4], np.zeros(4), finest)), 2)
         assert estimate_sigma(dec) == 1.0 / 0.6745
 
     def test_median_centering(self):
         # a constant offset in the finest block is absorbed by the median
-        dec = WaveletDecomposition(
-            np.array([3.0, 1.0]),
-            [(1, np.array([0.2, 0.4])), (2, np.zeros(4)), (3, 5.0 + np.tile([1.0, -1.0], 4))],
-            16,
-        )
+        finest = 5.0 + np.tile([1.0, -1.0], 4)
+        dec = WaveletDecomposition(np.concatenate(([3.0, 1.0, 0.2, 0.4], np.zeros(4), finest)), 2)
         assert estimate_sigma(dec) == pytest.approx(1.0 / 0.6745, rel=1e-12)
 
     def test_degenerate_block_warns_and_returns_zero(self):
-        dec = WaveletDecomposition(
-            np.array([3.0, 1.0]),
-            [(1, np.array([0.2, 0.4])), (2, np.zeros(4)), (3, np.zeros(8))],
-            16,
-        )
+        dec = WaveletDecomposition(np.concatenate(([3.0, 1.0, 0.2, 0.4], np.zeros(12))), 2)
         with pytest.warns(UserWarning):
             assert estimate_sigma(dec) == 0.0
 
     def test_needs_two_coefficients(self):
-        dec = WaveletDecomposition(np.array([1.0]), [(0, np.array([2.0]))], 2)
+        dec = WaveletDecomposition(np.array([1.0, 2.0]), 1)
         with pytest.raises(ValueError):
             estimate_sigma(dec)
 
@@ -191,6 +181,13 @@ class TestRiskSweep:
             ("doppler", 128, "identity"),
             ("doppler", 128, "visu"),
         ]
+
+    def test_too_small_n_fails_before_any_cell_runs(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "_cell_errors", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="n=8 leaves no detail level"):
+            risk_sweep(["zh"], ["blocks"], [1024, 8], 3.0, 50, 0)
+        assert calls == []
 
     def test_doppler_relative_risk_improves_with_n(self):
         reports = risk_sweep(

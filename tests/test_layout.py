@@ -7,7 +7,13 @@ import pytest
 
 from steinthresh import baselines, dwt
 from steinthresh.baselines import METHOD_NAMES, _pipeline_depth, apply_method, make_method, resolution_cutoff
-from steinthresh.canonical import batch_estimate, resolve_a
+from steinthresh.canonical import (
+    DEFAULT_BETA_GRID,
+    CanonicalSample,
+    batch_estimate,
+    resolve_a,
+    select_beta_by_sure,
+)
 from steinthresh.dwt import WaveletDecomposition, dwt_forward, dwt_inverse
 from steinthresh.testbed import generate_signal
 
@@ -16,31 +22,64 @@ def old_soft(x, lam):
     return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
 
 
-# the per-level rules of the methods that now shrink all treated levels in
-# one pass, as they were written for one level's (m, d) rows
+def old_blockjs(v, sigma, n, config):
+    # Cai's block James-Stein on one level, into a new array, tail block last
+    block_len = math.floor(math.log(n))
+    kill = baselines.BLOCK_CRITICAL * block_len * sigma * sigma
+    m, d = v.shape
+    out = np.empty_like(v)
+    full = (d // block_len) * block_len
+    with np.errstate(divide="ignore", over="ignore"):
+        if full:
+            blocks = v[:, :full].reshape(m, -1, block_len)
+            factor = np.maximum(1.0 - kill / (blocks * blocks).sum(axis=-1), 0.0)
+            out[:, :full] = (factor[..., None] * blocks).reshape(m, full)
+        if full < d:
+            padded = v.take(np.arange(full, full + block_len) % d, axis=-1)
+            s2 = (padded[:, None, :] @ padded[:, :, None])[:, 0]
+            out[:, full:] = np.where(s2 > 0, np.maximum(1.0 - kill / s2, 0.0), 0.0) * v[:, full:]
+    return out
+
+
+def old_zh_sure(v, sigma, n, config):
+    # zh-sure on one level, into a copy: one scalar beta = 2 call, one column call for the other picks
+    s = sigma if np.ndim(sigma) else np.full((len(v), 1), sigma)
+    out = v.copy()
+    live = np.flatnonzero(v.any(axis=-1))
+    if live.size:
+        betas, a = select_beta_by_sure(CanonicalSample(v[live], s[live]), DEFAULT_BETA_GRID)
+        two = betas == 2.0
+        if two.any():
+            rows = live[two]
+            out[rows] = batch_estimate(v[rows], s[rows], 2.0, float(a[two][0]))
+        if not two.all():
+            rows = live[~two]
+            out[rows] = batch_estimate(v[rows], s[rows], betas[~two, None], a[~two, None])
+    return out
+
+
+# every method's rule as it was written for one level's (m, d) rows, each
+# returning a new array; the package's rules shrink all treated levels of a
+# slice in place
 OLD_LEVEL_RULES = {
+    "identity": lambda v, sigma, n, config: v.copy(),
     "visu": lambda v, sigma, n, config: old_soft(v, sigma * math.sqrt(2.0 * math.log(n))),
     "sure": lambda v, sigma, n, config: old_soft(v, baselines._hybrid_threshold(v / sigma) * sigma),
+    "blockjs": old_blockjs,
     "js": lambda v, sigma, n, config: (
         v.copy() if v.shape[-1] < 3 else batch_estimate(v, sigma, 2.0, float(v.shape[-1] - 2))),
     "zh": lambda v, sigma, n, config: batch_estimate(v, sigma, config.beta, resolve_a(config, v.shape[-1])),
+    "zh-sure": old_zh_sure,
 }
 
 
 def per_level_reference(method, decomp, sigma, cutoff):
-    """Coarse block and levels after ``method``, each treated level shrunk on its own copy.
-
-    The one-pass methods use their old per-level rules; the others run their
-    ``_RULES`` entry with the level as the whole treated slice.
-    """
-    rule = baselines._RULES[method.name]
+    """Coarse block and levels after ``method``, each treated level shrunk on its own by its old rule."""
+    rule = OLD_LEVEL_RULES[method.name]
     blocks = [decomp.coarse.copy()]
     for j, v in decomp.details:
-        level = np.atleast_2d(v).copy()
-        if j >= cutoff and method.name in OLD_LEVEL_RULES:
-            level = OLD_LEVEL_RULES[method.name](level, sigma, decomp.n, method.config)
-        elif j >= cutoff:
-            rule(level, sigma, decomp.n, method.config, ((0, level.shape[-1]),))
+        level = np.atleast_2d(v)
+        level = rule(level, sigma, decomp.n, method.config) if j >= cutoff else level.copy()
         blocks.append(level.reshape(v.shape))
     return blocks
 
@@ -122,13 +161,15 @@ class TestDyadicLayout:
         treated = sum(v.size for j, v in shrunk.details if j >= 5)
         assert treated == 256 - 32
 
-    def test_constructor_packs_a_copy(self):
-        coarse, level = np.array([1.0, 2.0]), np.array([3.0, 4.0])
-        dec = WaveletDecomposition(coarse, [(1, level)], 4)
-        np.testing.assert_array_equal(dec.values, [1.0, 2.0, 3.0, 4.0])
-        coarse[0] = level[0] = 99.0
-        np.testing.assert_array_equal(dec.values, [1.0, 2.0, 3.0, 4.0])
-        assert dec.details[0][1].base is dec.values
+    @pytest.mark.parametrize("shape", [(8,), (3, 8)])
+    def test_constructor_wraps_values_without_a_copy(self, shape):
+        values = np.zeros(shape)
+        values[...] = np.arange(8.0)
+        dec = WaveletDecomposition(values, 2)
+        assert dec.values is values and dec.n == 8
+        assert dec.coarse.base is values and [j for j, _ in dec.details] == [1, 2]
+        values[..., 0] = values[..., 3] = 99.0
+        assert (dec.coarse[..., 0] == 99.0).all() and (dec.details[0][1][..., 1] == 99.0).all()
 
     @pytest.mark.parametrize("name", METHOD_NAMES)
     def test_apply_method_never_aliases_its_input(self, name):

@@ -67,8 +67,7 @@ BLOCK_CRITICAL = 4.50524
 
 def resolution_cutoff(n):
     """Lowest integer level j >= log2(log n) + 1; coarser levels are left alone."""
-    if n < 2 or n & (n - 1):
-        raise ValueError(f"n must be a power of two >= 2, got {n}")
+    max_levels(n)  # an integer power of two >= 2
     return math.ceil(math.log2(math.log(n)) + 1.0)
 
 

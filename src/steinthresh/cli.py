@@ -14,7 +14,7 @@ import numpy as np
 
 from .baselines import METHOD_NAMES, _pipeline_depth, apply_method, make_method, resolution_cutoff
 from .canonical import A_RULES, ShrinkConfig, c_beta, monte_carlo_a_beta, resolve_a
-from .dwt import dwt_forward, dwt_inverse
+from .dwt import dwt_forward, dwt_inverse, max_levels
 from .harness import estimate_sigma, risk_sweep
 from .testbed import SIGNAL_NAMES
 
@@ -106,8 +106,7 @@ def cmd_denoise(args):
     if data.ndim != 1:
         raise ValueError("input must be a single-column CSV")
     n = data.size
-    if n < 2 or n & (n - 1):
-        raise ValueError(f"input length must be a power of two, got {n}")
+    max_levels(n)  # identity runs no transform, so its length is checked here
     if not np.isfinite(data).all():
         raise ValueError("signal must be finite")
     if args.method == "identity":

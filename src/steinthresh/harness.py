@@ -22,7 +22,7 @@ import numpy as np
 
 from ._rng import substream
 from .baselines import _pipeline_depth, apply_method, make_method, resolution_cutoff
-from .canonical import batch_estimate, resolve_a
+from .canonical import _count, _per_row, batch_estimate, resolve_a
 from .dwt import dwt_forward, dwt_inverse
 from .testbed import generate_signal
 
@@ -69,16 +69,15 @@ def canonical_risk(theta, config, sigma, reps, seed, positive_part=True, workers
 
     ``config=None`` measures the raw observation Z itself (risk d * sigma^2),
     which is the natural calibration check for the engine.  ``workers`` has
-    no effect on results or execution.
+    no effect on results or execution.  ``reps`` must be an integer (Python
+    or numpy) of at least 100; a float, even an integral one, raises
+    ValueError rather than being truncated.
     """
     theta = np.asarray(theta, dtype=float)
-    if theta.ndim != 1 or theta.size < 1:
-        raise ValueError("theta must be a nonempty 1-d vector")
-    if not (sigma > 0 and math.isfinite(sigma)):
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
-    reps = int(reps)
-    if reps < 100:
-        raise ValueError("canonical_risk needs reps >= 100")
+    if theta.ndim != 1 or theta.size < 1 or not np.isfinite(theta).all():
+        raise ValueError("theta must be a nonempty, finite 1-d vector")
+    sigma = _per_row(sigma, theta, "sigma")
+    reps = _count(reps, "reps", 100)
     d = theta.size
     beta = a = None
     if config is not None:
@@ -131,9 +130,7 @@ def _cell_errors(methods, signal, sigma_mode, reps, seed):
     # (len(methods), reps) squared errors; one analysis per block of replicate rows serves every method
     if sigma_mode not in ("known", "estimated"):
         raise ValueError(f"sigma_mode must be 'known' or 'estimated', got {sigma_mode!r}")
-    reps = int(reps)
-    if reps < 2:
-        raise ValueError("need at least 2 replicates for a standard error")
+    reps = _count(reps, "reps", 2)  # a standard error needs two replicates
     f = signal.samples
     n = f.size
     cutoff = resolution_cutoff(n)
@@ -176,7 +173,9 @@ def wavelet_risk_replicates(method, signal, sigma_mode="known", reps=500, seed=0
     Noise for replicate r depends only on (seed, r), so calls with different
     methods but one seed are paired.  Model noise scale is sigma = 1; the
     signal-to-noise ratio lives in the signal scaling.  ``workers`` has no
-    effect on results or execution.
+    effect on results or execution.  ``reps`` must be an integer (Python or
+    numpy) of at least 2; a float, even an integral one, raises ValueError
+    rather than being truncated.
     """
     return _cell_errors([method], signal, sigma_mode, reps, seed)[0]
 
@@ -205,11 +204,13 @@ def risk_sweep(methods, signals, n_values, snr, reps, seed, sigma_mode="known", 
     cell every method consumes identical noise draws, and each replicate's
     forward transform is computed once for all of them.  Every (signal, n)
     is generated, and every n checked against the pipeline's depth, before
-    any cell runs, so a bad name or size costs no run.
+    any cell runs, so a bad name or size costs no run.  Each n and ``reps``
+    must be an integer (Python or numpy); a float, even an integral one,
+    raises ValueError rather than being truncated.
     Reports are ordered by signal, then n, then method.
     """
     methods = [make_method(m) if isinstance(m, str) else m for m in methods]
-    cells = [generate_signal(name, int(n), snr) for name in signals for n in n_values]
+    cells = [generate_signal(name, n, snr) for name in signals for n in n_values]
     for sig in cells:
         _pipeline_depth(sig.samples.size)  # an n too small for the pipeline fails before any cell runs
     reports = []

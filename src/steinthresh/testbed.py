@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dwt import max_levels
+
 __all__ = [
     "CANONICAL_SIGNALS",
     "SIGNAL_NAMES",
@@ -28,11 +30,9 @@ class TestSignal:
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
-        n = self.samples.size
-        if n < 2 or n & (n - 1):
-            raise ValueError(f"signal length must be a power of two >= 2, got {n}")
-        if not self.snr > 0:
-            raise ValueError(f"snr must be positive, got {self.snr}")
+        max_levels(self.samples.size)  # a power of two >= 2
+        if not 0 < self.snr < np.inf:
+            raise ValueError(f"snr must be positive and finite, got {self.snr}")
 
 
 _JUMP_POINTS = np.array([0.1, 0.13, 0.15, 0.23, 0.25, 0.4, 0.44, 0.65, 0.76, 0.78, 0.81])
@@ -95,13 +95,12 @@ def generate_signal(name, n, snr):
     """Sample the named function on the dyadic grid and scale sd to ``snr``."""
     if name not in _SIGNALS:
         raise ValueError(f"unknown signal {name!r}; known: {sorted(_SIGNALS)}")
-    if n < 2 or n & (n - 1):
-        raise ValueError(f"n must be a power of two >= 2, got {n}")
-    if not snr > 0:
-        raise ValueError(f"snr must be positive, got {snr}")
+    max_levels(n)  # np.arange takes a float n, so the samples' size alone would pass 64.0
     t = np.arange(n, dtype=float) / n
-    raw = np.asarray(_SIGNALS[name](t), dtype=float)
-    sd = raw.std(ddof=1)
+    # checked before it scales the samples, so an infinite snr makes no nan
+    sig = TestSignal(name=name, samples=_SIGNALS[name](t), snr=float(snr))
+    sd = sig.samples.std(ddof=1)
     if not sd > 0:
         raise ValueError(f"signal {name!r} is constant on this grid; cannot scale to an snr")
-    return TestSignal(name=name, samples=raw * (snr / sd), snr=float(snr))
+    sig.samples *= snr / sd
+    return sig

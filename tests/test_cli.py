@@ -408,6 +408,14 @@ class TestSimulate:
                     "--out", str(tmp_path / "x.csv"))
         assert r.returncode == 2
 
+    def test_non_finite_snr_is_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "x.csv"
+        for snr in ("inf", "nan"):
+            assert cli.main(["simulate", "--methods", "zh", "--signals", "blocks", "--n", "64",
+                             "--snr", snr, "--reps", "5", "--out", str(path)]) == 2
+            assert "snr must be positive and finite" in capsys.readouterr().err
+        assert not path.exists()
+
     def test_printed_table_matches_the_csv(self, tmp_path, capsys):
         path = tmp_path / "out.csv"
         flags = ["--methods", "zh,visu,blockjs", "--signals", "blocks,spikes", "--n", "64,256",

@@ -7,7 +7,7 @@ import pytest
 
 from steinthresh import harness
 from steinthresh.baselines import make_method, resolution_cutoff
-from steinthresh.canonical import ShrinkConfig
+from steinthresh.canonical import ShrinkConfig, monte_carlo_a_beta, resolve_a
 from steinthresh.dwt import WaveletDecomposition, dwt_forward, max_levels
 from steinthresh.harness import (
     canonical_risk,
@@ -64,6 +64,9 @@ class TestCanonicalRisk:
             canonical_risk(np.zeros(4), None, 1.0, 99, seed=0)
         with pytest.raises(ValueError):
             canonical_risk(np.zeros(4), None, 0.0, 200, seed=0)
+        for bad in (np.nan, np.inf):  # a non-finite theta would give a nan mean_risk
+            with pytest.raises(ValueError, match="theta"):
+                canonical_risk([bad, 1.0, 2.0, 3.0], None, 1.0, 200, seed=0)
 
 
 class TestEstimateSigma:
@@ -222,3 +225,28 @@ class TestRiskSweep:
             risk_sweep(["zh", "visu"], ["blocks"], [64], snr=3.0, reps=10, seed=0, sigma_mode="exact")
         with pytest.raises(ValueError):
             risk_sweep(["zh", "visu"], ["blocks"], [64], snr=3.0, reps=1, seed=0)
+
+
+# every entry point of the count and length rules, as (call of the one
+# argument, a valid value); a float must raise ValueError even when it is
+# integral, and a numpy integer must give what the Python int gives
+INTEGER_ARGUMENTS = [
+    pytest.param(lambda d: monte_carlo_a_beta(1.5, d, 1000, 0), 64, id="monte_carlo_a_beta-d"),
+    pytest.param(lambda reps: monte_carlo_a_beta(1.5, 5, reps, 0), 1000, id="monte_carlo_a_beta-reps"),
+    pytest.param(lambda reps: canonical_risk(np.ones(5), ShrinkConfig(), 1.0, reps, 0), 150,
+                 id="canonical_risk-reps"),
+    pytest.param(lambda reps: wavelet_risk_replicates(make_method("zh"), generate_signal("blocks", 64, 3.0),
+                                                      reps=reps), 150, id="wavelet_risk_replicates-reps"),
+    pytest.param(lambda n: risk_sweep(["zh"], ["blocks"], [n], 3.0, 20, 0), 64, id="risk_sweep-n"),
+    pytest.param(lambda n: generate_signal("blocks", n, 3.0).samples, 64, id="generate_signal-n"),
+    pytest.param(resolution_cutoff, 64, id="resolution_cutoff-n"),
+    pytest.param(lambda d: resolve_a(ShrinkConfig(), d), 64, id="resolve_a-d"),
+]
+
+
+@pytest.mark.parametrize("call, value", INTEGER_ARGUMENTS)
+def test_counts_and_lengths_must_be_integers(call, value):
+    for bad in (value + 0.9, value + 0.7, float(value)):
+        with pytest.raises(ValueError):
+            call(bad)
+    np.testing.assert_equal(call(np.int64(value)), call(value))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from steinthresh import testbed
 from steinthresh.testbed import CANONICAL_SIGNALS, SIGNAL_NAMES, generate_signal
 
 
@@ -60,4 +61,9 @@ class TestGenerateSignal:
             generate_signal("blocks", 100, 3.0)
         with pytest.raises(ValueError):
             generate_signal("blocks", 64, 0.0)
+        for snr in (np.inf, np.nan):  # an infinite snr scaled the samples to nan
+            with pytest.raises(ValueError, match="snr must be positive and finite"):
+                generate_signal("blocks", 64, snr)
+            with pytest.raises(ValueError, match="snr must be positive and finite"):
+                testbed.TestSignal("blocks", np.ones(64), snr)
 

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import (
-    DEFAULT_BETA_GRID,
     CanonicalSample,
     ShrinkConfig,
     _per_row,
@@ -106,7 +105,7 @@ def _hybrid_threshold(w):
     # near 1e154 and up) make a level dense and only reach the risks of
     # candidates above the universal threshold, which are dropped anyway.
     m, d = w.shape
-    universal = math.sqrt(2.0 * math.log(d)) if d > 1 else 0.0
+    universal = math.sqrt(2.0 * math.log(d))
     with np.errstate(over="ignore"):
         energy_excess = ((w[:, None, :] @ w[:, :, None])[:, 0] - d) / d  # each row's w @ w, same bits
     thresh = np.full((m, 1), universal)
@@ -160,7 +159,7 @@ def _blockjs(t, sigma, n, config, levels):
             padded = v.take(np.arange(full, full + block_len) % d, axis=-1)
             with np.errstate(divide="ignore", over="ignore"):
                 s2 = (padded[:, None, :] @ padded[:, :, None])[:, 0]  # each row's padded @ padded, same bits
-                factor = np.where(s2 > 0, np.maximum(1.0 - kill / s2, 0.0), 0.0)
+                factor = np.maximum(1.0 - kill / s2, 0.0)
             v[:, full:] *= factor
         if full:
             blocks = v[:, :full].reshape(m, -1, block_len)  # a view: the level's columns are contiguous
@@ -198,7 +197,7 @@ def _zh_sure(t, sigma, n, config, levels):
         v = t[:, lo:hi]
         live = np.flatnonzero(v.any(axis=-1))
         if live.size:
-            betas, a = select_beta_by_sure(CanonicalSample(v[live], s[live]), DEFAULT_BETA_GRID)
+            betas, a = select_beta_by_sure(CanonicalSample(v[live], s[live]))
             two = betas == 2.0
             if two.any():
                 rows = live[two]

@@ -197,7 +197,8 @@ def batch_estimate(z, sigma, beta, a, positive_part=True, segments=None):
     ``positive_part=False`` subtracts ``a sign(w_i)|w_i|**(beta-1)/D``
     instead, which can overshoot past zero and rejects an all-zero row.
     ``sigma``, ``beta`` and ``a`` are each a scalar or an (m, 1) column, one
-    value per row; a row's output does not depend on which form carries its
+    value per row (``sigma`` and ``a`` positive and finite, ``beta`` in
+    (0, 2]); a row's output does not depend on which form carries its
     values, except where numpy's power takes a scalar exponent of 2, 0.5 or
     -1 exactly and a column one through ``pow``: at beta = 2 or 0.5, at
     beta = 1 (``|w|**(beta-2)``) and, untruncated, at beta = 1.5.  A row
@@ -210,6 +211,7 @@ def batch_estimate(z, sigma, beta, a, positive_part=True, segments=None):
     has the bits of a call on that segment alone.
     """
     z = np.asarray(z, dtype=float)
+    sigma = _per_row(sigma, z, "sigma")
     if segments is None:
         a = _per_row(a, z, "a")
     else:
@@ -285,7 +287,8 @@ def batch_sure(z, sigma, beta, a, total=False):
     broadcast against the rows of ``z``: a single level ``z[None, :]`` scored
     against a column of G candidates gives a (G, d) result in one pass, and
     m rows against (G, 1, 1) candidates a (G, m, d) one.  ``sigma`` is a
-    scalar or an (m, 1) column, one value per row.  The inputs are checked
+    positive finite scalar or an (m, 1) column of them, one value per row,
+    as in :func:`batch_estimate`.  The inputs are checked
     and ``log|w|`` and ``w**2 - 1`` formed once per call; the
     powers of ``|w|`` come from that ``log|w|``, with
     ``|w|**(2beta-2)/D**2`` formed as ``(|w|**(beta-2)/D) * (|w|**beta/D)``.
@@ -304,6 +307,7 @@ def batch_sure(z, sigma, beta, a, total=False):
     total is one sum along d, so it has the bits of the summed full result.
     """
     z = np.asarray(z, dtype=float)
+    sigma = _per_row(sigma, z, "sigma")
     beta = np.asarray(beta, dtype=float)
     a = np.asarray(a, dtype=float)
     if not ((beta > 1.0) & (beta <= 2.0)).all():
@@ -334,39 +338,32 @@ def batch_sure(z, sigma, beta, a, total=False):
 
 
 @lru_cache(maxsize=64)
-def _beta_candidates(beta_grid, d):
-    # sorted distinct grid entries in (1, 2] and their finite-rule constants,
-    # as read-only (G, 1, 1) columns that broadcast against (m, d) rows
-    betas = sorted({float(b) for b in beta_grid if 1.0 < b <= 2.0})
-    if not betas:
-        raise ValueError("beta grid contains no values in (1, 2]")
-    a = [resolve_a(ShrinkConfig(beta=b, a_rule="finite"), d) for b in betas]
-    cols = np.array(betas)[:, None, None], np.array(a)[:, None, None]
+def _beta_candidates(d):
+    # DEFAULT_BETA_GRID and its finite-rule constants at dimension d, as
+    # read-only (G, 1, 1) columns that broadcast against (m, d) rows
+    a = [resolve_a(ShrinkConfig(beta=b, a_rule="finite"), d) for b in DEFAULT_BETA_GRID]
+    cols = np.array(DEFAULT_BETA_GRID)[:, None, None], np.array(a)[:, None, None]
     for col in cols:
         col.setflags(write=False)
     return cols
 
 
-def select_beta_by_sure(sample, beta_grid=None):
-    """Pick (beta, a) on a grid by minimizing the unbiased risk estimate.
+def select_beta_by_sure(sample):
+    """Pick (beta, a) on ``DEFAULT_BETA_GRID`` by minimizing the unbiased risk estimate.
 
-    Grid entries outside (1, 2] are ignored; if none remain a ValueError is
-    raised.  ``a`` follows the finite-sample rule at each candidate.  The
-    candidates are scored as a column by one :func:`batch_sure` call with
-    ``total`` set, so the level is checked and its ``log|w|`` formed once,
-    and its kernel runs once per block of at most ``max(_SURE_BLOCK, m * d)``
-    values, counted over candidates x rows x d (a single block for one
-    level of up to 819 coefficients on the default grid); exact zeros in the
-    level score as they would through ``pow``.  Exact ties go to the larger
-    beta.  A ValueError is raised when any candidate's total overflows
-    (``|z|/sigma`` near 1e154 or above), since no pick is defined then.  A
-    1-d sample gives floats; a sample of m rows gives arrays of m picks,
-    each the pick of its row alone.
+    ``a`` follows the finite-sample rule at each candidate.  The candidates
+    are scored as a column by one :func:`batch_sure` call with ``total`` set,
+    so the level is checked and its ``log|w|`` formed once, and its kernel
+    runs once per block of at most ``max(_SURE_BLOCK, m * d)`` values,
+    counted over candidates x rows x d (a single block for one level of up
+    to 819 coefficients); exact zeros in the level score as they would
+    through ``pow``.  Exact ties go to the larger beta.  A ValueError is
+    raised when any candidate's total overflows (``|z|/sigma`` near 1e154 or
+    above), since no pick is defined then.  A 1-d sample gives floats; a
+    sample of m rows gives arrays of m picks, each the pick of its row alone.
     """
-    if beta_grid is None:
-        beta_grid = DEFAULT_BETA_GRID
     rows = np.atleast_2d(sample.z)
-    betas, a = _beta_candidates(tuple(beta_grid), rows.shape[1])
+    betas, a = _beta_candidates(rows.shape[1])
     # positional, so a wrapper that forwards *args (as bench/tracing.py's
     # call counter does) sees the same call
     totals = batch_sure(rows, sample.sigma, betas, a, True)

@@ -43,10 +43,10 @@ def _real(text):
 def _count(text):
     try:
         value = float(text)
-        rounded = int(round(value))  # inf overflows, nan is a ValueError
+        rounded = int(value)  # inf overflows, nan is a ValueError
     except (ValueError, OverflowError):
         raise argparse.ArgumentTypeError(f"not a count: {text!r}") from None
-    if rounded < 1 or abs(value - rounded) > 1e-9 * max(1.0, abs(value)):
+    if rounded < 1 or rounded != value:
         raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
     return rounded
 

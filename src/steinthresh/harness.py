@@ -167,17 +167,23 @@ def _squared_errors(fhat, f):
     return fhat.sum(axis=-1)
 
 
+def _as_methods(methods):
+    # LevelwiseMethod objects for methods given as objects or bare names
+    return [make_method(m) if isinstance(m, str) else m for m in methods]
+
+
 def wavelet_risk_replicates(method, signal, sigma_mode="known", reps=500, seed=0, workers=1):
     """Per-replicate squared errors ||fhat - f||^2 of the full denoising pipeline.
 
-    Noise for replicate r depends only on (seed, r), so calls with different
-    methods but one seed are paired.  Model noise scale is sigma = 1; the
+    ``method`` is a LevelwiseMethod or a bare method name.  Noise for
+    replicate r depends only on (seed, r), so calls with different methods
+    but one seed are paired.  Model noise scale is sigma = 1; the
     signal-to-noise ratio lives in the signal scaling.  ``workers`` has no
     effect on results or execution.  ``reps`` must be an integer (Python or
     numpy) of at least 2; a float, even an integral one, raises ValueError
     rather than being truncated.
     """
-    return _cell_errors([method], signal, sigma_mode, reps, seed)[0]
+    return _cell_errors(_as_methods([method]), signal, sigma_mode, reps, seed)[0]
 
 
 def _report(method, signal, errs):
@@ -209,7 +215,7 @@ def risk_sweep(methods, signals, n_values, snr, reps, seed, sigma_mode="known", 
     raises ValueError rather than being truncated.
     Reports are ordered by signal, then n, then method.
     """
-    methods = [make_method(m) if isinstance(m, str) else m for m in methods]
+    methods = _as_methods(methods)
     cells = [generate_signal(name, n, snr) for name in signals for n in n_values]
     for sig in cells:
         _pipeline_depth(sig.samples.size)  # an n too small for the pipeline fails before any cell runs

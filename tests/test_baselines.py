@@ -412,5 +412,5 @@ class TestMethodDispatch:
         np.testing.assert_array_equal(out.details[2][1], run(name, dec, 1.0, 3).details[2][1])
         assert {attr for attr, seen in calls.items() if seen} == hooks
         assert len(calls["batch_estimate"]) == estimates
-        for sample, _grid in calls["select_beta_by_sure"]:
+        for (sample,) in calls["select_beta_by_sure"]:
             assert isinstance(sample, CanonicalSample)

@@ -588,6 +588,18 @@ class TestArgumentTypes:
         with pytest.raises(argparse.ArgumentTypeError):
             cli._count(text)
 
+    @pytest.mark.parametrize("reps", ["1000.0000001", "1000000.0001"])
+    def test_count_near_an_integer_is_validation_error(self, tmp_path, reps):
+        # these were once rounded and run as 1,000 and 10**6 replicates
+        r = run_cli("bound-a", "--beta", "4/3", "--d", "50", "--reps", reps, cwd=tmp_path)
+        assert r.returncode == 2
+        assert "usage:" in r.stderr and f"not a positive integer: {reps!r}" in r.stderr
+        assert r.stdout == ""
+
+    def test_count_accepts_integral_float_text(self):
+        for text, count in (("1e6", 10**6), ("64.0", 64), ("7", 7)):
+            assert cli._count(text) == count and type(cli._count(text)) is int
+
 
 class TestReadme:
     def test_command_examples_parse(self):

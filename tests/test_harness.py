@@ -142,8 +142,17 @@ class TestWaveletRisk:
         sig_err = float(np.sum((fhat - sig.samples) ** 2))
         assert coef_err == pytest.approx(sig_err, rel=1e-8)
 
+    @pytest.mark.parametrize("name", ["zh", "zh-sure", "blockjs"])
+    def test_a_method_name_gives_the_errors_of_its_method_object(self, name):
+        # risk_sweep already took names; a name here once failed on .name
+        sig = generate_signal("bumps", 128, 3.0)
+        by_name = wavelet_risk_replicates(name, sig, "estimated", 12, 6)
+        assert by_name.tobytes() == wavelet_risk_replicates(make_method(name), sig, "estimated", 12, 6).tobytes()
+
     def test_validation(self):
         sig = generate_signal("blocks", 64, 3.0)
+        with pytest.raises(ValueError, match="unknown method"):
+            wavelet_risk_replicates("nope", sig, reps=50, seed=0)
         with pytest.raises(ValueError):
             wavelet_risk_replicates(make_method("zh"), sig, sigma_mode="exact", reps=50, seed=0)
         with pytest.raises(ValueError):

@@ -8,7 +8,6 @@ import pytest
 from steinthresh import baselines, dwt
 from steinthresh.baselines import METHOD_NAMES, _pipeline_depth, apply_method, make_method, resolution_cutoff
 from steinthresh.canonical import (
-    DEFAULT_BETA_GRID,
     CanonicalSample,
     batch_estimate,
     resolve_a,
@@ -47,7 +46,7 @@ def old_zh_sure(v, sigma, n, config):
     out = v.copy()
     live = np.flatnonzero(v.any(axis=-1))
     if live.size:
-        betas, a = select_beta_by_sure(CanonicalSample(v[live], s[live]), DEFAULT_BETA_GRID)
+        betas, a = select_beta_by_sure(CanonicalSample(v[live], s[live]))
         two = betas == 2.0
         if two.any():
             rows = live[two]

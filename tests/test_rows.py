@@ -166,7 +166,7 @@ class TestSelectBetaRows:
                 z[:, : d // 8] += 9.0 * rng.random((m, 1))
                 z[rng.random((m, d)) < 0.1] = 0.0
                 sample = CanonicalSample(z, rng.uniform(0.5, 2.0, m))
-                betas, a = canonical._beta_candidates(DEFAULT_BETA_GRID, d)
+                betas, a = canonical._beta_candidates(d)
                 whole = canonical.batch_sure(z, sample.sigma, betas, a).sum(axis=-1)
                 monkeypatch.setattr(canonical, "_SURE_BLOCK", 1)
                 picks = select_beta_by_sure(sample)

@@ -48,9 +48,10 @@ _SURE_BLOCK = 2**14
 
 # monte_carlo_a_beta draws 2**21 values (16 MiB) per block from the block's own
 # substream, so the block size fixes the result; each block is drawn in row
-# chunks of about 2**17 values (1 MiB), which only bounds the temporaries
+# chunks of about 2**15 values (256 KiB) into two buffers reused for every
+# chunk of the block, so the chunk size only bounds the working set
 _MC_BLOCK = 2**21
-_MC_CHUNK = 2**17
+_MC_CHUNK = 2**15
 
 # finite stand-in for log 0: times beta - 2 = 0 it gives 0, as pow has 0**0 = 1,
 # while beta > 0 and beta - 2 < 0 still take |0|**beta to 0 and |0|**(beta-2) to inf
@@ -386,18 +387,25 @@ def _cpu_count():
 def _mc_block(beta, d, seed, block, rows):
     # (sum of ratios, sum of squared ratios) over one block of ``rows`` replicates
     gen = substream(seed, block)
-    step = max(1, _MC_CHUNK // d)
+    step = min(max(1, _MC_CHUNK // d), rows)
     ratio = np.empty(rows)
+    xi_buf = np.empty((step, d))
+    p_buf = np.empty((step, d))
     for lo in range(0, rows, step):
         hi = min(lo + step, rows)
-        xi = gen.standard_normal((hi - lo, d))
+        # a draw into ``out`` continues the stream exactly as a sized draw does
+        xi = gen.standard_normal(out=xi_buf[: hi - lo])
         np.abs(xi, out=xi)
         # one pow per value: p = |xi|**(beta-1), p*|xi| = |xi|**beta, p*p = |xi|**(2beta-2)
-        p = np.power(xi, beta - 1.0)
+        p = np.power(xi, beta - 1.0, out=p_buf[: hi - lo])
         xi *= p
         np.square(p, out=p)
         np.divide(p.sum(axis=1), np.square(xi.sum(axis=1)), out=ratio[lo:hi])
-    return float(ratio.sum()), float((ratio * ratio).sum())
+    # the chunk buffers go before the reduction, which needs only ratio
+    del xi_buf, p_buf, xi, p
+    s1 = float(ratio.sum())
+    # squared in place: np.square is ratio * ratio without a block-length temporary
+    return s1, float(np.square(ratio, out=ratio).sum())
 
 
 def monte_carlo_a_beta(beta, d, reps, seed):
@@ -407,7 +415,8 @@ def monte_carlo_a_beta(beta, d, reps, seed):
     At beta = 2 the expectation is E[1/chisq_d] = 1/(d-2), so the estimate
     converges to 2(d-2).  Deterministic in ``seed``: replicates come in
     blocks of ``_MC_BLOCK // d`` rows (16 MiB), block b drawn from
-    ``substream(seed, b)`` in row chunks of about 1 MiB.  Sequential draws
+    ``substream(seed, b)`` in row chunks of about 256 KiB, drawn into two
+    buffers reused for every chunk of the block.  Sequential draws
     continue one stream and row sums do not depend on the chunking, so the
     chunk size does not change the result.  Blocks run on a thread pool of
     one thread per available core (none for a single block or core), and

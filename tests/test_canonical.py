@@ -3,6 +3,7 @@
 import itertools
 import math
 import threading
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -862,11 +863,34 @@ class TestMonteCarloBlocks:
 
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_bound_a_shape_with_a_ragged_last_block(self, monkeypatch, cpus):
-        # d = 50: 3.5 blocks of 41943 rows, drawn in the default 2621-row chunks
+        # d = 50: 3.5 blocks of 41943 rows, drawn in the default 655-row chunks
         monkeypatch.setattr(canonical, "_cpu_count", lambda: cpus)
         reps = 7 * (2**21 // 50) // 2
         for beta in (4.0 / 3.0, 2.0):
             assert_matches_oracle(monte_carlo_a_beta(beta, 50, reps, seed=9), beta, 50, reps, 9)
+
+    def test_pinned_results(self):
+        # exact results (numpy 2.4.6) of the kernel that drew 1 MiB chunks into
+        # fresh arrays: the oracle allows 1e-13 at beta != 2, these allow no change
+        assert monte_carlo_a_beta(4.0 / 3.0, 50, 83886, 0) == (82.80299410153718, 0.06031242515254407)
+        assert monte_carlo_a_beta(2.0, 50, 83886, 0) == (95.8917960495411, 0.06924052468095937)
+        assert monte_carlo_a_beta(4.0 / 3.0, 5, 123457, 0) == (5.35752094554879, 0.019668799742646483)
+
+    @pytest.mark.parametrize(("d", "reps"), [(50, 83886), (5, 838860)])
+    def test_two_blocks_run_in_one_blocks_working_set(self, monkeypatch, d, reps):
+        # one thread: the ratio vector, the two chunk buffers and a chunk's
+        # three row-sum vectors, plus 64 KiB for everything else
+        monkeypatch.setattr(canonical, "_cpu_count", lambda: 1)
+        rows = canonical._MC_BLOCK // d
+        step = canonical._MC_CHUNK // d
+        assert reps == 2 * rows
+        tracemalloc.start()
+        try:
+            monte_carlo_a_beta(4.0 / 3.0, d, reps, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (rows + 2 * step * d + 3 * step) + 2**16
 
     def test_single_block_starts_no_pool(self, monkeypatch):
         def no_pool(*_):

@@ -191,13 +191,16 @@ def _zh_sure(t, sigma, n, config, levels):
     # unbiased risk; all-zero rows pass through.  A level's live rows are
     # shrunk in one call with beta and a as per-row columns, except those that
     # picked beta = 2: they share one scalar call, as a scalar exponent 2 is
-    # numpy's exact square while a column exponent runs pow
+    # numpy's exact square while a column exponent runs pow.  Selection reads
+    # the level in place unless some row is all zero: the gather of the live
+    # rows would copy the level at the block's memory peak
     s = sigma if np.ndim(sigma) else np.full((len(t), 1), sigma)
     for lo, hi in levels:
         v = t[:, lo:hi]
         live = np.flatnonzero(v.any(axis=-1))
         if live.size:
-            betas, a = select_beta_by_sure(CanonicalSample(v[live], s[live]))
+            sample = CanonicalSample(v, s) if live.size == len(v) else CanonicalSample(v[live], s[live])
+            betas, a = select_beta_by_sure(sample)
             two = betas == 2.0
             if two.any():
                 rows = live[two]

@@ -36,9 +36,11 @@ __all__ = [
 ]
 
 _BATCH = 256  # canonical replicates per substream; fixed so the draws depend only on the seed
-# signal values per block of wavelet replicates: 8 rows at n = 1024, 1 row from
-# n = 8192 up; it bounds the block's arrays and does not change any result
-_BLOCK_VALUES = 2**13
+# signal values per block of wavelet replicates: 16 rows at n = 1024, so a
+# 16-replicate cell is one block and zh-sure pays its per-level cost once; 2 rows
+# at n = 8192 and 1 row from n = 16384 up.  It bounds the block's arrays and
+# does not change any result
+_BLOCK_VALUES = 2**14
 
 
 @dataclass

@@ -335,7 +335,7 @@ class TestSimulate:
         "known": "30c697a93f68d21af1bd357c62901185f4324bff6b0b6f0225d9bbe604fae84b",
     }
 
-    @pytest.mark.parametrize("rows_at_1024", [None, 1, 7, 64])
+    @pytest.mark.parametrize("rows_at_1024", [None, 1, 7, 8, 16, 64])
     @pytest.mark.parametrize("sigma_mode", ["estimated", "known"])
     def test_bytes_do_not_depend_on_the_row_block(self, tmp_path, monkeypatch, sigma_mode, rows_at_1024):
         from steinthresh import harness

@@ -1,6 +1,7 @@
 """Monte Carlo engines: calibration, determinism, and the sigma estimator."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,6 +149,25 @@ class TestWaveletRisk:
         sig = generate_signal("bumps", 128, 3.0)
         by_name = wavelet_risk_replicates(name, sig, "estimated", 12, 6)
         assert by_name.tobytes() == wavelet_risk_replicates(make_method(name), sig, "estimated", 12, 6).tobytes()
+
+    def test_a_16_row_block_bounds_its_working_set(self, monkeypatch):
+        # 16 replicates at n = 1024 run as one block; its traced peak (the finest
+        # level's selection) may be at most 1.35x that of two 8-row blocks
+        sig = generate_signal("doppler", 1024, 3.0)
+
+        def peak():
+            wavelet_risk_replicates("zh-sure", sig, "estimated", 16, 3)  # fill the caches first
+            tracemalloc.start()
+            try:
+                wavelet_risk_replicates("zh-sure", sig, "estimated", 16, 3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert harness._BLOCK_VALUES // 1024 == 16
+        one_block = peak()
+        monkeypatch.setattr(harness, "_BLOCK_VALUES", 8 * 1024)
+        assert one_block <= 1.35 * peak()
 
     def test_validation(self):
         sig = generate_signal("blocks", 64, 3.0)

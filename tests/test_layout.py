@@ -91,11 +91,11 @@ def stepwise_inverse(blocks):
     return x
 
 
-def noisy_rows(n, m, seed):
+def noisy_rows(n, m, seed, zero_row=True):
     rng = np.random.default_rng(seed)
     f = generate_signal("bumps", n, 3.0).samples
     y = f + rng.standard_normal((m, n)) * rng.uniform(0.5, 2.0, (m, 1))
-    if m > 1:
+    if m > 1 and zero_row:
         y[-1] = 0.0  # an all-zero row: zh-sure passes it through, blockjs and zh zero it
     return y[0] if m == 1 else y
 
@@ -104,7 +104,17 @@ class TestOnePassMatchesPerLevelOracle:
     @pytest.mark.parametrize("m", [1, 2, 8])
     @pytest.mark.parametrize("n", [256, 1024, 16384])
     def test_every_method_bit_for_bit(self, n, m):
-        y = noisy_rows(n, m, 10 * n + m)
+        self.check_every_method(noisy_rows(n, m, 10 * n + m), n, m)
+
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_every_method_bit_for_bit_with_every_row_live(self, n):
+        # no all-zero row, so zh-sure selects on the level's rows without a gather
+        y = noisy_rows(n, 16, 10 * n + 16, zero_row=False)
+        assert y.any(axis=-1).all()
+        self.check_every_method(y, n, 16)
+
+    @staticmethod
+    def check_every_method(y, n, m):
         dec = dwt_forward(y, _pipeline_depth(n))
         cutoff = resolution_cutoff(n)
         sigmas = [1.3] if m == 1 else [1.3, np.linspace(0.8, 1.6, m)[:, None]]

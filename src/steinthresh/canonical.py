@@ -100,7 +100,7 @@ def _per_row(x, z, name, ok=lambda v: 0 < v < math.inf, expected="positive and f
         x = np.asarray(x, dtype=float).reshape(-1, 1)
         if z.ndim != 2 or len(x) != len(z):
             raise ValueError(f"need one {name} per row of a 2-d input, got {len(x)} values")
-        values = x.ravel()
+        values = x.ravel().tolist()
     if not all(map(ok, values)):
         raise ValueError(f"{name} must be {expected}, got {x}")
     return x
@@ -268,6 +268,9 @@ def _sure_kernel(logw, clipped, var, beta, lead_power, a, scale, shift):
     # at beta = 2 (lead = 1) that is exactly a > D, and capping D/a below inf
     # zeroes |0|**(beta-2) = inf even where D overflowed
     clip = lead > np.minimum(dnm / a, _DOUBLE_MAX)
+    # D divides twice, so it is spread to full width once: numpy's pass
+    # against a contiguous operand is faster than against a stride-0 column
+    dnm = np.repeat(dnm, pb.shape[-1], axis=-1)
     lead /= dnm
     # kept: 1 + |w|**(beta-2)/D * (scale * |w|**beta/D - shift), in place on
     # pb with only the operand order swapped
@@ -325,7 +328,10 @@ def batch_sure(z, sigma, beta, a, total=False):
         # log|w| in place of w, with exact zeros at the finite stand-in _LOG_ZERO
         logw = np.log(np.abs(w, out=w), out=w)
         np.maximum(logw, _LOG_ZERO, out=logw)
-        terms = logw, clipped, sigma**2
+        # a column sigma**2 scales every kernel block, so it is spread to the
+        # level's full width once per call
+        var = sigma**2 if np.ndim(sigma) == 0 else np.repeat(sigma**2, logw.shape[-1], axis=-1)
+        terms = logw, clipped, var
         coef = beta, beta - 2.0, a, a * a + 2.0 * a * beta, 2.0 * a * (beta - 1.0)
         if not total:
             return _sure_kernel(*terms, *coef)

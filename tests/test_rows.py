@@ -133,6 +133,22 @@ class TestSigmaRows:
                     assert estimate_sigma(row_of(rows, k)) == 0.0
                 assert sigma[k, 0] == 0.0
 
+    def test_ties_at_both_medians_match_np_median(self):
+        # both middle ranks tie, in the values and in the absolute deviations
+        # (rows 0 and 1 by repeated values, row 2 from opposite sides of a zero median),
+        # so any rank order among tied entries must give np.median's bits
+        finest = np.array([[-3.0, -1.0, 0.5, 0.5, 0.5, 2.0, 4.0, 7.0],
+                           [1.5, -1.5, 1.5, -1.5, 0.25, 0.25, -0.75, 3.0],
+                           [-2.0, 1.0, -1.0, 0.0, 2.0, 0.0, 1.0, -1.0]]) * 0.3
+        rows = WaveletDecomposition(np.concatenate([np.ones((3, 8)), finest], axis=1), 8)
+        sigma = estimate_sigma(rows)
+        for k, f in enumerate(finest):
+            dev = np.sort(np.abs(f - np.median(f)))
+            assert np.sort(f)[3] == np.sort(f)[4] and dev[3] == dev[4]
+            expected = np.median(np.abs(f - np.median(f))) / 0.6745
+            assert same_bytes(sigma[k, 0], expected)
+            assert same_bytes(estimate_sigma(row_of(rows, k)), expected)
+
 
 class TestSelectBetaRows:
     @settings(max_examples=30, deadline=None)
@@ -160,7 +176,7 @@ class TestSelectBetaRows:
         from steinthresh import canonical
 
         rng = np.random.default_rng(5)
-        for m in (1, 4, 8):
+        for m in (1, 4, 8, 16):
             for d in (16, 64, 512):
                 z = rng.standard_normal((m, d)) * 2.0
                 z[:, : d // 8] += 9.0 * rng.random((m, 1))

@@ -188,26 +188,21 @@ def _zh(t, sigma, n, config, levels):
 
 def _zh_sure(t, sigma, n, config, levels):
     # like zh, but beta (and its finite-rule a) is tuned per level and row by
-    # unbiased risk; all-zero rows pass through.  A level's live rows are
-    # shrunk in one call with beta and a as per-row columns, except those that
-    # picked beta = 2: they share one scalar call, as a scalar exponent 2 is
-    # numpy's exact square while a column exponent runs pow.  Selection reads
-    # the level in place unless some row is all zero: the gather of the live
-    # rows would copy the level at the block's memory peak
+    # unbiased risk, read from the level in place; an all-zero row scores
+    # -sigma**2 per coordinate at every candidate, so it picks beta = 2 and
+    # comes out as +0.0.  A level's rows are shrunk in one call with beta and
+    # a as per-row columns, except those that picked beta = 2: they share one
+    # scalar call, as a scalar exponent 2 is numpy's exact square while a
+    # column exponent runs pow
     s = sigma if np.ndim(sigma) else np.full((len(t), 1), sigma)
     for lo, hi in levels:
         v = t[:, lo:hi]
-        live = np.flatnonzero(v.any(axis=-1))
-        if live.size:
-            sample = CanonicalSample(v, s) if live.size == len(v) else CanonicalSample(v[live], s[live])
-            betas, a = select_beta_by_sure(sample)
-            two = betas == 2.0
-            if two.any():
-                rows = live[two]
-                v[rows] = batch_estimate(v[rows], s[rows], 2.0, float(a[two][0]))
-            if not two.all():
-                rows = live[~two]
-                v[rows] = batch_estimate(v[rows], s[rows], betas[~two, None], a[~two, None])
+        betas, a = select_beta_by_sure(CanonicalSample(v, s))
+        two = betas == 2.0
+        if two.any():
+            v[two] = batch_estimate(v[two], s[two], 2.0, float(a[two][0]))
+        if not two.all():
+            v[~two] = batch_estimate(v[~two], s[~two], betas[~two, None], a[~two, None])
 
 
 _RULES = {

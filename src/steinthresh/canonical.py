@@ -260,13 +260,13 @@ def _sure_kernel(logw, clipped, var, beta, lead_power, a, scale, shift):
     pb = beta * logw
     np.exp(pb, out=pb)
     dnm = pb.sum(axis=-1, keepdims=True)
-    if not dnm.all():
-        raise ValueError("degenerate input: all coordinates zero")
     lead = lead_power * logw
     np.exp(lead, out=lead)
     # zero a coordinate when a*|w|**(beta-2) > D, tested as |w|**(beta-2) > D/a:
     # at beta = 2 (lead = 1) that is exactly a > D, and capping D/a below inf
-    # zeroes |0|**(beta-2) = inf even where D overflowed
+    # zeroes |0|**(beta-2) = inf even where D overflowed; an all-zero row
+    # (D = 0) is clipped throughout, so the nan and inf of its kept formula
+    # are overwritten by copyto
     clip = lead > np.minimum(dnm / a, _DOUBLE_MAX)
     # D divides twice, so it is spread to full width once: numpy's pass
     # against a contiguous operand is faster than against a stride-0 column
@@ -301,8 +301,9 @@ def batch_sure(z, sigma, beta, a, total=False):
     zeros follow ``pow``: ``|0|**beta`` is 0, and ``|0|**(beta-2)`` is 1 at
     beta = 2 and infinite below it, where such coordinates are always
     clipped, even in a row whose ``D`` overflows.  Clipped coordinates score
-    ``w**2 - 1`` times ``sigma**2``.  Overflow gives inf or nan scores, not
-    a warning.
+    ``w**2 - 1`` times ``sigma**2``, so an all-zero row (``D = 0``, every
+    coordinate clipped) scores ``-sigma**2`` per coordinate at every
+    candidate.  Overflow gives inf or nan scores, not a warning.
 
     With ``total`` true the scores are summed along d instead, and
     candidates stacked on an extra leading axis (``beta`` or ``a`` of higher
@@ -364,10 +365,12 @@ def select_beta_by_sure(sample):
     runs once per block of at most ``max(_SURE_BLOCK, m * d)`` values,
     counted over candidates x rows x d (a single block for one level of up
     to 819 coefficients); exact zeros in the level score as they would
-    through ``pow``.  Exact ties go to the larger beta.  A ValueError is
-    raised when any candidate's total overflows (``|z|/sigma`` near 1e154 or
-    above), since no pick is defined then.  A 1-d sample gives floats; a
-    sample of m rows gives arrays of m picks, each the pick of its row alone.
+    through ``pow``.  Exact ties go to the larger beta, so an all-zero row,
+    which scores ``-d * sigma**2`` at every candidate, picks beta = 2.  A
+    ValueError is raised when any candidate's total overflows (``|z|/sigma``
+    near 1e154 or above), since no pick is defined then.  A 1-d sample gives
+    floats; a sample of m rows gives arrays of m picks, each the pick of its
+    row alone.
     """
     rows = np.atleast_2d(sample.z)
     betas, a = _beta_candidates(rows.shape[1])

@@ -102,6 +102,8 @@ def _build_method(name, beta, a_rule):
 
 
 def cmd_denoise(args):
+    # the method's flags are checked before the input is read, as in simulate
+    method = _build_method(args.method, args.beta, args.a_rule)
     data = np.loadtxt(args.input, delimiter=",", ndmin=1)
     if data.ndim != 1:
         raise ValueError("input must be a single-column CSV")
@@ -121,7 +123,6 @@ def cmd_denoise(args):
             print(f"estimated sigma = {_fmt(sigma)}")
         else:
             sigma = args.sigma
-        method = _build_method(args.method, args.beta, args.a_rule)
         values = dwt_inverse(apply_method(method, decomp, sigma, cutoff))
     # one %-format over all values writes the same bytes as _fmt on each
     with open(args.out, "w", newline="\n") as fh:

@@ -487,8 +487,17 @@ class TestSure:
         np.testing.assert_array_equal(shrunk[0, :2], [0.0, 0.0])
 
     def test_degenerate_and_domain_errors(self):
-        with pytest.raises(ValueError):
-            batch_sure(np.zeros(4), 1.0, 1.5, 1.0)
+        # an all-zero row is clipped throughout: each coordinate scores
+        # (0 - 1) * sigma**2 at every candidate, and the tie picks beta = 2
+        np.testing.assert_array_equal(batch_sure(np.zeros(4), 1.5, 1.5, 1.0), np.full(4, -2.25))
+        betas, a = canonical._beta_candidates(4)
+        totals = batch_sure(np.zeros((1, 4)), 1.5, betas, a, True)
+        assert totals.shape == (len(DEFAULT_BETA_GRID), 1)
+        np.testing.assert_array_equal(totals, -4 * 2.25)
+        finite = resolve_a(ShrinkConfig(beta=2.0, a_rule="finite"), 4)
+        assert select_beta_by_sure(CanonicalSample(np.zeros(4), 1.5)) == (2.0, finite)
+        got_b, got_a = select_beta_by_sure(CanonicalSample(np.zeros((3, 4)), 1.5))
+        assert got_b.tolist() == [2.0] * 3 and got_a.tolist() == [finite] * 3
         with pytest.raises(ValueError):
             batch_sure(np.ones(4), 1.0, 1.0, 1.0)  # needs beta > 1
 
@@ -616,10 +625,11 @@ class TestBatchSureColumn:
         for bad in (0.0, -1.0, np.inf, np.nan):
             with pytest.raises(ValueError):
                 batch_sure(z, 1.0, good_b, np.array([[2.0], [bad]]))
-        with pytest.raises(ValueError):
-            batch_sure(np.zeros((1, 4)), 1.0, good_b, good_a)
-        with pytest.raises(ValueError):
-            batch_sure(np.vstack([z[0], np.zeros(4)]), 1.0, 1.5, 2.0)
+        # all-zero rows are scored, not rejected: -sigma**2 per coordinate
+        np.testing.assert_array_equal(batch_sure(np.zeros((1, 4)), 1.0, good_b, good_a), np.full((2, 4), -1.0))
+        both = batch_sure(np.vstack([z[0], np.zeros(4)]), 1.0, 1.5, 2.0)
+        assert both[0].tobytes() == batch_sure(z, 1.0, 1.5, 2.0)[0].tobytes()
+        np.testing.assert_array_equal(both[1], -1.0)
 
 
 class TestInPlaceKernelBytes:
@@ -713,8 +723,27 @@ class TestSharedLogPass:
             v[4] = -0.0
             for sigma in (1.5, rng.uniform(0.5, 2.0, (6, 1))):
                 got = zh_sure_level(v, sigma)
-                assert got.tobytes() == oracle_zh_sure(v, sigma).tobytes()
-                np.testing.assert_array_equal(got[[2, 4]], 0.0)
+                live = [0, 1, 3, 5]
+                assert got[live].tobytes() == oracle_zh_sure(v, sigma)[live].tobytes()
+                # both all-zero rows pick beta = 2, which writes +0.0 over -0.0 too
+                assert got[[2, 4]].tobytes() == np.zeros((2, d)).tobytes()
+
+    @pytest.mark.parametrize("d", [16, 512])
+    def test_a_zero_row_in_a_16_row_block_leaves_the_other_rows(self, d):
+        # the other 15 rows keep the bits of a block of just those rows,
+        # some of them picking beta = 2 and some not
+        rng = np.random.default_rng(60 + d)
+        v = rng.standard_normal((16, d)) * rng.uniform(0.5, 3.0, (16, 1))
+        v[:8, : max(1, d // 16)] += 8.0
+        v[7] = 0.0
+        rest = np.delete(v, 7, axis=0)
+        betas, _ = select_beta_by_sure(CanonicalSample(rest))
+        assert 0 < (betas == 2.0).sum() < 15
+        for sigma in (1.0, rng.uniform(0.5, 2.0, (16, 1))):
+            got = zh_sure_level(v, sigma)
+            rest_sigma = np.delete(sigma, 7, axis=0) if np.ndim(sigma) else sigma
+            assert np.delete(got, 7, axis=0).tobytes() == zh_sure_level(rest, rest_sigma).tobytes()
+            assert got[7].tobytes() == np.zeros(d).tobytes()
 
     def test_all_clipped_rows_pick_beta_two_in_their_own_call(self, monkeypatch):
         # rows like test_all_clipped_level_ties_go_to_largest_beta go to one

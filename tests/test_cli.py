@@ -62,6 +62,17 @@ class TestDenoise:
         )
         assert r.returncode == 1
 
+    def test_bad_zh_flags_fail_before_the_input_is_read(self, tmp_path, capsys):
+        # no sigma line for an auto sigma, and a bad flag outranks a missing input
+        src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
+        write_signal(src, np.random.default_rng(2).standard_normal(64))
+        for path in (src, tmp_path / "nope.csv"):
+            assert cli.main(["denoise", "--input", str(path), "--method", "zh", "--beta", "5",
+                             "--out", str(dst)]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and "beta must be in (0, 2]" in err
+        assert not dst.exists()
+
     def test_non_power_of_two_is_validation_error(self, tmp_path):
         src = tmp_path / "in.csv"
         write_signal(src, np.zeros(100))

@@ -96,7 +96,7 @@ def noisy_rows(n, m, seed, zero_row=True):
     f = generate_signal("bumps", n, 3.0).samples
     y = f + rng.standard_normal((m, n)) * rng.uniform(0.5, 2.0, (m, 1))
     if m > 1 and zero_row:
-        y[-1] = 0.0  # an all-zero row: zh-sure passes it through, blockjs and zh zero it
+        y[-1] = 0.0  # an all-zero row: zh-sure scores it and picks beta = 2, which zeroes it as zh does
     return y[0] if m == 1 else y
 
 
@@ -108,7 +108,7 @@ class TestOnePassMatchesPerLevelOracle:
 
     @pytest.mark.parametrize("n", [256, 1024])
     def test_every_method_bit_for_bit_with_every_row_live(self, n):
-        # no all-zero row, so zh-sure selects on the level's rows without a gather
+        # no all-zero row, so the old rule selects on the level in place too
         y = noisy_rows(n, 16, 10 * n + 16, zero_row=False)
         assert y.any(axis=-1).all()
         self.check_every_method(y, n, 16)

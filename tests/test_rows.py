@@ -92,7 +92,7 @@ class TestMethodRows:
             for (_, v), (_, w) in zip(out.details, single.details):
                 assert same_bytes(v[k], w)
         if name in ("sure", "zh-sure"):
-            for k in np.flatnonzero(~x.any(axis=1)):  # all-zero rows pass through
+            for k in np.flatnonzero(~x.any(axis=1)):  # all-zero rows keep their +0.0 coefficients
                 assert all(same_bytes(v[k], dict(rows.details)[j][k]) for j, v in out.details)
 
     def test_scalar_sigma_is_every_rows_sigma(self):

@@ -70,12 +70,14 @@ def resolution_cutoff(n):
     return math.ceil(math.log2(math.log(n)) + 1.0)
 
 
-def _pipeline_depth(n):
-    # transform levels that leave at least one detail level at or above the cutoff
-    levels = max_levels(n) - resolution_cutoff(n)
+def _pipeline(n):
+    # (transform levels, cutoff) of the denoising pipeline at length n: the
+    # transform stops at the cutoff, so every detail level it makes is treated
+    cutoff = resolution_cutoff(n)
+    levels = max_levels(n) - cutoff
     if levels < 1:
         raise ValueError(f"n={n} leaves no detail level above the resolution cutoff")
-    return levels
+    return levels, cutoff
 
 
 def soft_threshold(x, lam):
@@ -243,13 +245,14 @@ def apply_method(method, decomp, sigma, cutoff_level):
     The result is a new decomposition over a copy of the input's dyadic
     array.  The method's rule shrinks that copy's treated levels in place,
     as one (m, T) slice of rows, a 1-d decomposition being m = 1;
-    below-cutoff levels and the coarse block keep their bits.
+    below-cutoff levels and the coarse block keep their bits.  sigma is
+    checked for every method, identity included: it must be positive and
+    finite, a scalar or one value per row.
     """
     if not math.isfinite(cutoff_level):
         raise ValueError(f"cutoff_level must be finite, got {cutoff_level}")
     out = decomp.values.copy()
-    if method.name != "identity":
-        sigma = _per_row(sigma, decomp.coarse, "sigma")
+    sigma = _per_row(sigma, decomp.coarse, "sigma")
     size, n = decomp.coarse.shape[-1], decomp.n
     first = max(math.ceil(cutoff_level), size.bit_length() - 1)
     if 2**first < n:

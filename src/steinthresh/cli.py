@@ -12,13 +12,13 @@ import sys
 
 import numpy as np
 
-from .baselines import METHOD_NAMES, _pipeline_depth, apply_method, make_method, resolution_cutoff
+from .baselines import METHOD_NAMES, _pipeline, apply_method, make_method
 from .canonical import A_RULES, ShrinkConfig, c_beta, monte_carlo_a_beta, resolve_a
 from .dwt import dwt_forward, dwt_inverse, max_levels
 from .harness import estimate_sigma, risk_sweep
 from .testbed import SIGNAL_NAMES
 
-__all__ = ["main", "write_reports"]
+__all__ = ["main"]
 
 # the --a-rule spellings, e.g. finite|asymptotic|eb|theorem|fixed:<real>
 _A_RULE_CHOICES = "|".join("fixed:<real>" if r == "fixed" else r for r in A_RULES)
@@ -114,12 +114,10 @@ def cmd_denoise(args):
     if args.method == "identity":
         values = data
     else:
-        cutoff = resolution_cutoff(n)
-        decomp = dwt_forward(data, _pipeline_depth(n))
+        levels, cutoff = _pipeline(n)
+        decomp = dwt_forward(data, levels)
         if args.sigma == "auto":
             sigma = estimate_sigma(decomp)
-            if not sigma > 0:
-                raise ValueError("could not estimate sigma: degenerate finest detail level")
             print(f"estimated sigma = {_fmt(sigma)}")
         else:
             sigma = args.sigma
@@ -142,7 +140,11 @@ def cmd_simulate(args):
         sigma_mode=args.sigma_mode,
         workers=args.workers,
     )
-    write_reports(args.out, reports)
+    with open(args.out, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["signal", "method", "n", "snr", "reps", "mean_risk", "std_error", "relative_risk"])
+        writer.writerows([r.signal, r.method, r.n, _fmt(r.snr), r.reps,
+                          _fmt(r.mean_risk), _fmt(r.std_error), _fmt(r.relative_risk)] for r in reports)
     # relative risk (mean_risk / n): one row per (signal, n), one column per method
     width = len(methods)
     print(f"{'signal':>10} {'n':>6} " + " ".join(f"{m.name:>9}" for m in methods))
@@ -150,18 +152,6 @@ def cmd_simulate(args):
         cell = reports[k:k + width]
         print(f"{cell[0].signal:>10} {cell[0].n:>6} " + " ".join(f"{r.relative_risk:9.4f}" for r in cell))
     return 0
-
-
-def write_reports(path, reports):
-    """Write RiskReports as the ``simulate`` CSV, one row per report."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["signal", "method", "n", "snr", "reps", "mean_risk", "std_error", "relative_risk"])
-        for r in reports:
-            writer.writerow(
-                [r.signal, r.method, r.n, _fmt(r.snr), r.reps,
-                 _fmt(r.mean_risk), _fmt(r.std_error), _fmt(r.relative_risk)]
-            )
 
 
 def cmd_bound_a(args):

@@ -15,13 +15,12 @@ among its methods, and each method's errors equal a single-method call's.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._rng import substream
-from .baselines import _pipeline_depth, apply_method, make_method, resolution_cutoff
+from .baselines import _pipeline, apply_method, make_method
 from .canonical import _count, _per_row, batch_estimate, resolve_a
 from .dwt import dwt_forward, dwt_inverse
 from .testbed import generate_signal
@@ -110,13 +109,15 @@ def canonical_risk(theta, config, sigma, reps, seed, positive_part=True, workers
 def estimate_sigma(decomp):
     """Noise scale from the finest detail level: median absolute deviation / 0.6745.
 
-    On m pure-noise coefficients the estimate is asymptotically normal around
-    sigma with sd 1.1664/sqrt(m) * sigma (37% Gaussian efficiency), about 5.2%
-    of sigma at m = 512.  A degenerate finest level (all values equal) yields
-    0 with a warning.  A decomposition of rows gets one estimate per row, as
-    an (m, 1) column.
+    The finest level is the last half, columns [n/2, n), of the dyadic
+    array.  On m pure-noise coefficients the estimate is asymptotically
+    normal around sigma with sd 1.1664/sqrt(m) * sigma (37% Gaussian
+    efficiency), about 5.2% of sigma at m = 512.  A degenerate finest level
+    (a MAD of 0, as when all its values are equal) raises ValueError, in any
+    row.  A decomposition of rows gets one estimate per row, as an (m, 1)
+    column.
     """
-    finest = decomp.details[-1][1]
+    finest = decomp.values[..., decomp.n // 2:]
     if finest.shape[-1] < 2:
         raise ValueError("finest detail level needs at least 2 coefficients")
     k = finest.shape[-1] // 2  # even length: the median is the mean of ranks k - 1 and k, as in np.median
@@ -124,7 +125,7 @@ def estimate_sigma(decomp):
     mid = lambda x: np.sort(x, axis=-1)[..., k - 1:k + 1].sum(axis=-1, keepdims=True) / 2
     mad = mid(np.abs(finest - mid(finest)))
     if not mad.all():
-        warnings.warn("degenerate finest detail level; sigma estimate is 0", stacklevel=2)
+        raise ValueError("could not estimate sigma: degenerate finest detail level")
     sigma = mad / 0.6745
     return float(sigma[0]) if finest.ndim == 1 else sigma
 
@@ -136,8 +137,7 @@ def _cell_errors(methods, signal, sigma_mode, reps, seed):
     reps = _count(reps, "reps", 2)  # a standard error needs two replicates
     f = signal.samples
     n = f.size
-    cutoff = resolution_cutoff(n)
-    levels = _pipeline_depth(n)
+    levels, cutoff = _pipeline(n)
     errs = np.empty((len(methods), reps))
     block = max(1, _BLOCK_VALUES // n)
     for lo in range(0, reps, block):
@@ -221,7 +221,7 @@ def risk_sweep(methods, signals, n_values, snr, reps, seed, sigma_mode="known", 
     methods = _as_methods(methods)
     cells = [generate_signal(name, n, snr) for name in signals for n in n_values]
     for sig in cells:
-        _pipeline_depth(sig.samples.size)  # an n too small for the pipeline fails before any cell runs
+        _pipeline(sig.samples.size)  # an n too small for the pipeline fails before any cell runs
     reports = []
     for sig in cells:
         errs = _cell_errors(methods, sig, sigma_mode, reps, seed)

@@ -70,6 +70,19 @@ class TestResolutionCutoff:
             resolution_cutoff(1)
 
 
+class TestPipeline:
+    @pytest.mark.parametrize("n", [2**k for k in range(1, 21)])
+    def test_levels_stop_at_the_cutoff(self, n):
+        if n <= 8:
+            with pytest.raises(ValueError, match=f"n={n} leaves no detail level above the resolution cutoff"):
+                baselines._pipeline(n)
+        else:
+            levels, cutoff = baselines._pipeline(n)
+            assert levels >= 1
+            assert levels + cutoff == math.log2(n)
+            assert cutoff == resolution_cutoff(n)
+
+
 class TestSoftThreshold:
     def test_hand_values(self):
         assert soft_threshold(3.0, 1.0) == 2.0
@@ -350,6 +363,16 @@ class TestMethodDispatch:
         np.testing.assert_array_equal(out.details[2][1], dec.details[2][1])
         out.details[2][1][0] = 99.0
         assert dec.details[2][1][0] == 1.0
+
+    @pytest.mark.parametrize("name", METHOD_NAMES)
+    def test_every_method_rejects_a_bad_sigma(self, name):
+        dec = mid_decomp(np.ones(16))
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="sigma must be positive and finite"):
+                apply_method(make_method(name), dec, bad, 3)
+        rows = dwt_forward(np.ones((3, 32)), 3)
+        with pytest.raises(ValueError, match="one sigma per row"):
+            apply_method(make_method(name), rows, np.ones((2, 1)), 3)
 
     @pytest.mark.parametrize("name", METHOD_NAMES)
     def test_every_method_preserves_structure(self, name):

@@ -82,10 +82,15 @@ class TestEstimateSigma:
         dec = WaveletDecomposition(np.concatenate(([3.0, 1.0, 0.2, 0.4], np.zeros(4), finest)), 2)
         assert estimate_sigma(dec) == pytest.approx(1.0 / 0.6745, rel=1e-12)
 
-    def test_degenerate_block_warns_and_returns_zero(self):
-        dec = WaveletDecomposition(np.concatenate(([3.0, 1.0, 0.2, 0.4], np.zeros(12))), 2)
-        with pytest.warns(UserWarning):
-            assert estimate_sigma(dec) == 0.0
+    def test_degenerate_level_raises(self):
+        # a constant finest level, alone and as one row of a block whose other row is fine
+        dec = WaveletDecomposition(np.concatenate(([3.0, 1.0, 0.2, 0.4], np.zeros(4), np.full(8, 5.0))), 2)
+        with pytest.raises(ValueError, match="could not estimate sigma: degenerate finest detail level"):
+            estimate_sigma(dec)
+        good = np.concatenate(([3.0, 1.0, 0.2, 0.4], np.zeros(4), np.tile([1.0, -1.0], 4)))
+        rows = WaveletDecomposition(np.stack([good, dec.values]), 2)
+        with pytest.raises(ValueError, match="could not estimate sigma: degenerate finest detail level"):
+            estimate_sigma(rows)
 
     def test_needs_two_coefficients(self):
         dec = WaveletDecomposition(np.array([1.0, 2.0]), 1)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from steinthresh import baselines, dwt
-from steinthresh.baselines import METHOD_NAMES, _pipeline_depth, apply_method, make_method, resolution_cutoff
+from steinthresh.baselines import METHOD_NAMES, _pipeline, apply_method, make_method
 from steinthresh.canonical import (
     CanonicalSample,
     batch_estimate,
@@ -115,8 +115,8 @@ class TestOnePassMatchesPerLevelOracle:
 
     @staticmethod
     def check_every_method(y, n, m):
-        dec = dwt_forward(y, _pipeline_depth(n))
-        cutoff = resolution_cutoff(n)
+        levels, cutoff = _pipeline(n)
+        dec = dwt_forward(y, levels)
         sigmas = [1.3] if m == 1 else [1.3, np.linspace(0.8, 1.6, m)[:, None]]
         for sigma in sigmas:
             for name in METHOD_NAMES:

@@ -115,23 +115,22 @@ class TestSigmaRows:
     @settings(max_examples=30, deadline=None)
     @given(signal_rows())
     def test_estimate_matches_row_calls(self, x):
+        # a block with an all-zero row raises, as does that row alone; the
+        # live rows as a block give each row's own estimate, bit for bit
         rows = dwt_forward(x, 3)
-        degenerate = not all(np.any(r) for r in x)
-        if degenerate:
-            with pytest.warns(UserWarning):
-                sigma = estimate_sigma(rows)
-        else:
-            sigma = estimate_sigma(rows)
-        assert sigma.shape == (x.shape[0], 1)
-        for k in range(x.shape[0]):
-            if np.any(x[k]):
-                assert same_bytes(sigma[k, 0], estimate_sigma(row_of(rows, k)))
-                finest = rows.details[-1][1][k]
-                assert sigma[k, 0] == np.median(np.abs(finest - np.median(finest))) / 0.6745
-            else:
-                with pytest.warns(UserWarning):
-                    assert estimate_sigma(row_of(rows, k)) == 0.0
-                assert sigma[k, 0] == 0.0
+        live = x.any(axis=-1)
+        if not live.all():
+            with pytest.raises(ValueError, match="degenerate finest detail level"):
+                estimate_sigma(rows)
+            for k in np.flatnonzero(~live):
+                with pytest.raises(ValueError, match="degenerate finest detail level"):
+                    estimate_sigma(row_of(rows, k))
+        sigma = estimate_sigma(WaveletDecomposition(rows.values[live], rows.coarse.shape[-1]))
+        assert sigma.shape == (live.sum(), 1)
+        for i, k in enumerate(np.flatnonzero(live)):
+            assert same_bytes(sigma[i, 0], estimate_sigma(row_of(rows, k)))
+            finest = rows.details[-1][1][k]
+            assert sigma[i, 0] == np.median(np.abs(finest - np.median(finest))) / 0.6745
 
     def test_ties_at_both_medians_match_np_median(self):
         # both middle ranks tie, in the values and in the absolute deviations

@@ -20,7 +20,7 @@ rule run on that level alone.  visu, js and zh are one elementwise pass over
 the whole slice, with per-level constants and sums spread over each level's
 columns; sure picks its threshold level by level, then thresholds the slice
 in one pass; blockjs and zh-sure loop over the levels themselves, each
-shrinking its level's view of the slice in place.
+shrinking one level of the slice at a time.
 
     identity   pass-through (risk of the raw data)
     visu       soft thresholding at the universal level sigma*sqrt(2 ln n)
@@ -143,31 +143,21 @@ def _sure(t, sigma, n, config, levels):
 
 def _blockjs(t, sigma, n, config, levels):
     # scale each level's contiguous blocks of length floor(ln n) by
-    # (1 - c L sigma^2 / S^2)+, S^2 the block's sum of squares; a trailing
-    # partial block is padded cyclically from the start of its level when
-    # computing S^2, but only the real coefficients are scaled; an S^2 that
-    # overflows to inf scales by 1
+    # (1 - c L sigma^2 / S^2)+, S^2 the block's sum of squares; the level is
+    # padded cyclically from its start to whole blocks, the padded copy is
+    # scaled and its real columns written back; an S^2 that overflows to inf
+    # scales by 1
     block_len = math.floor(math.log(n))
     if block_len < 1:
         raise ValueError(f"n must be at least 3 for a nonempty block, got {n}")
     kill = BLOCK_CRITICAL * block_len * sigma * sigma
-    m = len(t)
     for lo, hi in levels:
-        v = t[:, lo:hi]
         d = hi - lo
-        full = (d // block_len) * block_len
-        if full < d:
-            # the pad reads the level's first values, so the tail goes before the full blocks
-            padded = v.take(np.arange(full, full + block_len) % d, axis=-1)
-            with np.errstate(divide="ignore", over="ignore"):
-                s2 = (padded[:, None, :] @ padded[:, :, None])[:, 0]  # each row's padded @ padded, same bits
-                factor = np.maximum(1.0 - kill / s2, 0.0)
-            v[:, full:] *= factor
-        if full:
-            blocks = v[:, :full].reshape(m, -1, block_len)  # a view: the level's columns are contiguous
-            with np.errstate(divide="ignore", over="ignore"):
-                factor = np.maximum(1.0 - kill / (blocks * blocks).sum(axis=-1), 0.0)
-            blocks *= factor[..., None]
+        padded = t[:, lo:hi].take(np.arange(-(-d // block_len) * block_len), axis=-1, mode="wrap")
+        blocks = padded.reshape(len(t), -1, block_len)
+        with np.errstate(divide="ignore", over="ignore"):
+            blocks *= np.maximum(1.0 - kill / (blocks * blocks).sum(axis=-1), 0.0)[..., None]
+        t[:, lo:hi] = padded[:, :d]
 
 
 def _js(t, sigma, n, config, levels):

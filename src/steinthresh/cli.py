@@ -9,6 +9,7 @@ import argparse
 import csv
 import functools
 import sys
+import warnings
 
 import numpy as np
 
@@ -66,8 +67,8 @@ def _sigma_flag(text):
     if s == "auto":
         return "auto"
     value = _real(s)
-    if not value > 0:
-        raise argparse.ArgumentTypeError("sigma must be positive (or 'auto')")
+    if not 0 < value < np.inf:
+        raise argparse.ArgumentTypeError("sigma must be positive and finite (or 'auto')")
     return value
 
 
@@ -104,7 +105,9 @@ def _build_method(name, beta, a_rule):
 def cmd_denoise(args):
     # the method's flags are checked before the input is read, as in simulate
     method = _build_method(args.method, args.beta, args.a_rule)
-    data = np.loadtxt(args.input, delimiter=",", ndmin=1)
+    with warnings.catch_warnings():  # an empty input fails the length check below
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        data = np.loadtxt(args.input, delimiter=",", ndmin=1)
     if data.ndim != 1:
         raise ValueError("input must be a single-column CSV")
     n = data.size

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -282,6 +283,61 @@ class TestBlockJS:
         dec = WaveletDecomposition(np.array([1.0, 2.0]), 1)
         with pytest.raises(ValueError):
             run("blockjs", dec, 1.0, 0)
+
+    @staticmethod
+    def hand_factors(level, sigma, block_len):
+        # each coefficient's factor, S^2 summed one term at a time over its
+        # block of the level padded cyclically from its start
+        d = len(level)
+        kill = BLOCK_CRITICAL * block_len * sigma * sigma
+        factors = []
+        for start in range(0, d, block_len):
+            s2 = sum(float(level[k % d]) ** 2 for k in range(start, start + block_len))
+            factors += [max(1.0 - kill / s2, 0.0) if s2 > 0 else 0.0] * min(block_len, d - start)
+        return np.array(factors)
+
+    def assert_hand_factors(self, decomp, sigma, cutoff, block_len):
+        # every detail level of ``decomp`` is at or above ``cutoff``
+        out = run("blockjs", decomp, sigma, cutoff)
+        sigmas = np.broadcast_to(sigma, (len(np.atleast_2d(decomp.values)), 1))[:, 0]
+        for (_, v), (_, w) in zip(decomp.details, out.details):
+            for row, new, s in zip(np.atleast_2d(v), np.atleast_2d(w), sigmas):
+                np.testing.assert_allclose(new, self.hand_factors(row, s, block_len) * row, rtol=1e-12, atol=0)
+
+    def test_levels_shorter_than_a_block_wrap_more_than_once(self):
+        # n = 1024, L = 6: levels of 1, 2 and 4 coefficients pad to one block
+        # by repeating themselves 6, 3 and 1.5 times
+        values = np.random.default_rng(21).standard_normal(1024) * 3.0
+        values[1:4] = [0.0, 1.0, -1.0]  # level 0 all zero, level 1 below the kill line
+        self.assert_hand_factors(WaveletDecomposition(values, 1), 1.0, 0, 6)
+
+    def test_levels_of_whole_blocks(self):
+        # n = 4096, L = floor(ln 4096) = 8 divides every level from 8 up
+        values = np.random.default_rng(22).standard_normal(4096) * 2.0
+        assert math.floor(math.log(4096)) == 8
+        self.assert_hand_factors(WaveletDecomposition(values, 8), 1.0, 3, 8)
+
+    def test_sigma_column_scales_each_row_by_its_own_sigma(self):
+        values = np.random.default_rng(23).standard_normal((3, 1024)) * 3.0
+        self.assert_hand_factors(WaveletDecomposition(values, 16), np.array([[0.5], [1.0], [2.0]]), 4, 6)
+
+    @pytest.mark.parametrize(("n", "m"), [(16384, 1), (1024, 16)])
+    def test_transient_peak_is_within_three_finest_levels(self, n, m):
+        # the rule gathers one padded level at a time, so what it holds on top
+        # of the output copy (still referenced by ``out`` when the memory is
+        # read) stays near two copies of the finest level
+        x = generate_signal("doppler", n, 3.0).samples + np.random.default_rng(n).standard_normal((m, n))
+        levels, cutoff = baselines._pipeline(n)
+        decomp = dwt_forward(x, levels)
+        method = make_method("blockjs")
+        apply_method(method, decomp, 1.0, cutoff)  # fill the caches first
+        tracemalloc.start()
+        try:
+            out = apply_method(method, decomp, 1.0, cutoff)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - held <= 3 * m * (n // 2) * 8
 
 
 class TestLevelwiseThresholding:

@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +194,30 @@ class TestDenoise:
         assert "signal must be finite" in capsys.readouterr().err
         assert not dst.exists()
 
+    @pytest.mark.parametrize("sigma", ["0", "-1", "nan", "inf", "1e400"])
+    @pytest.mark.parametrize("method", ["identity", "zh"])
+    def test_bad_sigma_fails_before_the_input_is_read(self, tmp_path, capsys, method, sigma):
+        # a missing input would exit 1 if it were read first
+        dst = tmp_path / "out.csv"
+        assert cli.main(["denoise", "--input", str(tmp_path / "nope.csv"), "--method", method,
+                         "--sigma", sigma, "--out", str(dst)]) == 2
+        assert "sigma must be positive and finite" in capsys.readouterr().err
+        assert not dst.exists()
+
+    @pytest.mark.parametrize("text", ["", "\n\n"])
+    def test_empty_input_is_one_validation_error(self, tmp_path, capsys, text):
+        src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
+        src.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["denoise", "--input", str(src), "--method", "zh", "--out", str(dst)]) == 2
+        assert caught == []
+        assert capsys.readouterr().err == "error: signal length must be a power of two >= 2, got 0\n"
+        r = run_python("-W", "error", "-m", "steinthresh", "denoise", "--input", str(src),
+                       "--method", "identity", "--out", str(dst))
+        assert (r.returncode, r.stderr) == (2, "error: signal length must be a power of two >= 2, got 0\n")
+        assert not dst.exists()
+
     @pytest.mark.parametrize("method", ["visu", "sure", "blockjs", "js", "zh"])
     def test_huge_sample_denoises_without_overflow_warnings(self, tmp_path, capsys, method):
         # |w| near 1e200 overflows the squares and D of these rules; they
@@ -231,7 +256,7 @@ class TestDenoise:
         "identity.n1024": "26168a11c22158025de7883b4dd9d608d3b92eab0cc14a8811030f673a9d5cb9",
         "visu.n1024": "b061557ab7b2bf0588f004d954494ddcfa4d89aad217602504f2ec8ef8eff35d",
         "sure.n1024": "368648bfcdca19171c17631eff30090d02ceccaf5c1e0d7112211996d0c89d90",
-        "blockjs.n1024": "2265ed8c3e492c29ad36ef25ffd7dda0045032f9ef796df18290e598903cfc5f",
+        "blockjs.n1024": "2900dfcfefea5dd463d87170c58746a9f9fde8cb743ce8f0a846a834bae4f8e8",
         "js.n1024": "dd2b01a9895fa0ab9b6a990bdcc3064678a1e9cd96955a0cf8df0feb15bf3eee",
         "zh.n1024": "fb9d0b17101e1ade8408994814e486b361634706edc8fba592d7fa4917fd3ae7",
         "zh-sure.n1024": "f363d2ae443fe585f8c7b51fb3ec9befb41561a2cee4e37ef2026e3867684e3e",
@@ -343,7 +368,7 @@ class TestSimulate:
                     "--snr", "3", "--reps", "20", "--seed", "11"]
     PINNED_SHA256 = {
         "estimated": "13bc34907f2db1357e300e7029ff0d4febf7550cb16f8ff534605ee225fd1c42",
-        "known": "30c697a93f68d21af1bd357c62901185f4324bff6b0b6f0225d9bbe604fae84b",
+        "known": "9aba95afa306be7b71b61bf04a5f7b629ba9e5b2203e041f4a2eb22571978b05",
     }
 
     @pytest.mark.parametrize("rows_at_1024", [None, 1, 7, 8, 16, 64])

@@ -35,7 +35,7 @@ def old_blockjs(v, sigma, n, config):
             out[:, :full] = (factor[..., None] * blocks).reshape(m, full)
         if full < d:
             padded = v.take(np.arange(full, full + block_len) % d, axis=-1)
-            s2 = (padded[:, None, :] @ padded[:, :, None])[:, 0]
+            s2 = (padded * padded).sum(axis=-1, keepdims=True)
             out[:, full:] = np.where(s2 > 0, np.maximum(1.0 - kill / s2, 0.0), 0.0) * v[:, full:]
     return out
 

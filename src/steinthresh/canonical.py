@@ -35,7 +35,7 @@ __all__ = [
     "select_beta_by_sure",
 ]
 
-A_RULES = ("finite", "asymptotic", "eb", "theorem", "fixed")
+A_RULES = ("finite", "asymptotic", "eb", "theorem")
 
 # beta candidates used when tuning by unbiased risk; the risk formula needs
 # beta > 1, and beta > 2 is outside the estimator family, hence a grid in (1, 2]
@@ -64,11 +64,13 @@ _DOUBLE_MAX = np.finfo(float).max
 class ShrinkConfig:
     """Estimator family member: exponent ``beta`` plus a rule for the constant ``a``.
 
-    ``a_rule`` is one of ``finite`` (recommended finite-sample constant),
-    ``asymptotic`` (sparse-regime constant growing like ``d`` times a slowly
-    varying factor), ``eb`` (empirical-Bayes choice ``a = d``), ``theorem``
-    (the largest constant certified minimax for 1 < beta <= 2), or ``fixed``
-    (explicit ``fixed_a``).
+    ``a_rule`` is one of ``finite`` (recommended finite-sample constant, for
+    beta > 1/2), ``asymptotic`` (sparse-regime constant growing like ``d``
+    times a slowly varying factor), ``eb`` (empirical-Bayes choice ``a = d``)
+    and ``theorem`` (the largest constant certified minimax, for 1 < beta <=
+    2), or the constant ``a`` itself as a positive finite number.  Every
+    check that needs no dimension is made here; :func:`resolve_a` makes the
+    rest.
 
     ``finite`` keeps the Bayes risk under normal priors below that of the raw
     data, but it is not pointwise minimax: it exceeds the ``theorem`` constant
@@ -77,19 +79,20 @@ class ShrinkConfig:
     """
 
     beta: float = 4.0 / 3.0
-    a_rule: str = "finite"
-    fixed_a: float | None = None
+    a_rule: str | float = "finite"
 
     def __post_init__(self):
         if not (0.0 < self.beta <= 2.0):
             raise ValueError(f"beta must be in (0, 2], got {self.beta}")
-        if self.a_rule not in A_RULES:
-            raise ValueError(f"a_rule must be one of {A_RULES}, got {self.a_rule!r}")
-        if self.a_rule == "fixed":
-            if self.fixed_a is None or not (self.fixed_a > 0 and math.isfinite(self.fixed_a)):
-                raise ValueError("a_rule 'fixed' needs a positive finite fixed_a")
-        elif self.fixed_a is not None:
-            raise ValueError("fixed_a is only meaningful with a_rule 'fixed'")
+        if isinstance(self.a_rule, str):
+            if self.a_rule not in A_RULES:
+                raise ValueError(f"a_rule must be one of {A_RULES} or a positive finite a, got {self.a_rule!r}")
+        elif not (isinstance(self.a_rule, (int, float)) and 0 < self.a_rule < math.inf):
+            raise ValueError(f"a constant a_rule must be positive and finite, got {self.a_rule!r}")
+        if self.a_rule == "finite" and not self.beta > 0.5:  # c_beta's domain
+            raise ValueError(f"finite-sample rule requires beta > 1/2, got {self.beta}")
+        if self.a_rule == "theorem" and not self.beta > 1.0:
+            raise ValueError(f"minimaxity bound requires beta > 1, got {self.beta}")
 
 
 def _per_row(x, z, name, ok=lambda v: 0 < v < math.inf, expected="positive and finite"):
@@ -154,25 +157,21 @@ def c_beta(beta):
 def resolve_a(config, d):
     """Concrete shrinkage constant for dimension ``d`` under ``config.a_rule``."""
     d = _count(d, "d", 1)
-    beta = config.beta
-    if config.a_rule == "fixed":
-        a = float(config.fixed_a)
-    elif config.a_rule == "finite":
+    beta, rule = config.beta, config.a_rule
+    if rule == "finite":
         if d < 3:
             raise ValueError("finite-sample rule needs d >= 3")
         a = 0.97 * (d - 2) * c_beta(beta)
-    elif config.a_rule == "asymptotic":
+    elif rule == "asymptotic":
         a = d * (2.0 * math.log(d)) ** ((2.0 - beta) / 2.0) * moment_constant(beta) if d > 1 else 0.0
-    elif config.a_rule == "eb":
+    elif rule == "eb":
         a = float(d)
-    else:  # theorem
-        if not beta > 1.0:
-            raise ValueError("minimaxity bound requires beta > 1")
+    elif rule == "theorem":
         a = 2.0 * (beta - 1.0) * d - 2.0 * beta
+    else:  # the constant itself
+        a = float(rule)
     if not (a > 0 and math.isfinite(a)):
-        raise ValueError(
-            f"rule {config.a_rule!r} gives non-positive a={a} at beta={beta}, d={d}"
-        )
+        raise ValueError(f"rule {rule!r} gives non-positive a={a} at beta={beta}, d={d}")
     return a
 
 

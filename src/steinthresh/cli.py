@@ -22,7 +22,7 @@ from .testbed import SIGNAL_NAMES
 __all__ = ["main"]
 
 # the --a-rule spellings, e.g. finite|asymptotic|eb|theorem|fixed:<real>
-_A_RULE_CHOICES = "|".join("fixed:<real>" if r == "fixed" else r for r in A_RULES)
+_A_RULE_CHOICES = "|".join((*A_RULES, "fixed:<real>"))
 
 
 def _fmt(x):
@@ -73,14 +73,15 @@ def _sigma_flag(text):
 
 
 def _a_rule(text):
+    # a rule name, or for fixed:<a> the constant a itself
     s = text.strip()
-    if s in A_RULES and s != "fixed":
-        return s, None
+    if s in A_RULES:
+        return s
     if s.startswith("fixed:"):
         value = _real(s[len("fixed:"):])
         if not value > 0:
             raise argparse.ArgumentTypeError("fixed a must be positive")
-        return "fixed", value
+        return value
     raise argparse.ArgumentTypeError(f"invalid a-rule {text!r}; expected {_A_RULE_CHOICES}")
 
 
@@ -97,8 +98,7 @@ def _count_list(text):
 
 def _build_method(name, beta, a_rule):
     if name == "zh":
-        rule, fixed = a_rule
-        return make_method("zh", config=ShrinkConfig(beta=beta, a_rule=rule, fixed_a=fixed))
+        return make_method("zh", config=ShrinkConfig(beta=beta, a_rule=a_rule))
     return make_method(name)
 
 
@@ -209,7 +209,7 @@ def _build_parser():
     for cmd in (den, sim):
         cmd.add_argument("--beta", type=_real, default=zh.beta,
                          help="shrinkage exponent for method zh (accepts fractions like 4/3)")
-        cmd.add_argument("--a-rule", type=_a_rule, default=(zh.a_rule, zh.fixed_a),
+        cmd.add_argument("--a-rule", type=_a_rule, default=zh.a_rule,
                          help=f"constant rule for method zh: {_A_RULE_CHOICES}")
 
     bnd = sub.add_parser("bound-a", help="simulate the Bayes-risk-safe shrink constant")
@@ -235,7 +235,3 @@ def main(argv=None):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

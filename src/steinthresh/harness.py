@@ -157,8 +157,10 @@ def _cell_errors(methods, signal, sigma_mode, reps, seed):
 
 
 def _noisy_rows(f, seed, lo, hi):
-    # replicates lo .. hi - 1 of f plus unit noise, one row each
-    y = np.array([substream(seed, r).standard_normal(f.size) for r in range(lo, hi)])
+    # replicates lo .. hi - 1 of f plus unit noise, one row each, assigned into one block
+    y = np.empty((hi - lo, f.size))
+    for i, r in enumerate(range(lo, hi)):
+        y[i] = substream(seed, r).standard_normal(f.size)
     y += f
     return y
 

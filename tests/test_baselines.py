@@ -25,7 +25,7 @@ from steinthresh.testbed import generate_signal
 
 
 def fixed(beta, a):
-    return ShrinkConfig(beta=beta, a_rule="fixed", fixed_a=a)
+    return ShrinkConfig(beta=beta, a_rule=a)
 
 
 def est(z, cfg, sigma=1.0):

@@ -1,7 +1,9 @@
 """Canonical normal-means estimators: worked examples, oracles, and properties."""
 
+import dataclasses
 import itertools
 import math
+import re
 import threading
 import tracemalloc
 from functools import lru_cache
@@ -28,7 +30,7 @@ from steinthresh.canonical import (
 
 
 def fixed(beta, a):
-    return ShrinkConfig(beta=beta, a_rule="fixed", fixed_a=a)
+    return ShrinkConfig(beta=beta, a_rule=a)
 
 
 def est(z, cfg, sigma=1.0, positive_part=True):
@@ -433,8 +435,30 @@ class TestResolveA:
             ShrinkConfig(a_rule="nope")
         with pytest.raises(ValueError):
             ShrinkConfig(a_rule="fixed")
-        with pytest.raises(ValueError):
-            ShrinkConfig(a_rule="finite", fixed_a=3.0)
+
+    def test_config_is_beta_and_a_rule(self):
+        assert [f.name for f in dataclasses.fields(ShrinkConfig)] == ["beta", "a_rule"]
+        for d in (1, 50):
+            assert resolve_a(ShrinkConfig(a_rule=80.0), d) == 80.0
+        assert resolve_a(ShrinkConfig(beta=0.3, a_rule=2), 4) == 2.0
+
+    @pytest.mark.parametrize("a", [0, 0.0, -1, -1.0, math.inf, math.nan, None])
+    def test_a_constant_must_be_positive_and_finite(self, a):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ShrinkConfig(a_rule=a)
+
+    @pytest.mark.parametrize("beta, rule, floor", [
+        (0.5, "finite", "beta > 1/2"), (0.4, "finite", "beta > 1/2"),
+        (1.0, "theorem", "beta > 1"), (0.7, "theorem", "beta > 1"),
+    ])
+    def test_each_rule_checks_its_beta_floor_without_a_dimension(self, beta, rule, floor):
+        # c_beta needs beta > 1/2 and the certified constant beta > 1
+        with pytest.raises(ValueError, match=re.escape(floor)):
+            ShrinkConfig(beta=beta, a_rule=rule)
+        ShrinkConfig(beta=0.51, a_rule="finite")
+        ShrinkConfig(beta=1.01, a_rule="theorem")
+        for other in ("asymptotic", "eb", 3.0):
+            ShrinkConfig(beta=beta, a_rule=other)
 
 
 class TestSure:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import steinthresh
-from steinthresh import canonical, cli
+from steinthresh import canonical, cli, harness
 from steinthresh.baselines import METHOD_NAMES
 from steinthresh.canonical import A_RULES, ShrinkConfig, resolve_a
 from steinthresh.testbed import generate_signal
@@ -72,6 +72,20 @@ class TestDenoise:
                              "--out", str(dst)]) == 2
             out, err = capsys.readouterr()
             assert out == "" and "beta must be in (0, 2]" in err
+        assert not dst.exists()
+
+    @pytest.mark.parametrize("flags, floor", [
+        (["--beta", "0.4"], "beta > 1/2"),  # the default rule, finite
+        (["--a-rule", "theorem", "--beta", "1"], "beta > 1"),
+    ])
+    def test_a_rule_beta_floor_fails_before_the_input_is_read(self, tmp_path, capsys, flags, floor):
+        # the floor needs no dimension, so it is checked with the flags, not at the first level
+        src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
+        write_signal(src, np.random.default_rng(2).standard_normal(64))
+        for path in (src, tmp_path / "nope.csv"):
+            assert cli.main(["denoise", "--input", str(path), "--method", "zh", *flags, "--out", str(dst)]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and floor in err
         assert not dst.exists()
 
     def test_non_power_of_two_is_validation_error(self, tmp_path):
@@ -303,6 +317,17 @@ class TestDenoise:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("flags", [["--beta", "0.4"], ["--a-rule", "theorem", "--beta", "1"]])
+    def test_a_rule_beta_floor_fails_before_any_noise_is_drawn(self, tmp_path, capsys, monkeypatch, flags):
+        def no_draw(*args):
+            raise AssertionError("noise was drawn")
+
+        monkeypatch.setattr(harness, "substream", no_draw)
+        out = tmp_path / "risk.csv"
+        assert cli.main(["simulate", "--methods", "visu,zh", "--signals", "blocks", "--n", "64",
+                         "--reps", "4", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().out == "" and not out.exists()
+
     def test_single_cell_identity(self, tmp_path):
         out = tmp_path / "risk.csv"
         r = run_cli(
@@ -597,14 +622,36 @@ class TestScripts:
         assert outputs[0] == outputs[1]
 
 
+# a valid simulate command, for tests that append one bad flag to it
+SIMULATE = ["simulate", "--methods", "zh", "--signals", "blocks", "--n", "64", "--out", "x.csv"]
+
+
 class TestArgumentTypes:
     def test_a_rule_names_come_from_the_rule_table(self):
         for rule in A_RULES:
-            if rule != "fixed":
-                assert cli._a_rule(rule) == (rule, None)
+            assert cli._a_rule(rule) == rule
+        assert cli._a_rule(" fixed:4/3 ") == 4.0 / 3.0
         with pytest.raises(argparse.ArgumentTypeError) as info:
             cli._a_rule("nope")
         assert str(info.value) == "invalid a-rule 'nope'; expected finite|asymptotic|eb|theorem|fixed:<real>"
+
+    @pytest.mark.parametrize("argv, message", [
+        ([*SIMULATE, "--snr", "x"], "not a real number: 'x'"),
+        ([*SIMULATE, "--reps", "2.5"], "not a positive integer: '2.5'"),
+        ([*SIMULATE, "--reps", "0"], "not a positive integer: '0'"),
+        ([*SIMULATE, "--seed", "-1"], "seed must be an unsigned 64-bit integer"),
+        ([*SIMULATE, "--seed", "1.5"], "not an integer seed: '1.5'"),
+        ([*SIMULATE, "--seed", "18446744073709551616"], "seed must be an unsigned 64-bit integer"),
+        ([*SIMULATE, "--methods", ","], "empty list"),
+        (["denoise", "--input", "two.csv", "--method", "zh", "--out", "x.csv"], "input must be a single-column CSV"),
+    ])
+    def test_bad_argument_exits_2_with_its_message(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "two.csv").write_text("1,2\n3,4\n")
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--methods", "zh", "--signals", "blocks", "--n", "64", "--reps", "1e400", "--out", "x.csv"],

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from steinthresh import harness
+from steinthresh._rng import substream
 from steinthresh.baselines import make_method, resolution_cutoff
 from steinthresh.canonical import ShrinkConfig, monte_carlo_a_beta, resolve_a
 from steinthresh.dwt import WaveletDecomposition, dwt_forward, max_levels
@@ -20,7 +21,7 @@ from steinthresh.testbed import generate_signal
 
 
 def fixed(beta, a):
-    return ShrinkConfig(beta=beta, a_rule="fixed", fixed_a=a)
+    return ShrinkConfig(beta=beta, a_rule=a)
 
 
 class TestCanonicalRisk:
@@ -173,6 +174,21 @@ class TestWaveletRisk:
         one_block = peak()
         monkeypatch.setattr(harness, "_BLOCK_VALUES", 8 * 1024)
         assert one_block <= 1.35 * peak()
+
+    def test_noisy_rows_are_drawn_into_one_block(self):
+        # each row has the bits of its replicate's own draw, and the transient
+        # is the block plus about one row, not a list of rows and then a copy
+        f = generate_signal("doppler", 1024, 3.0).samples
+        for m in (1, 2, 16):
+            rows = np.array([substream(5, r).standard_normal(1024) for r in range(3, 3 + m)]) + f
+            assert harness._noisy_rows(f, 5, 3, 3 + m).tobytes() == rows.tobytes()
+        tracemalloc.start()
+        try:
+            block = harness._noisy_rows(f, 5, 0, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * block.nbytes
 
     def test_validation(self):
         sig = generate_signal("blocks", 64, 3.0)

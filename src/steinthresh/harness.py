@@ -191,22 +191,6 @@ def wavelet_risk_replicates(method, signal, sigma_mode="known", reps=500, seed=0
     return _cell_errors(_as_methods([method]), signal, sigma_mode, reps, seed)[0]
 
 
-def _report(method, signal, errs):
-    reps = errs.size
-    n = signal.samples.size
-    mean = float(errs.mean())
-    return RiskReport(
-        method=method.name,
-        signal=signal.name,
-        n=n,
-        snr=signal.snr,
-        reps=reps,
-        mean_risk=mean,
-        std_error=float(errs.std(ddof=1) / math.sqrt(reps)),
-        relative_risk=mean / n,
-    )
-
-
 def risk_sweep(methods, signals, n_values, snr, reps, seed, sigma_mode="known", workers=1):
     """Cartesian sweep over (signal, n, method) with common random numbers.
 
@@ -214,10 +198,13 @@ def risk_sweep(methods, signals, n_values, snr, reps, seed, sigma_mode="known", 
     ``signals`` holds names from ``SIGNAL_NAMES``.  Within one (signal, n)
     cell every method consumes identical noise draws, and each replicate's
     forward transform is computed once for all of them.  Every (signal, n)
-    is generated, and every n checked against the pipeline's depth, before
-    any cell runs, so a bad name or size costs no run.  Each n and ``reps``
-    must be an integer (Python or numpy); a float, even an integral one,
-    raises ValueError rather than being truncated.
+    is fetched, and every n checked against the pipeline's depth, before
+    any cell runs, so a bad name or size costs no run.  Signals come from
+    ``generate_signal``, so each (signal, n, snr) is generated once per
+    process, not once per call, and shared read-only.  A cell's means and
+    standard errors are taken in one pass over its (methods, reps) errors.
+    Each n and ``reps`` must be an integer (Python or numpy); a float, even
+    an integral one, raises ValueError rather than being truncated.
     Reports are ordered by signal, then n, then method.
     """
     methods = _as_methods(methods)
@@ -227,5 +214,11 @@ def risk_sweep(methods, signals, n_values, snr, reps, seed, sigma_mode="known", 
     reports = []
     for sig in cells:
         errs = _cell_errors(methods, sig, sigma_mode, reps, seed)
-        reports += [_report(method, sig, e) for method, e in zip(methods, errs)]
+        n, count = sig.samples.size, errs.shape[1]
+        # each row's values equal that row's own mean() and std(ddof=1)
+        means = errs.mean(axis=1).tolist()
+        ses = (errs.std(axis=1, ddof=1) / math.sqrt(count)).tolist()
+        reports += [RiskReport(method=method.name, signal=sig.name, n=n, snr=sig.snr, reps=count,
+                               mean_risk=mean, std_error=se, relative_risk=mean / n)
+                    for method, mean, se in zip(methods, means, ses)]
     return reports

@@ -8,6 +8,7 @@ standard Donoho-Johnstone definitions; Spikes and Corner are documented
 stand-ins rounding out six signals.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,14 +23,14 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TestSignal:
     name: str
     samples: np.ndarray
     snr: float
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=float)
+        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
         max_levels(self.samples.size)  # a power of two >= 2
         if not 0 < self.snr < np.inf:
             raise ValueError(f"snr must be positive and finite, got {self.snr}")
@@ -92,15 +93,33 @@ SIGNAL_NAMES = tuple(_SIGNALS)
 
 
 def generate_signal(name, n, snr):
-    """Sample the named function on the dyadic grid and scale sd to ``snr``."""
+    """Sample the named function on the dyadic grid and scale sd to ``snr``.
+
+    Each (name, n, snr) is generated once per process: the result is a
+    shared, frozen ``TestSignal`` whose ``samples`` array is read-only, so a
+    caller who needs a writable array takes ``.samples.copy()``.  The cache
+    keeps the 32 most recently used signals, at most 32 * 8n bytes at the
+    largest n in use.  ``n`` must be an integer (Python or numpy); a float,
+    even an integral one, raises ValueError.
+    """
     if name not in _SIGNALS:
         raise ValueError(f"unknown signal {name!r}; known: {sorted(_SIGNALS)}")
-    max_levels(n)  # np.arange takes a float n, so the samples' size alone would pass 64.0
-    t = np.arange(n, dtype=float) / n
+    # checked before the cache is keyed on int(n): 64.0 hashes like 64, and
+    # np.arange takes a float n, so neither the key nor the samples' size would reject it
+    max_levels(n)
+    return _signal(name, int(n), float(snr))
+
+
+# 32 holds the benchmark's largest working set (6 signals at 3 sizes); an LRU
+# smaller than a cyclic working set never hits
+@functools.lru_cache(maxsize=32)
+def _signal(name, n, snr):
     # checked before it scales the samples, so an infinite snr makes no nan
-    sig = TestSignal(name=name, samples=_SIGNALS[name](t), snr=float(snr))
-    sd = sig.samples.std(ddof=1)
+    sig = TestSignal(name=name, samples=_SIGNALS[name](np.arange(n, dtype=float) / n), snr=snr)
+    samples = sig.samples  # scaled in place: the frozen signal holds this array
+    sd = samples.std(ddof=1)
     if not sd > 0:
         raise ValueError(f"signal {name!r} is constant on this grid; cannot scale to an snr")
-    sig.samples *= snr / sd
+    samples *= snr / sd
+    samples.flags.writeable = False
     return sig

@@ -270,6 +270,18 @@ class TestRiskSweep:
             assert rep == risk_sweep([method], ["bumps"], [256], 3.0, 40, 12, sigma_mode, workers)[0]
         assert rows[0].tobytes() == rows[3].tobytes()
 
+    @pytest.mark.parametrize("reps", [2, 16, 1001])
+    def test_one_pass_summaries_equal_each_rows_own_bitwise(self, reps):
+        methods = ["zh", "visu", "js"]
+        reports = risk_sweep(methods, ["bumps"], [64], 3.0, reps, seed=8)
+        sig = generate_signal("bumps", 64, 3.0)
+        for rep, name in zip(reports, methods):
+            e = wavelet_risk_replicates(name, sig, reps=reps, seed=8)
+            assert rep.reps == reps
+            assert rep.mean_risk == float(e.mean())
+            assert rep.std_error == float(e.std(ddof=1) / math.sqrt(reps))
+            assert rep.relative_risk == float(e.mean()) / 64
+
     def test_validation(self):
         with pytest.raises(ValueError):
             risk_sweep(["zh", "visu"], ["blocks"], [64], snr=3.0, reps=10, seed=0, sigma_mode="exact")

@@ -1,9 +1,12 @@
 """Synthetic benchmark curves."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from steinthresh import testbed
+from steinthresh.harness import risk_sweep
 from steinthresh.testbed import CANONICAL_SIGNALS, SIGNAL_NAMES, generate_signal
 
 
@@ -67,3 +70,50 @@ class TestGenerateSignal:
             with pytest.raises(ValueError, match="snr must be positive and finite"):
                 testbed.TestSignal("blocks", np.ones(64), snr)
 
+
+class TestSignalCache:
+    """Each test clears the cache first, so its calls run in a fixed order."""
+
+    def setup_method(self):
+        testbed._signal.cache_clear()
+
+    def test_float_n_raises_after_the_int_n_is_cached(self):
+        # 64.0 == 64 and both hash alike, so the length check must run before the cache
+        generate_signal("blocks", 64, 3.0)
+        for bad in (64.0, np.float64(64.0)):
+            with pytest.raises(ValueError):
+                generate_signal("blocks", bad, 3.0)
+
+    def test_numpy_and_python_n_share_one_signal(self):
+        assert generate_signal("bumps", np.int64(64), 3.0) is generate_signal("bumps", 64, 3.0)
+
+    def test_repeated_call_returns_the_same_object(self):
+        first = generate_signal("doppler", 256, 3.0)
+        assert generate_signal("doppler", 256, 3.0) is first
+        assert generate_signal("doppler", 256, 6.0) is not first
+
+    def test_shared_signal_is_read_only(self):
+        sig = generate_signal("heavisine", 128, 3.0)
+        with pytest.raises(ValueError, match="read-only"):
+            sig.samples[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            sig.samples *= 2.0
+        for field, value in (("samples", np.zeros(128)), ("name", "blocks"), ("snr", 6.0)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(sig, field, value)
+        assert sig.samples.copy().flags.writeable
+
+    def test_fresh_signal_after_cache_clear_has_the_same_bytes(self):
+        cached = generate_signal("spikes", 1024, 3.0)
+        testbed._signal.cache_clear()
+        fresh = generate_signal("spikes", 1024, 3.0)
+        assert fresh is not cached
+        assert fresh.samples.tobytes() == cached.samples.tobytes()
+
+    def test_risk_sweep_reports_equal_with_a_cold_and_a_warm_cache(self):
+        args = (["zh", "visu"], ["blocks", "corner"], [64, 256], 3.0, 4, 11)
+        cold = risk_sweep(*args)
+        assert testbed._signal.cache_info().currsize == 4
+        warm = risk_sweep(*args)
+        assert testbed._signal.cache_info().hits == 4
+        assert warm == cold

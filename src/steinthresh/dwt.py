@@ -12,14 +12,18 @@ block of length m to approximation and detail blocks of length m/2 via
 orthonormal at every block size, so Parseval holds and the inverse is the
 adjoint.
 
-Each step is one BLAS matrix product.  A cached periodic index gathers the
-step's input into a contiguous (Q, 32) operand, and a fixed (32, 16) bank
-maps each operand row to 8 outputs in each of 2 channels; the bank is block
-banded, so half of its entries are zero.  Analysis row q holds
-x[(16q + s) mod m] for s < 32, Q = ceil(m/16), and its 16 outputs are the
-interleaved (approx, detail) pairs 8q .. 8q + 7.  Synthesis row q holds
+Each step is one BLAS matrix product of a contiguous (Q, 32) operand and a
+fixed (32, 16) bank, which maps each operand row to 8 outputs in each of 2
+channels; the bank is block banded, so half of its entries are zero.
+Analysis row q holds x[(16q + s) mod m] for s < 32, Q = ceil(m/16), and its
+16 outputs are the interleaved (approx, detail) pairs 8q .. 8q + 7.  That
+row is rows q and q + 1 (mod Q) of the block viewed as (Q, 16), a view even
+of the strided approximation the previous step returns, so analysis fills
+its operand with three slice copies and keeps no index; a block shorter
+than 16 is tiled to 16 first.  Synthesis row q holds
 approx[(8q - 7 + s) mod h] for s < 16, then detail at the same positions,
-Q = ceil(h/8), and its 16 outputs are the output values 16q .. 16q + 15.
+Q = ceil(h/8), and its 16 outputs are the output values 16q .. 16q + 15;
+only synthesis gathers its operand, through a cached periodic index.
 An analysis step keeps the first m/2 pairs, so blocks down to m = 2 take the
 same path.  A synthesis step from h = 8 up writes its product straight into
 its output block, viewed as (Q, 16); a smaller one keeps the first 2h of its
@@ -105,18 +109,25 @@ _SYNTHESIS_BANK = _bank(_SYNTHESIS, 1)
 
 
 @lru_cache(maxsize=128)
-def _gather_index(size, stride, offset, channels):
-    # row q: (stride * q + offset + s) mod size for s < 32 / channels, once per channel of length size
-    pos = (stride * np.arange(-(-size // stride))[:, None] + offset + np.arange(32 // channels)) % size
-    idx = np.hstack([pos + c * size for c in range(channels)])
+def _gather_index(h):
+    # synthesis only; row q: (8q - 7 + s) mod h for s < 16 in the approximation
+    # block, then the same positions in the detail block at offset h
+    pos = (8 * np.arange(-(-h // 8))[:, None] - 7 + np.arange(16)) % h
+    idx = np.hstack((pos, pos + h))
     idx.setflags(write=False)
     return idx
 
 
 def _analysis_step(x):
+    # operand row q is rows q and q + 1 (mod Q) of x viewed as (Q, 16); a block
+    # shorter than 16 is tiled to 16 first, so its one row wraps onto itself
     m = x.shape[-1]
-    out = x.take(_gather_index(m, 16, 0, 1), axis=-1) @ _ANALYSIS_BANK
-    out = out.reshape(x.shape[:-1] + (-1, 2))[..., :m // 2, :]
+    rows = (np.tile(x, 16 // m) if m < 16 else x).reshape(x.shape[:-1] + (-1, 16))
+    operand = np.empty(rows.shape[:-1] + (32,))
+    operand[..., :16] = rows
+    operand[..., :-1, 16:] = rows[..., 1:, :]
+    operand[..., -1, 16:] = rows[..., 0, :]
+    out = (operand @ _ANALYSIS_BANK).reshape(x.shape[:-1] + (-1, 2))[..., :m // 2, :]
     return out[..., 0], out[..., 1]
 
 
@@ -127,7 +138,7 @@ def _synthesis_step(x):
     # block is the first 2h of its one operand row's 16 outputs.  The operand
     # is gathered before x is written.
     h = x.shape[-1] // 2
-    operand = x.take(_gather_index(h, 8, -7, 2), axis=-1)
+    operand = x.take(_gather_index(h), axis=-1)
     if h < 8:
         x[...] = (operand @ _SYNTHESIS_BANK)[..., 0, :2 * h]
     else:

@@ -23,7 +23,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity: one cached object per signal
 class TestSignal:
     name: str
     samples: np.ndarray

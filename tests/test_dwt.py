@@ -1,6 +1,7 @@
 """Orthonormal periodized wavelet transform: filter checks and transform laws."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,45 @@ def oracle_synthesis(approx, detail):
     idx = (2 * np.arange(m // 2)[:, None] + np.arange(16)[None, :]) % m
     contrib = approx[:, None] * LOWPASS[None, :] + detail[:, None] * HIGHPASS[None, :]
     return np.bincount(idx.ravel(), weights=contrib.ravel(), minlength=m)
+
+
+def gathered_step(x, stride, offset, channels, bank):
+    """One step through a periodic index gather: the byte reference for both steps.
+
+    Operand row q holds channel c's values at (stride * q + offset + s) mod size
+    for s < 32 / channels, where size is the channel length; the product with
+    the same (32, 16) bank then fixes every output byte.
+    """
+    size = x.shape[-1] // channels
+    pos = (stride * np.arange(-(-size // stride))[:, None] + offset + np.arange(32 // channels)) % size
+    idx = np.hstack([pos + c * size for c in range(channels)])
+    return x.take(idx, axis=-1) @ bank
+
+
+def gathered_forward(x):
+    """dwt_forward's dyadic array at every depth, each analysis step gathered by index.
+
+    Yields (levels, values): a depth-L decomposition is the full-depth one's L
+    finest levels under the approximation that L steps leave.
+    """
+    values = np.empty(x.shape)
+    for levels in range(1, max_levels(x.shape[-1]) + 1):
+        h = x.shape[-1] // 2
+        out = gathered_step(x, 16, 0, 1, dwt._ANALYSIS_BANK).reshape(x.shape[:-1] + (-1, 2))[..., :h, :]
+        x, values[..., h:2 * h] = out[..., 0], out[..., 1]
+        values[..., :h] = x
+        yield levels, values
+
+
+def gathered_inverse(values, coarse_size):
+    """dwt_inverse with each synthesis operand gathered here, not through dwt's cached index."""
+    x = values.copy()
+    h = coarse_size
+    while h < x.shape[-1]:
+        x[..., :2 * h] = gathered_step(x[..., :2 * h], 8, -7, 2, dwt._SYNTHESIS_BANK).reshape(
+            x.shape[:-1] + (-1,))[..., :2 * h]
+        h *= 2
+    return x
 
 
 class TestFilterBank:
@@ -120,6 +160,40 @@ class TestStepsMatchDefinition:
         for _, v in dec.details:
             back = oracle_synthesis(back, v)
         assert np.abs(dwt_inverse(dec) - back).max() <= tol
+
+
+class TestBytesMatchTheIndexGather:
+    """Analysis copies rows instead of gathering through an index; no output byte may move."""
+
+    @pytest.mark.parametrize("n", [2**k for k in range(1, 18)])
+    def test_forward_and_inverse_bytes_at_every_depth(self, n):
+        rng = np.random.default_rng(n)
+        inputs = [rng.standard_normal(n)] + [rng.standard_normal((rows, n)) for rows in (1, 3, 16)]
+        wide = rng.standard_normal((3, 2 * n))
+        inputs += [wide[:, ::2], wide[0, 1::2]]  # strided rows and a strided 1-d signal
+        for x in inputs:
+            for levels, want in gathered_forward(x):
+                dec = dwt_forward(x, levels)
+                assert dec.values.tobytes() == want.tobytes(), (x.shape, x.strides, levels)
+                h = dec.coarse.shape[-1]
+                assert dwt_inverse(dec).tobytes() == gathered_inverse(want, h).tobytes(), (x.shape, levels)
+
+    def test_forward_keeps_no_index(self):
+        # only synthesis gathers by index; one forward transform caches nothing
+        # and holds nothing beyond its own output once it returns
+        x = np.random.default_rng(3).standard_normal(2**16)
+        dwt._gather_index.cache_clear()
+        tracemalloc.start()
+        try:
+            dec = dwt_forward(x, max_levels(x.size))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dwt._gather_index.cache_info().currsize == 0
+        # the output, the first step's (n/16, 32) operand and its product: 4 x the
+        # input's bytes, where an int64 index would add 2 x more
+        assert peak < 4.5 * x.nbytes
+        assert held < dec.values.nbytes + 64 * 1024
 
 
 class TestRoundTrip:

@@ -103,6 +103,18 @@ class TestSignalCache:
                 setattr(sig, field, value)
         assert sig.samples.copy().flags.writeable
 
+    def test_signals_compare_and_hash_by_identity(self):
+        # an array field would make a generated __eq__ raise on a length or snr mismatch
+        sig = generate_signal("blocks", 64, 3.0)
+        others = (generate_signal("blocks", 128, 3.0), generate_signal("blocks", 64, 6.0))
+        for other in others:
+            assert sig != other and not sig == other
+        assert sig == generate_signal("blocks", 64, 3.0)
+        assert len({sig, *others, generate_signal("blocks", 64, 3.0)}) == 3
+        testbed._signal.cache_clear()
+        fresh = generate_signal("blocks", 64, 3.0)
+        assert fresh != sig and hash(fresh) != hash(sig)
+
     def test_fresh_signal_after_cache_clear_has_the_same_bytes(self):
         cached = generate_signal("spikes", 1024, 3.0)
         testbed._signal.cache_clear()

@@ -180,14 +180,6 @@ def _spread(x, segments):
     return np.repeat(x, [hi - lo for lo, hi in segments], axis=-1)
 
 
-def _row_sums(x, segments):
-    # row sums along the last axis as a column, or with segments each
-    # segment's sum over its own columns, every sum its own call on a view
-    if segments is None:
-        return x.sum(axis=-1, keepdims=True)
-    return _spread(np.stack([x[..., lo:hi].sum(axis=-1) for lo, hi in segments], axis=-1), segments)
-
-
 def batch_estimate(z, sigma, beta, a, positive_part=True, segments=None):
     """Estimator over rows: ``z`` has shape (m, d), or (d,) for one sample.
 
@@ -213,25 +205,26 @@ def batch_estimate(z, sigma, beta, a, positive_part=True, segments=None):
     z = np.asarray(z, dtype=float)
     sigma = _per_row(sigma, z, "sigma")
     if segments is None:
-        a = _per_row(a, z, "a")
+        segments, a = ((0, z.shape[-1]),), [_per_row(a, z, "a")]
     else:
         a = np.asarray(a, dtype=float)
         if a.shape != (len(segments),) or not ((a > 0) & (a < math.inf)).all():
             raise ValueError(f"a must be positive and finite, one value per segment, got {a}")
-        a = _spread(a, segments)
     beta = _per_row(beta, z, "beta", lambda b: 0.0 < b <= 2.0, "in (0, 2]")
     w = z / sigma
     absw = np.abs(w)
     # full-size passes in place; each swaps only the operand order of
     # a*|w|**(beta-2)/D (a*sign(w)*|w|**(beta-1)/D untruncated), so kept values
     # keep their bits, while the entries that copyto overwrites may pass
-    # through inf and nan (|0|**(beta-2) times 0)
+    # through inf and nan (|0|**(beta-2) times 0).  Each segment is scaled by
+    # its own a and D column in place, with no full-width copy of either
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        dnm = _row_sums(absw**beta, segments)
+        dnm = [(absw[..., lo:hi]**beta).sum(axis=-1, keepdims=True) for lo, hi in segments]
         if positive_part:
-            est = np.power(absw, beta - 2.0)
-            est *= a
-            est /= dnm
+            est = np.power(absw, beta - 2.0, out=absw)
+            for (lo, hi), ak, dk in zip(segments, a, dnm):
+                est[..., lo:hi] *= ak
+                est[..., lo:hi] /= dk
             # zero where the ratio is not below 1; it is nan only where
             # |0|**(beta-2) = inf meets a D that overflowed to inf, a zero coordinate
             clip = ~(est < 1.0)
@@ -239,12 +232,13 @@ def batch_estimate(z, sigma, beta, a, positive_part=True, segments=None):
             est *= w
             np.copyto(est, 0.0, where=clip)
         else:
-            if np.any(dnm == 0.0):
+            if any(np.any(dk == 0.0) for dk in dnm):
                 raise ValueError("degenerate input: all coordinates zero")
             gain = np.power(absw, beta - 1.0)
             gain *= np.sign(w)
-            gain *= a
-            gain /= dnm
+            for (lo, hi), ak, dk in zip(segments, a, dnm):
+                gain[..., lo:hi] *= ak
+                gain[..., lo:hi] /= dk
             np.copyto(gain, 0.0, where=absw == 0.0)
             est = w - gain
     est *= sigma

@@ -35,10 +35,11 @@ __all__ = [
 ]
 
 _BATCH = 256  # canonical replicates per substream; fixed so the draws depend only on the seed
-# signal values per block of wavelet replicates: 16 rows at n = 1024, so a
-# 16-replicate cell is one block and zh-sure pays its per-level cost once; 2 rows
-# at n = 8192 and 1 row from n = 16384 up.  It bounds the block's arrays and
-# does not change any result
+# signal values per block of wavelet replicates, with at least 2 rows a block:
+# 16 rows at n = 1024, so a 16-replicate cell is one block and zh-sure pays its
+# per-level cost once, and 2 rows from n = 8192 up, so a 2-replicate cell is
+# one block at every n.  It bounds the block's arrays and does not change any
+# result
 _BLOCK_VALUES = 2**14
 
 
@@ -139,7 +140,7 @@ def _cell_errors(methods, signal, sigma_mode, reps, seed):
     n = f.size
     levels, cutoff = _pipeline(n)
     errs = np.empty((len(methods), reps))
-    block = max(1, _BLOCK_VALUES // n)
+    block = max(2, _BLOCK_VALUES // n)
     for lo in range(0, reps, block):
         decomp = dwt_forward(_noisy_rows(f, seed, lo, min(lo + block, reps)), levels)
         sigma = 1.0 if sigma_mode == "known" else estimate_sigma(decomp)
@@ -152,8 +153,12 @@ def _cell_errors(methods, signal, sigma_mode, reps, seed):
 # _noisy_rows and _squared_errors own their arrays, so a block's noisy rows are
 # freed once the forward transform has read them, and each reconstruction
 # before the next method's is made.  At n = 16384 a row is 128 KiB, just above
-# glibc's default mmap threshold and top pad; the fewer such arrays are live at
-# once, the less often the heap top is trimmed and refaulted between methods.
+# glibc's default mmap threshold and top pad, and a 2-row block is 256 KiB;
+# the fewer such arrays are live at once, the less often the heap top is
+# trimmed and refaulted between methods.  So the layers keep a 2-row block's
+# transients small: the forward transform allocates its output after its
+# first step, the largest synthesis steps fill one row's operand at a time,
+# and zh and js scale each level in place.
 
 
 def _noisy_rows(f, seed, lo, hi):

@@ -407,6 +407,23 @@ class TestSimulate:
         assert cli.main(["simulate", *self.PINNED_FLAGS, "--sigma-mode", sigma_mode, "--out", str(path)]) == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.PINNED_SHA256[sigma_mode]
 
+    @pytest.mark.parametrize("sigma_mode", ["estimated", "known"])
+    def test_an_odd_replicate_count_gives_the_bytes_of_any_row_block(self, tmp_path, monkeypatch, sigma_mode):
+        # blocks hold at least 2 rows, so with 1024 values a block (4 rows at
+        # n = 256, 2 from 1024 up) 21 replicates end in a 1-row block at every
+        # n; the bytes must be those of the default blocks
+        from steinthresh import harness
+
+        flags = [*self.PINNED_FLAGS[:-4], "--reps", "21", "--seed", "11", "--sigma-mode", sigma_mode]
+        outs = []
+        for values in (None, 1024):
+            if values is not None:
+                monkeypatch.setattr(harness, "_BLOCK_VALUES", values)
+            path = tmp_path / f"out{values}.csv"
+            assert cli.main(["simulate", *flags, "--out", str(path)]) == 0
+            outs.append(path.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_theorem_a_rule(self, tmp_path):
         flags = (
             "--methods", "zh",

@@ -195,6 +195,23 @@ class TestBytesMatchTheIndexGather:
         assert peak < 4.5 * x.nbytes
         assert held < dec.values.nbytes + 64 * 1024
 
+    def test_synthesis_caches_no_index_from_8192_up(self):
+        # a full-depth transform at n = 2**17 runs synthesis steps h = 1 .. 2**16;
+        # only the 13 below 8192 gather through the cache, whose live entries
+        # then take about 260 KiB (about 4 MiB with every step cached)
+        x = np.random.default_rng(5).standard_normal(2**17)
+        dwt._gather_index.cache_clear()
+        tracemalloc.start()
+        try:
+            dwt_inverse(dwt_forward(x, max_levels(x.size)))
+            cached = tracemalloc.get_traced_memory()[0]
+            assert dwt._gather_index.cache_info().currsize == 13
+            dwt._gather_index.cache_clear()
+            cached -= tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert cached <= 272 * 1024
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("n", [64, 256, 1024])

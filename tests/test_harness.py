@@ -8,9 +8,9 @@ import pytest
 
 from steinthresh import harness
 from steinthresh._rng import substream
-from steinthresh.baselines import make_method, resolution_cutoff
+from steinthresh.baselines import apply_method, make_method, resolution_cutoff
 from steinthresh.canonical import ShrinkConfig, monte_carlo_a_beta, resolve_a
-from steinthresh.dwt import WaveletDecomposition, dwt_forward, max_levels
+from steinthresh.dwt import WaveletDecomposition, dwt_forward, dwt_inverse, max_levels
 from steinthresh.harness import (
     canonical_risk,
     estimate_sigma,
@@ -134,9 +134,6 @@ class TestWaveletRisk:
     def test_pipeline_error_matches_coefficient_error(self):
         # Parseval: squared error in signal space equals squared coefficient
         # error between the shrunk and the clean decompositions
-        from steinthresh.baselines import apply_method
-        from steinthresh.dwt import dwt_inverse
-
         sig = generate_signal("bumps", 256, 3.0)
         levels = max_levels(256) - resolution_cutoff(256)
         y = sig.samples + np.random.default_rng(13).standard_normal(256)
@@ -174,6 +171,54 @@ class TestWaveletRisk:
         one_block = peak()
         monkeypatch.setattr(harness, "_BLOCK_VALUES", 8 * 1024)
         assert one_block <= 1.35 * peak()
+
+    def test_two_replicates_at_16384_run_as_one_block(self, monkeypatch):
+        # a block holds at least two rows, so a 2-replicate cell makes one forward
+        # transform at every n, here on a (2, 16384) block
+        shapes = []
+
+        def forward(y, levels):
+            shapes.append(y.shape)
+            return dwt_forward(y, levels)
+
+        monkeypatch.setattr(harness, "dwt_forward", forward)
+        risk_sweep(["zh", "visu"], ["doppler"], [16384], 3.0, 2, 4)
+        assert shapes == [(2, 16384)]
+
+    @pytest.mark.parametrize("name", ["zh", "js"])
+    def test_a_two_row_block_bounds_the_segment_rules_transient(self, name):
+        # zh and js scale each level in place with its own a and D, so their
+        # traced peak on a (2, 16384) decomposition, the output copy included,
+        # stays within 4.25 block sizes (5.75 with full-width a and D spreads)
+        n = 16384
+        x = generate_signal("doppler", n, 3.0).samples + np.random.default_rng(n).standard_normal((2, n))
+        levels, cutoff = harness._pipeline(n)
+        decomp = dwt_forward(x, levels)
+        method = make_method(name)
+        apply_method(method, decomp, 1.0, cutoff)  # fill the caches first
+        tracemalloc.start()
+        try:
+            apply_method(method, decomp, 1.0, cutoff)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.25 * x.nbytes
+
+    @pytest.mark.parametrize("sigma_mode", ["known", "estimated"])
+    def test_three_replicates_at_16384_match_one_row_runs_bitwise(self, sigma_mode):
+        # reps = 3 at n = 16384 runs a 2-row block and a 1-row block; each
+        # replicate's errors have the bits of that replicate run alone
+        sig = generate_signal("bumps", 16384, 3.0)
+        f, seed = sig.samples, 8
+        levels, cutoff = harness._pipeline(f.size)
+        methods = [make_method(m) for m in ("zh", "visu", "sure", "blockjs", "js", "zh-sure")]
+        errs = harness._cell_errors(methods, sig, sigma_mode, 3, seed)
+        for r in range(3):
+            decomp = dwt_forward(harness._noisy_rows(f, seed, r, r + 1), levels)
+            sigma = 1.0 if sigma_mode == "known" else estimate_sigma(decomp)
+            for i, method in enumerate(methods):
+                alone = harness._squared_errors(dwt_inverse(apply_method(method, decomp, sigma, cutoff)), f)
+                assert errs[i, r:r + 1].tobytes() == alone.tobytes(), (method.name, r)
 
     def test_noisy_rows_are_drawn_into_one_block(self):
         # each row has the bits of its replicate's own draw, and the transient

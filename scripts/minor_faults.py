@@ -7,7 +7,7 @@ call warms the caches, as the bench's set-up does, so the loop sees the heap
 a timed bench call sees.  Faults are ``getrusage`` of this process around
 the whole loop.  The package is imported from this checkout's ``src/``.
 
-    python3 scripts/minor_faults.py [--calls 120] [--seed 0]
+    python3 scripts/minor_faults.py [--calls 120]
 
 A call that takes a few minor faults or fewer reuses its heap; hundreds per
 call mean that temporaries of 128 KiB or more (one row at n = 16384) are
@@ -35,17 +35,16 @@ SIZES = [1024, 16384]
 def main():
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--calls", type=int, default=120)
-    p.add_argument("--seed", type=int, default=0)
     args = p.parse_args()
     for name in SIGNALS:
         for n in SIZES:
             generate_signal(name, n, 3.0)
-    risk_sweep(METHODS, SIGNALS[:1], SIZES, 3.0, 2, args.seed, "known")
+    risk_sweep(METHODS, SIGNALS[:1], SIZES, 3.0, 2, 0, "known")
     times = []
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for k in range(args.calls):
         t = time.perf_counter()
-        risk_sweep(METHODS, [SIGNALS[k % len(SIGNALS)]], SIZES, 3.0, 2, args.seed + 1 + k, "known")
+        risk_sweep(METHODS, [SIGNALS[k % len(SIGNALS)]], SIZES, 3.0, 2, 1 + k, "known")
         times.append(time.perf_counter() - t)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     print(f"{args.calls} calls: {faults / args.calls:.2f} minor faults per call, "

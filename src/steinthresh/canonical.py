@@ -210,6 +210,10 @@ def batch_estimate(z, sigma, beta, a, positive_part=True, segments=None):
         a = np.asarray(a, dtype=float)
         if a.shape != (len(segments),) or not ((a > 0) & (a < math.inf)).all():
             raise ValueError(f"a must be positive and finite, one value per segment, got {a}")
+        starts = [0] + [hi for _, hi in segments]
+        if ([lo for lo, _ in segments] != starts[:-1] or starts[-1] != z.shape[-1]
+                or any(lo > hi for lo, hi in segments)):
+            raise ValueError(f"segments must tile the last axis of length {z.shape[-1]}, got {segments}")
     beta = _per_row(beta, z, "beta", lambda b: 0.0 < b <= 2.0, "in (0, 2]")
     w = z / sigma
     absw = np.abs(w)
@@ -232,7 +236,7 @@ def batch_estimate(z, sigma, beta, a, positive_part=True, segments=None):
             est *= w
             np.copyto(est, 0.0, where=clip)
         else:
-            if any(np.any(dk == 0.0) for dk in dnm):
+            if any(hi > lo and np.any(dk == 0.0) for (lo, hi), dk in zip(segments, dnm)):
                 raise ValueError("degenerate input: all coordinates zero")
             gain = np.power(absw, beta - 1.0)
             gain *= np.sign(w)

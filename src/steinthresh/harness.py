@@ -35,11 +35,12 @@ __all__ = [
 ]
 
 _BATCH = 256  # canonical replicates per substream; fixed so the draws depend only on the seed
-# signal values per block of wavelet replicates, with at least 2 rows a block:
-# 16 rows at n = 1024, so a 16-replicate cell is one block and zh-sure pays its
-# per-level cost once, and 2 rows from n = 8192 up, so a 2-replicate cell is
-# one block at every n.  It bounds the block's arrays and does not change any
-# result
+# signal values per block of wavelet replicates, with at least 2 rows a block
+# up to n = _BLOCK_VALUES: 16 rows at n = 1024, so a 16-replicate cell is one
+# block and zh-sure pays its per-level cost once, and 2 rows at n = 8192 and
+# 16384, so a 2-replicate cell is one block there; above 16384 a block is one
+# row, since a second row's memory was measured only at 16384.  It bounds the
+# block's arrays and does not change any result
 _BLOCK_VALUES = 2**14
 
 
@@ -140,7 +141,7 @@ def _cell_errors(methods, signal, sigma_mode, reps, seed):
     n = f.size
     levels, cutoff = _pipeline(n)
     errs = np.empty((len(methods), reps))
-    block = max(2, _BLOCK_VALUES // n)
+    block = max(2 if n <= _BLOCK_VALUES else 1, _BLOCK_VALUES // n)
     for lo in range(0, reps, block):
         decomp = dwt_forward(_noisy_rows(f, seed, lo, min(lo + block, reps)), levels)
         sigma = 1.0 if sigma_mode == "known" else estimate_sigma(decomp)

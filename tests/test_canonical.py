@@ -837,6 +837,23 @@ class TestBatchEstimateColumns:
         with pytest.raises(ValueError, match="per row"):
             batch_estimate(z[0], 1.0, 1.5, np.array([[2.0]]))
 
+    @pytest.mark.parametrize("segments", [((0, 3), (4, 8)), ((0, 3), (3, 6)), ((0, 5), (3, 8)),
+                                          ((0, 4), (4, 9)), ((0, 6), (6, 4), (4, 8)), ((1, 4), (4, 8))],
+                             ids=["gap", "short", "overlap", "long", "reversed", "late-start"])
+    @pytest.mark.parametrize("positive_part", [True, False])
+    def test_segments_that_do_not_tile_the_row_raise(self, segments, positive_part):
+        # a column outside every segment would come back scaled by |w|**(beta-2)
+        z = np.arange(1.0, 17.0).reshape(2, 8)
+        with pytest.raises(ValueError, match="segments must tile"):
+            batch_estimate(z, 1.0, 1.5, np.full(len(segments), 2.0), positive_part, segments)
+
+    @pytest.mark.parametrize("positive_part", [True, False])
+    def test_an_empty_segment_changes_no_other_segment(self, positive_part):
+        z = np.array([[4.0, -3.0, 0.2, 5.0, 1.0, -2.0], [1.0, 2.0, 3.0, 4.0, 0.5, 6.0]])
+        got = batch_estimate(z, 1.0, 1.5, np.array([2.0, 3.0, 1.5]), positive_part, ((0, 4), (4, 4), (4, 6)))
+        want = batch_estimate(z, 1.0, 1.5, np.array([2.0, 1.5]), positive_part, ((0, 4), (4, 6)))
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("kernel", [batch_estimate, batch_sure])
     def test_sigma_is_checked_like_apply_method_checks_it(self, kernel):
         # a negative sigma once returned the sigma = +1 output, nan gave all

@@ -173,8 +173,8 @@ class TestWaveletRisk:
         assert one_block <= 1.35 * peak()
 
     def test_two_replicates_at_16384_run_as_one_block(self, monkeypatch):
-        # a block holds at least two rows, so a 2-replicate cell makes one forward
-        # transform at every n, here on a (2, 16384) block
+        # a block holds at least two rows up to n = 16384, so a 2-replicate cell
+        # makes one forward transform there, here on a (2, 16384) block
         shapes = []
 
         def forward(y, levels):
@@ -184,6 +184,19 @@ class TestWaveletRisk:
         monkeypatch.setattr(harness, "dwt_forward", forward)
         risk_sweep(["zh", "visu"], ["doppler"], [16384], 3.0, 2, 4)
         assert shapes == [(2, 16384)]
+
+    def test_replicates_above_16384_run_one_row_a_block(self, monkeypatch):
+        # the second row's memory was measured only at n = 16384, so longer
+        # signals keep one replicate row per block
+        shapes = []
+
+        def forward(y, levels):
+            shapes.append(y.shape)
+            return dwt_forward(y, levels)
+
+        monkeypatch.setattr(harness, "dwt_forward", forward)
+        risk_sweep(["visu"], ["doppler"], [32768], 3.0, 2, 4)
+        assert shapes == [(1, 32768)] * 2
 
     @pytest.mark.parametrize("name", ["zh", "js"])
     def test_a_two_row_block_bounds_the_segment_rules_transient(self, name):

@@ -42,7 +42,6 @@ from .canonical import (
     CanonicalSample,
     ShrinkConfig,
     _per_row,
-    _spread,
     batch_estimate,
     resolve_a,
     select_beta_by_sure,
@@ -138,7 +137,7 @@ def _sure(t, sigma, n, config, levels):
     # threshold; each row is thresholded on its own
     w = t / sigma
     thresh = np.hstack([_hybrid_threshold(w[:, lo:hi]) for lo, hi in levels]) * sigma
-    _soft(t, _spread(thresh, levels))
+    _soft(t, np.repeat(thresh, [hi - lo for lo, hi in levels], axis=-1))
 
 
 def _blockjs(t, sigma, n, config, levels):

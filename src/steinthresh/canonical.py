@@ -12,6 +12,7 @@ All tuning rules are expressed through :class:`ShrinkConfig`; the constant
 """
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -68,9 +69,9 @@ class ShrinkConfig:
     beta > 1/2), ``asymptotic`` (sparse-regime constant growing like ``d``
     times a slowly varying factor), ``eb`` (empirical-Bayes choice ``a = d``)
     and ``theorem`` (the largest constant certified minimax, for 1 < beta <=
-    2), or the constant ``a`` itself as a positive finite number.  Every
-    check that needs no dimension is made here; :func:`resolve_a` makes the
-    rest.
+    2), or the constant ``a`` itself as a positive finite real number
+    (Python or numpy, but not a bool).  Every check that needs no dimension
+    is made here; :func:`resolve_a` makes the rest.
 
     ``finite`` keeps the Bayes risk under normal priors below that of the raw
     data, but it is not pointwise minimax: it exceeds the ``theorem`` constant
@@ -87,7 +88,8 @@ class ShrinkConfig:
         if isinstance(self.a_rule, str):
             if self.a_rule not in A_RULES:
                 raise ValueError(f"a_rule must be one of {A_RULES} or a positive finite a, got {self.a_rule!r}")
-        elif not (isinstance(self.a_rule, (int, float)) and 0 < self.a_rule < math.inf):
+        elif (isinstance(self.a_rule, bool) or not isinstance(self.a_rule, numbers.Real)
+              or not 0 < self.a_rule < math.inf):
             raise ValueError(f"a constant a_rule must be positive and finite, got {self.a_rule!r}")
         if self.a_rule == "finite" and not self.beta > 0.5:  # c_beta's domain
             raise ValueError(f"finite-sample rule requires beta > 1/2, got {self.beta}")
@@ -175,11 +177,6 @@ def resolve_a(config, d):
     return a
 
 
-def _spread(x, segments):
-    # one value per segment along the last axis, repeated over the segment's columns
-    return np.repeat(x, [hi - lo for lo, hi in segments], axis=-1)
-
-
 def batch_estimate(z, sigma, beta, a, positive_part=True, segments=None):
     """Estimator over rows: ``z`` has shape (m, d), or (d,) for one sample.
 
@@ -195,7 +192,8 @@ def batch_estimate(z, sigma, beta, a, positive_part=True, segments=None):
     -1 exactly and a column one through ``pow``: at beta = 2 or 0.5, at
     beta = 1 (``|w|**(beta-2)``) and, untruncated, at beta = 1.5.  A row
     whose ``D`` overflows (``|w|`` near 1e154 and up) has ``D = inf`` and is
-    returned unshrunk, apart from its exact zeros.
+    returned unshrunk, apart from its exact zeros.  A nan in ``z`` raises
+    ValueError in either form.
 
     ``segments``, a tuple of (start, stop) column bounds that tile the last
     axis, makes each segment of a row a sample of its own with its own
@@ -224,6 +222,12 @@ def batch_estimate(z, sigma, beta, a, positive_part=True, segments=None):
     # its own a and D column in place, with no full-width copy of either
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         dnm = [(absw[..., lo:hi]**beta).sum(axis=-1, keepdims=True) for lo, hi in segments]
+        # a segment's D is nan exactly when the segment holds a nan
+        for (lo, hi), dk in zip(segments, dnm):
+            if np.isnan(dk).any():
+                raise ValueError("z must not hold nan")
+            if not positive_part and hi > lo and (dk == 0.0).any():
+                raise ValueError("degenerate input: all coordinates zero")
         if positive_part:
             est = np.power(absw, beta - 2.0, out=absw)
             for (lo, hi), ak, dk in zip(segments, a, dnm):
@@ -236,8 +240,6 @@ def batch_estimate(z, sigma, beta, a, positive_part=True, segments=None):
             est *= w
             np.copyto(est, 0.0, where=clip)
         else:
-            if any(hi > lo and np.any(dk == 0.0) for (lo, hi), dk in zip(segments, dnm)):
-                raise ValueError("degenerate input: all coordinates zero")
             gain = np.power(absw, beta - 1.0)
             gain *= np.sign(w)
             for (lo, hi), ak, dk in zip(segments, a, dnm):
@@ -425,11 +427,11 @@ def monte_carlo_a_beta(beta, d, reps, seed):
     buffers reused for every chunk of the block.  Sequential draws
     continue one stream and row sums do not depend on the chunking, so the
     chunk size does not change the result.  Blocks run on a thread pool of
-    one thread per available core (none for a single block or core), and
-    their partial sums are added in block order, so the result does not
-    depend on the number of cores either.  ``d`` and ``reps`` must be
-    integers (Python or numpy); a float, even an integral one, raises
-    ValueError rather than being truncated.
+    one thread per available core, at most one per block, and their partial
+    sums are added in block order, so the result does not depend on the
+    number of cores either.  ``d`` and ``reps`` must be integers (Python or
+    numpy); a float, even an integral one, raises ValueError rather than
+    being truncated.
     """
     if not (0.5 < beta <= 2.0):
         raise ValueError(f"simulated constant requires beta in (1/2, 2], got {beta}")
@@ -438,14 +440,8 @@ def monte_carlo_a_beta(beta, d, reps, seed):
     batch = max(1, _MC_BLOCK // d)
     sizes = [min(batch, reps - lo) for lo in range(0, reps, batch)]
     run = partial(_mc_block, beta, d, seed)
-    workers = min(len(sizes), _cpu_count())
-    # a single block runs without a pool: a one-thread pool took a
-    # 1,000-replicate call from 1.47 to 2.17 ms, so this branch stays
-    if workers == 1:
-        parts = list(map(run, range(len(sizes)), sizes))
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            parts = list(pool.map(run, range(len(sizes)), sizes))
+    with ThreadPoolExecutor(min(len(sizes), _cpu_count())) as pool:
+        parts = list(pool.map(run, range(len(sizes)), sizes))
     s1 = 0.0
     s2 = 0.0
     for p1, p2 in parts:

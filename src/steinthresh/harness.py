@@ -93,9 +93,7 @@ def canonical_risk(theta, config, sigma, reps, seed, positive_part=True, workers
         z *= sigma
         z += theta
         est = z if config is None else batch_estimate(z, sigma, beta, a, positive_part)
-        est -= theta
-        est *= est
-        errs[lo:hi] = est.sum(axis=1)
+        errs[lo:hi] = _squared_errors(est, theta)
         del z, est  # free this batch before the next one is drawn
     return CanonicalRiskReport(
         theta=label or f"vector of length {d}",

@@ -439,10 +439,11 @@ class TestResolveA:
     def test_config_is_beta_and_a_rule(self):
         assert [f.name for f in dataclasses.fields(ShrinkConfig)] == ["beta", "a_rule"]
         for d in (1, 50):
-            assert resolve_a(ShrinkConfig(a_rule=80.0), d) == 80.0
+            for a in (80.0, np.int64(80), np.float32(80)):
+                assert resolve_a(ShrinkConfig(a_rule=a), d) == 80.0
         assert resolve_a(ShrinkConfig(beta=0.3, a_rule=2), 4) == 2.0
 
-    @pytest.mark.parametrize("a", [0, 0.0, -1, -1.0, math.inf, math.nan, None])
+    @pytest.mark.parametrize("a", [0, 0.0, -1, -1.0, math.inf, math.nan, None, True])
     def test_a_constant_must_be_positive_and_finite(self, a):
         with pytest.raises(ValueError, match="positive and finite"):
             ShrinkConfig(a_rule=a)
@@ -874,6 +875,18 @@ class TestBatchEstimateColumns:
         np.testing.assert_array_equal(got[0], z[0])
         assert got[1].tobytes() == batch_estimate(z[1], 1.0, beta, 2.0).tobytes()
 
+    @pytest.mark.parametrize("positive_part", [True, False])
+    def test_nan_raises_in_either_form(self, positive_part):
+        # the positive-part form once returned exact zeros for a segment
+        # holding a nan, and the untruncated form returned nan
+        z = np.array([[4.0, -3.0, 0.2, 5.0], [1.0, 2.0, np.nan, 4.0]])
+        with pytest.raises(ValueError, match="nan"):
+            batch_estimate(z, 1.0, 1.5, 2.0, positive_part)
+        with pytest.raises(ValueError, match="nan"):
+            batch_estimate(z, 1.0, 1.5, np.array([2.0, 1.5]), positive_part, ((0, 2), (2, 4)))
+        with pytest.raises(ValueError, match="nan"):
+            batch_estimate(z[1], 1.0, 1.5, 2.0, positive_part)
+
 
 class TestMonteCarloConstant:
     def test_chi_square_closed_form(self):
@@ -933,11 +946,12 @@ class TestMonteCarloBlocks:
 
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_bound_a_shape_with_a_ragged_last_block(self, monkeypatch, cpus):
-        # d = 50: 3.5 blocks of 41943 rows, drawn in the default 655-row chunks
+        # d = 50: 3.5 blocks of 41943 rows, drawn in the default 655-row chunks,
+        # and 5,000 rows, which fit in a single block
         monkeypatch.setattr(canonical, "_cpu_count", lambda: cpus)
-        reps = 7 * (2**21 // 50) // 2
-        for beta in (4.0 / 3.0, 2.0):
-            assert_matches_oracle(monte_carlo_a_beta(beta, 50, reps, seed=9), beta, 50, reps, 9)
+        for reps in (7 * (2**21 // 50) // 2, 5000):
+            for beta in (4.0 / 3.0, 2.0):
+                assert_matches_oracle(monte_carlo_a_beta(beta, 50, reps, seed=9), beta, 50, reps, 9)
 
     def test_pinned_results(self):
         # exact results (numpy 2.4.6) of the kernel that drew 1 MiB chunks into
@@ -961,14 +975,6 @@ class TestMonteCarloBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * (rows + 2 * step * d + 3 * step) + 2**16
-
-    def test_single_block_starts_no_pool(self, monkeypatch):
-        def no_pool(*_):
-            raise AssertionError("a single block must not start a thread pool")
-
-        monkeypatch.setattr(canonical, "_cpu_count", lambda: 3)
-        monkeypatch.setattr(canonical, "ThreadPoolExecutor", no_pool)
-        assert_matches_oracle(monte_carlo_a_beta(1.5, 50, 5000, seed=2), 1.5, 50, 5000, 2)
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_worker_exception_propagates(self, monkeypatch, cpus):

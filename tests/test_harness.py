@@ -61,6 +61,18 @@ class TestCanonicalRisk:
         assert rep.theta == "origin"
         assert rep.std_error > 0
 
+    @pytest.mark.parametrize(("rule", "want"), [
+        (None, (50.19809193853037, 0.30932828223563247)),
+        ("finite", (60.44478975785961, 0.37159306875398546)),
+        ("theorem", (47.70465369272434, 0.27885778337395817)),
+    ])
+    def test_pinned_results(self, rule, want):
+        # exact results (numpy 2.4.6) at the canonical-risk bench's theta and
+        # d, over four batches, the last one ragged; these allow no change
+        config = None if rule is None else ShrinkConfig(a_rule=rule)
+        rep = canonical_risk(np.full(50, 2.0), config, 1.0, 1000, seed=0)
+        assert (rep.mean_risk, rep.std_error) == want
+
     def test_validation(self):
         with pytest.raises(ValueError):
             canonical_risk(np.zeros(4), None, 1.0, 99, seed=0)

@@ -1,11 +1,17 @@
-"""Print minor page faults and milliseconds per call of sweeps shaped like the bench's sweep-fixed.
+"""Print minor page faults and milliseconds per call of sweeps shaped like the bench's two sweep workloads.
 
-Each call is ``risk_sweep`` of zh, visu, sure, blockjs and js on one test
-signal at n = 1024 and 16384, 2 replicates, known sigma, cycling over the
-six signals.  The six signals at both lengths are generated first and one
-call warms the caches, as the bench's set-up does, so the loop sees the heap
-a timed bench call sees.  Faults are ``getrusage`` of this process around
-the whole loop.  The package is imported from this checkout's ``src/``.
+A sweep-fixed call is ``risk_sweep`` of zh, visu, sure, blockjs and js on
+one test signal at n = 1024 and 16384, 2 replicates, known sigma; a
+sweep-tuned call is ``risk_sweep`` of zh-sure on one test signal at
+n = 1024, 16 replicates, estimated sigma.  Each shape cycles over the six
+signals.  Each shape runs in a fresh process of its own, as each bench
+workload does, since one shape's heap changes the other's faults (on 2
+vCPUs, a sweep-tuned loop run after a sweep-fixed one took 0.1 faults per
+call, and over 100 on its own).  There the six signals at the shape's lengths are
+generated first and one call warms the caches, as the bench's set-up does,
+so the loop sees the heap a timed bench call sees.  Faults are
+``getrusage`` of that process around the whole loop, and one line is
+printed per shape.  The package is imported from this checkout's ``src/``.
 
     python3 scripts/minor_faults.py [--calls 120]
 
@@ -17,6 +23,7 @@ trees at several ``--calls``.
 """
 
 import argparse
+import multiprocessing
 import resource
 import statistics
 import sys
@@ -27,29 +34,43 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from steinthresh import generate_signal, risk_sweep  # noqa: E402
 
-METHODS = ["zh", "visu", "sure", "blockjs", "js"]
 SIGNALS = ["blocks", "bumps", "heavisine", "doppler", "spikes", "corner"]
-SIZES = [1024, 16384]
+# name: (methods, sizes, replicates, sigma mode)
+SHAPES = {
+    "sweep-fixed": (["zh", "visu", "sure", "blockjs", "js"], [1024, 16384], 2, "known"),
+    "sweep-tuned": (["zh-sure"], [1024], 16, "estimated"),
+}
+
+
+def measure(shape, calls):
+    methods, sizes, reps, sigma_mode = SHAPES[shape]
+    for name in SIGNALS:
+        for n in sizes:
+            generate_signal(name, n, 3.0)
+    risk_sweep(methods, SIGNALS[:1], sizes, 3.0, reps, 0, sigma_mode)
+    times = []
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for k in range(calls):
+        t = time.perf_counter()
+        risk_sweep(methods, [SIGNALS[k % len(SIGNALS)]], sizes, 3.0, reps, 1 + k, sigma_mode)
+        times.append(time.perf_counter() - t)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    print(f"{shape}: {calls} calls: {faults / calls:.2f} minor faults per call, "
+          f"{1e3 * statistics.median(times):.3f} ms per call (median), "
+          f"{1e3 * min(times):.3f} ms (best)")
 
 
 def main():
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--calls", type=int, default=120)
     args = p.parse_args()
-    for name in SIGNALS:
-        for n in SIZES:
-            generate_signal(name, n, 3.0)
-    risk_sweep(METHODS, SIGNALS[:1], SIZES, 3.0, 2, 0, "known")
-    times = []
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for k in range(args.calls):
-        t = time.perf_counter()
-        risk_sweep(METHODS, [SIGNALS[k % len(SIGNALS)]], SIZES, 3.0, 2, 1 + k, "known")
-        times.append(time.perf_counter() - t)
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-    print(f"{args.calls} calls: {faults / args.calls:.2f} minor faults per call, "
-          f"{1e3 * statistics.median(times):.3f} ms per call (median), "
-          f"{1e3 * min(times):.3f} ms (best)")
+    ctx = multiprocessing.get_context("spawn")
+    for shape in SHAPES:
+        proc = ctx.Process(target=measure, args=(shape, args.calls))
+        proc.start()
+        proc.join()
+        if proc.exitcode:
+            sys.exit(proc.exitcode)
 
 
 if __name__ == "__main__":

@@ -42,6 +42,7 @@ from .canonical import (
     CanonicalSample,
     ShrinkConfig,
     _per_row,
+    _real,
     batch_estimate,
     resolve_a,
     select_beta_by_sure,
@@ -81,9 +82,7 @@ def _pipeline(n):
 
 def soft_threshold(x, lam):
     """sign(x) * (|x| - lam)+ elementwise; lam must be nonnegative."""
-    if not lam >= 0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
-    return _soft(np.array(x, dtype=float), lam)
+    return _soft(np.array(x, dtype=float), _real(lam, "lambda", lambda v: v >= 0, "nonnegative"))
 
 
 def _soft(x, lam):
@@ -238,8 +237,7 @@ def apply_method(method, decomp, sigma, cutoff_level):
     checked for every method, identity included: it must be positive and
     finite, a scalar or one value per row.
     """
-    if not math.isfinite(cutoff_level):
-        raise ValueError(f"cutoff_level must be finite, got {cutoff_level}")
+    _real(cutoff_level, "cutoff_level", math.isfinite, "finite")
     out = decomp.values.copy()
     sigma = _per_row(sigma, decomp.coarse, "sigma")
     size, n = decomp.coarse.shape[-1], decomp.n

@@ -83,38 +83,44 @@ class ShrinkConfig:
     a_rule: str | float = "finite"
 
     def __post_init__(self):
-        if not (0.0 < self.beta <= 2.0):
-            raise ValueError(f"beta must be in (0, 2], got {self.beta}")
-        if isinstance(self.a_rule, str):
-            if self.a_rule not in A_RULES:
-                raise ValueError(f"a_rule must be one of {A_RULES} or a positive finite a, got {self.a_rule!r}")
-        elif (isinstance(self.a_rule, bool) or not isinstance(self.a_rule, numbers.Real)
-              or not 0 < self.a_rule < math.inf):
-            raise ValueError(f"a constant a_rule must be positive and finite, got {self.a_rule!r}")
+        _real(self.beta, "beta", lambda b: 0.0 < b <= 2.0, "in (0, 2]")
+        if not isinstance(self.a_rule, str):
+            _real(self.a_rule, "a constant a_rule")
+        elif self.a_rule not in A_RULES:
+            raise ValueError(f"a_rule must be one of {A_RULES} or a positive finite a, got {self.a_rule!r}")
         if self.a_rule == "finite" and not self.beta > 0.5:  # c_beta's domain
             raise ValueError(f"finite-sample rule requires beta > 1/2, got {self.beta}")
         if self.a_rule == "theorem" and not self.beta > 1.0:
             raise ValueError(f"minimaxity bound requires beta > 1, got {self.beta}")
 
 
-def _per_row(x, z, name, ok=lambda v: 0 < v < math.inf, expected="positive and finite"):
-    # a scalar as given (a Python number is checked without numpy); one value
-    # per row of a 2-d z as an (m, 1) column
-    values = (x,)
-    if not isinstance(x, (int, float)) and np.ndim(x):
-        x = np.asarray(x, dtype=float).reshape(-1, 1)
-        if z.ndim != 2 or len(x) != len(z):
-            raise ValueError(f"need one {name} per row of a 2-d input, got {len(x)} values")
-        values = x.ravel().tolist()
-    if not all(map(ok, values)):
-        raise ValueError(f"{name} must be {expected}, got {x}")
+def _real(x, name, ok=lambda v: 0 < v < math.inf, expected="positive and finite"):
+    # a real number (Python or numpy, not a bool, str or complex) that meets
+    # ok, as given; a plain float or int is checked without the numbers ABC
+    if not ((type(x) in (float, int) or isinstance(x, numbers.Real) and not isinstance(x, bool)) and ok(x)):
+        raise ValueError(f"{name} must be {expected}, got {x!r}")
     return x
 
 
+def _per_row(x, z, name, ok=lambda v: 0 < v < math.inf, expected="positive and finite"):
+    # a real scalar as _real takes it; one value per row of a 2-d z as an
+    # (m, 1) float column, from an integer or float array only
+    if type(x) in (float, int) or not np.ndim(x):
+        return _real(x, name, ok, expected)
+    col = np.asarray(x)
+    if col.dtype.kind in "iuf":
+        col = col.astype(float, copy=False).reshape(-1, 1)
+        if z.ndim != 2 or len(col) != len(z):
+            raise ValueError(f"need one {name} per row of a 2-d input, got {len(col)} values")
+        if all(map(ok, col.ravel().tolist())):
+            return col
+    raise ValueError(f"{name} must be {expected}, got {x!r}")
+
+
 def _count(x, name, floor):
-    # an integer count (int or numpy integer) of at least floor, as an int; a
-    # float is rejected, not truncated, even when it is integral
-    if not (isinstance(x, (int, np.integer)) and x >= floor):
+    # an integer count (int or numpy integer, not a bool) of at least floor,
+    # as an int; a float is rejected, not truncated, even when it is integral
+    if not (isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= floor):
         raise ValueError(f"{name} must be an integer >= {floor}, got {x!r}")
     return int(x)
 
@@ -140,8 +146,7 @@ def moment_constant(beta):
 
     Finite exactly when beta > -1.
     """
-    if not beta > -1.0:
-        raise ValueError(f"absolute moment requires beta > -1, got {beta}")
+    _real(beta, "beta", lambda b: b > -1.0, "> -1")
     return 2.0 ** (beta / 2.0) * math.exp(math.lgamma((beta + 1.0) / 2.0)) / math.sqrt(math.pi)
 
 
@@ -150,8 +155,7 @@ def c_beta(beta):
 
     Defined for 1/2 < beta <= 2; equals 2 at beta = 2 and 4/pi at beta = 1.
     """
-    if not (0.5 < beta <= 2.0):
-        raise ValueError(f"c_beta requires beta in (1/2, 2], got {beta}")
+    _real(beta, "beta", lambda b: 0.5 < b <= 2.0, "in (1/2, 2]")
     log_c = 2.0 * math.lgamma((beta + 1.0) / 2.0) - math.lgamma((2.0 * beta - 1.0) / 2.0)
     return 4.0 * math.exp(log_c) / math.sqrt(math.pi)
 
@@ -433,8 +437,7 @@ def monte_carlo_a_beta(beta, d, reps, seed):
     numpy); a float, even an integral one, raises ValueError rather than
     being truncated.
     """
-    if not (0.5 < beta <= 2.0):
-        raise ValueError(f"simulated constant requires beta in (1/2, 2], got {beta}")
+    _real(beta, "beta", lambda b: 0.5 < b <= 2.0, "in (1/2, 2]")
     d = _count(d, "d", 3)
     reps = _count(reps, "reps", 1000)
     batch = max(1, _MC_BLOCK // d)

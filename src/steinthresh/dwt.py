@@ -56,6 +56,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .canonical import _count
+
 __all__ = ["HIGHPASS", "LOWPASS", "WaveletDecomposition", "dwt_forward", "dwt_inverse", "max_levels"]
 
 LOWPASS = np.array(
@@ -85,7 +87,8 @@ HIGHPASS.setflags(write=False)
 
 
 def _is_pow2(n):
-    return isinstance(n, (int, np.integer)) and n >= 1 and (n & (n - 1)) == 0
+    # an int or numpy integer, not a bool
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1 and (n & (n - 1)) == 0
 
 
 def max_levels(n):
@@ -217,7 +220,7 @@ def dwt_forward(signal, levels):
         raise ValueError("signal must be finite")
     n = x.shape[-1]
     depth = max_levels(n)
-    if not isinstance(levels, (int, np.integer)) or not 1 <= levels <= depth:
+    if _count(levels, "levels", 1) > depth:
         raise ValueError(f"levels must be in [1, {depth}] for n={n}, got {levels}")
     # the output is allocated after the first step, once that step's operand,
     # the largest transient, is freed

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .canonical import _real
 from .dwt import max_levels
 
 __all__ = [
@@ -32,8 +33,7 @@ class TestSignal:
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
         max_levels(self.samples.size)  # a power of two >= 2
-        if not 0 < self.snr < np.inf:
-            raise ValueError(f"snr must be positive and finite, got {self.snr}")
+        _real(self.snr, "snr")
 
 
 _JUMP_POINTS = np.array([0.1, 0.13, 0.15, 0.23, 0.25, 0.4, 0.44, 0.65, 0.76, 0.78, 0.81])
@@ -100,14 +100,17 @@ def generate_signal(name, n, snr):
     caller who needs a writable array takes ``.samples.copy()``.  The cache
     keeps the 32 most recently used signals, at most 32 * 8n bytes at the
     largest n in use.  ``n`` must be an integer (Python or numpy); a float,
-    even an integral one, raises ValueError.
+    even an integral one, raises ValueError.  ``snr`` must be a positive
+    finite real number (Python or numpy); a bool or a string raises
+    ValueError.
     """
     if name not in _SIGNALS:
         raise ValueError(f"unknown signal {name!r}; known: {sorted(_SIGNALS)}")
-    # checked before the cache is keyed on int(n): 64.0 hashes like 64, and
-    # np.arange takes a float n, so neither the key nor the samples' size would reject it
+    # checked before the cache is keyed on int(n) and float(snr): 64.0 hashes
+    # like 64, np.arange takes a float n and float() takes True or "3", so
+    # neither the key nor the samples would reject them
     max_levels(n)
-    return _signal(name, int(n), float(snr))
+    return _signal(name, int(n), float(_real(snr, "snr")))
 
 
 # 32 holds the benchmark's largest working set (6 signals at 3 sizes); an LRU

@@ -443,7 +443,7 @@ class TestResolveA:
                 assert resolve_a(ShrinkConfig(a_rule=a), d) == 80.0
         assert resolve_a(ShrinkConfig(beta=0.3, a_rule=2), 4) == 2.0
 
-    @pytest.mark.parametrize("a", [0, 0.0, -1, -1.0, math.inf, math.nan, None, True])
+    @pytest.mark.parametrize("a", [0, 0.0, -1, -1.0, math.inf, math.nan, None, True, np.True_])
     def test_a_constant_must_be_positive_and_finite(self, a):
         with pytest.raises(ValueError, match="positive and finite"):
             ShrinkConfig(a_rule=a)
@@ -525,6 +525,39 @@ class TestSure:
         assert got_b.tolist() == [2.0] * 3 and got_a.tolist() == [finite] * 3
         with pytest.raises(ValueError):
             batch_sure(np.ones(4), 1.0, 1.0, 1.0)  # needs beta > 1
+
+
+# (beta, d) at which the theorem rule's pointwise SURE certificate is checked
+CERTIFIED = [(b, d) for b in (4.0 / 3.0, 1.5, 1.75, 2.0) for d in (5, 10, 50)] + [(1.1, 50)]
+RAY_SCALES = np.logspace(-3.0, 3.0, 61)
+
+
+def certificate_rows(d, seed):
+    # Gaussian rows at scales 0.3-10, Cauchy rows, and dense rays c(1, ..., 1)
+    # and single spikes c e_1 for c in 1e-3 .. 1e3
+    rng = np.random.default_rng(seed)
+    gauss = rng.standard_normal((400, d)) * np.geomspace(0.3, 10.0, 400)[:, None]
+    spikes = np.zeros((RAY_SCALES.size, d))
+    spikes[:, 0] = RAY_SCALES
+    rays = np.repeat(RAY_SCALES[:, None], d, axis=1)
+    return np.vstack([gauss, rng.standard_cauchy((200, d)), rays, spikes])
+
+
+class TestTheoremCertificate:
+    """Stein's pointwise certificate of minimaxity: at the theorem constant, summed SURE stays at most d."""
+
+    @pytest.mark.parametrize("beta, d", CERTIFIED)
+    def test_sure_never_exceeds_d(self, beta, d):
+        a = resolve_a(ShrinkConfig(beta=beta, a_rule="theorem"), d)
+        totals = batch_sure(certificate_rows(d, int(100 * beta) + d), 1.0, beta, a, True)
+        assert totals.max() <= d * (1 + 1e-12)
+
+    @pytest.mark.parametrize("beta, d", CERTIFIED)
+    def test_five_percent_above_theorem_a_dense_ray_exceeds_d(self, beta, d):
+        # the certificate is not vacuous: a slightly larger a breaks it
+        a = 1.05 * resolve_a(ShrinkConfig(beta=beta, a_rule="theorem"), d)
+        rays = np.repeat(RAY_SCALES[:, None], d, axis=1)
+        assert batch_sure(rays, 1.0, beta, a, True).max() > d + 0.01
 
 
 class TestSelectBeta:

@@ -6,10 +6,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from steinthresh import harness
+from steinthresh import harness, testbed
 from steinthresh._rng import substream
-from steinthresh.baselines import apply_method, make_method, resolution_cutoff
-from steinthresh.canonical import ShrinkConfig, monte_carlo_a_beta, resolve_a
+from steinthresh.baselines import apply_method, make_method, resolution_cutoff, soft_threshold
+from steinthresh.canonical import (
+    CanonicalSample,
+    ShrinkConfig,
+    batch_estimate,
+    batch_sure,
+    monte_carlo_a_beta,
+    resolve_a,
+)
 from steinthresh.dwt import WaveletDecomposition, dwt_forward, dwt_inverse, max_levels
 from steinthresh.harness import (
     canonical_risk,
@@ -382,3 +389,55 @@ def test_counts_and_lengths_must_be_integers(call, value):
         with pytest.raises(ValueError):
             call(bad)
     np.testing.assert_equal(call(np.int64(value)), call(value))
+
+
+Z = np.array([[4.0, -3.0, 0.2, 5.0], [1.0, 2.0, 0.0, 4.0]])
+REALS = (np.float32, np.float64, np.int64)
+FLOATS = (np.float32, np.float64)
+COUNTS = (np.int64,)
+
+# every entry point of the real-number and count rules that a bool would
+# otherwise pass as 1, as (call of the one argument, a valid value, the numpy types that
+# must give what that value gives); a bool or a numeric string must raise
+# ValueError, not run as its number or raise TypeError
+NUMBER_ARGUMENTS = [
+    pytest.param(lambda s: batch_estimate(Z, s, 1.5, 2.0), 2.0, REALS, id="batch_estimate-sigma"),
+    pytest.param(lambda a: batch_estimate(Z, 1.0, 1.5, a), 2.0, REALS, id="batch_estimate-a"),
+    pytest.param(lambda b: batch_estimate(Z, 1.0, b, 2.0), 1.5, FLOATS, id="batch_estimate-beta"),
+    pytest.param(lambda s: batch_sure(Z, s, 1.5, 2.0), 2.0, REALS, id="batch_sure-sigma"),
+    pytest.param(lambda s: CanonicalSample(Z, s).sigma, 2.0, REALS, id="CanonicalSample-sigma"),
+    pytest.param(lambda d: resolve_a(ShrinkConfig(a_rule="eb"), d), 64, COUNTS, id="resolve_a-d"),
+    pytest.param(lambda b: ShrinkConfig(beta=b), 2.0, REALS, id="ShrinkConfig-beta"),
+    pytest.param(lambda b: monte_carlo_a_beta(b, 5, 1000, 0), 2.0, REALS, id="monte_carlo_a_beta-beta"),
+    pytest.param(lambda s: canonical_risk(np.ones(5), ShrinkConfig(), s, 100, 0), 2.0, REALS,
+                 id="canonical_risk-sigma"),
+    pytest.param(lambda snr: generate_signal("blocks", 64, snr).samples, 3.0, REALS, id="generate_signal-snr"),
+    pytest.param(lambda snr: risk_sweep(["zh"], ["blocks"], [64], snr, 2, 0), 3.0, REALS, id="risk_sweep-snr"),
+    pytest.param(lambda snr: testbed.TestSignal("blocks", np.ones(64), snr).snr, 3.0, REALS, id="TestSignal-snr"),
+    pytest.param(lambda k: dwt_forward(np.arange(64.0), k).values, 2, COUNTS, id="dwt_forward-levels"),
+    pytest.param(lambda c: WaveletDecomposition(np.arange(32.0), c).coarse, 8, COUNTS,
+                 id="WaveletDecomposition-coarse_size"),
+    pytest.param(lambda lam: soft_threshold(Z, lam), 1.0, REALS, id="soft_threshold-lambda"),
+    pytest.param(lambda c: apply_method(make_method("visu"), dwt_forward(np.arange(32.0), 3), 1.0, c).values,
+                 3, REALS, id="apply_method-cutoff_level"),
+]
+
+
+@pytest.mark.parametrize("call, value, types", NUMBER_ARGUMENTS)
+def test_no_bool_or_string_is_taken_for_a_number(call, value, types):
+    for bad in (True, np.True_, "3"):
+        with pytest.raises(ValueError):
+            call(bad)
+    want = call(value)
+    for t in types:
+        np.testing.assert_equal(call(t(value)), want)
+
+
+def test_sigma_columns_must_hold_reals():
+    # a bool column would run as sigma = 1 per row, and string or object columns would be converted
+    for bad in ([[True], [True]], [["2"], ["2"]], np.array([[2.0], [2.0]], dtype=object)):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            batch_estimate(Z, np.array(bad), 1.5, 2.0)
+    want = batch_estimate(Z, np.full((2, 1), 2.0), 1.5, 2.0)
+    for t in REALS:
+        assert batch_estimate(Z, np.full((2, 1), 2, dtype=t), 1.5, 2.0).tobytes() == want.tobytes()

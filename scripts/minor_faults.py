@@ -4,22 +4,25 @@ A sweep-fixed call is ``risk_sweep`` of zh, visu, sure, blockjs and js on
 one test signal at n = 1024 and 16384, 2 replicates, known sigma; a
 sweep-tuned call is ``risk_sweep`` of zh-sure on one test signal at
 n = 1024, 16 replicates, estimated sigma.  Each shape cycles over the six
-signals.  Each shape runs in a fresh process of its own, as each bench
+signals.  Each shape runs in fresh processes of its own, as each bench
 workload does, since one shape's heap changes the other's faults (on 2
 vCPUs, a sweep-tuned loop run after a sweep-fixed one took 0.1 faults per
 call, and over 100 on its own).  There the six signals at the shape's lengths are
 generated first and one call warms the caches, as the bench's set-up does,
 so the loop sees the heap a timed bench call sees.  Faults are
-``getrusage`` of that process around the whole loop, and one line is
-printed per shape.  The package is imported from this checkout's ``src/``.
+``getrusage`` of that process around the whole loop.  Each shape runs in
+three such processes one after another, and one line is printed per
+process, so the lines of one shape show the spread between processes.
+The package is imported from this checkout's ``src/``.
 
     python3 scripts/minor_faults.py [--calls 120]
 
 A call that takes a few minor faults or fewer reuses its heap; hundreds per
 call mean that temporaries of 128 KiB or more (one row at n = 16384) are
 mapped and faulted in anew on every call, and such calls have run 25-70%
-slower.  The count can flip with the loop's own allocations, so compare
-trees at several ``--calls``.
+slower.  The count can differ between processes of one tree (a sweep-tuned
+process has read about 160 or about 224 faults per call on 2 vCPUs), so
+compare trees by all three lines of a shape, and at several ``--calls``.
 """
 
 import argparse
@@ -35,6 +38,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from steinthresh import generate_signal, risk_sweep  # noqa: E402
 
 SIGNALS = ["blocks", "bumps", "heavisine", "doppler", "spikes", "corner"]
+# fresh processes per shape, run one after another
+PROCESSES = 3
 # name: (methods, sizes, replicates, sigma mode)
 SHAPES = {
     "sweep-fixed": (["zh", "visu", "sure", "blockjs", "js"], [1024, 16384], 2, "known"),
@@ -42,7 +47,7 @@ SHAPES = {
 }
 
 
-def measure(shape, calls):
+def measure(shape, calls, run):
     methods, sizes, reps, sigma_mode = SHAPES[shape]
     for name in SIGNALS:
         for n in sizes:
@@ -55,7 +60,7 @@ def measure(shape, calls):
         risk_sweep(methods, [SIGNALS[k % len(SIGNALS)]], sizes, 3.0, reps, 1 + k, sigma_mode)
         times.append(time.perf_counter() - t)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-    print(f"{shape}: {calls} calls: {faults / calls:.2f} minor faults per call, "
+    print(f"{shape} (process {run} of {PROCESSES}): {calls} calls: {faults / calls:.2f} minor faults per call, "
           f"{1e3 * statistics.median(times):.3f} ms per call (median), "
           f"{1e3 * min(times):.3f} ms (best)")
 
@@ -66,11 +71,12 @@ def main():
     args = p.parse_args()
     ctx = multiprocessing.get_context("spawn")
     for shape in SHAPES:
-        proc = ctx.Process(target=measure, args=(shape, args.calls))
-        proc.start()
-        proc.join()
-        if proc.exitcode:
-            sys.exit(proc.exitcode)
+        for run in range(1, PROCESSES + 1):
+            proc = ctx.Process(target=measure, args=(shape, args.calls, run))
+            proc.start()
+            proc.join()
+            if proc.exitcode:
+                sys.exit(proc.exitcode)
 
 
 if __name__ == "__main__":

@@ -218,8 +218,8 @@ class LevelwiseMethod:
     def __post_init__(self):
         if self.name not in METHOD_NAMES:
             raise ValueError(f"unknown method {self.name!r}; known: {METHOD_NAMES}")
-        if self.config is not None and self.name != "zh":
-            raise ValueError("config is only meaningful for method 'zh'")
+        if self.config is not None and not (self.name == "zh" and isinstance(self.config, ShrinkConfig)):
+            raise ValueError(f"only 'zh' takes a config, and only a ShrinkConfig; {self.name!r} got {self.config!r}")
         if self.name == "zh" and self.config is None:
             object.__setattr__(self, "config", ShrinkConfig())  # frozen, so set directly
 

@@ -83,7 +83,7 @@ class ShrinkConfig:
     a_rule: str | float = "finite"
 
     def __post_init__(self):
-        _real(self.beta, "beta", lambda b: 0.0 < b <= 2.0, "in (0, 2]")
+        _real(self.beta, "beta", lambda b: (0.0 < b) & (b <= 2.0), "in (0, 2]")
         if not isinstance(self.a_rule, str):
             _real(self.a_rule, "a constant a_rule")
         elif self.a_rule not in A_RULES:
@@ -94,35 +94,55 @@ class ShrinkConfig:
             raise ValueError(f"minimaxity bound requires beta > 1, got {self.beta}")
 
 
-def _real(x, name, ok=lambda v: 0 < v < math.inf, expected="positive and finite"):
+def _real(x, name, ok=lambda v: (0 < v) & (v < math.inf), expected="positive and finite", arrays=False):
     # a real number (Python or numpy, not a bool, str or complex) that meets
-    # ok, as given; a plain float or int is checked without the numbers ABC
-    if not ((type(x) in (float, int) or isinstance(x, numbers.Real) and not isinstance(x, bool)) and ok(x)):
-        raise ValueError(f"{name} must be {expected}, got {x!r}")
-    return x
-
-
-def _per_row(x, z, name, ok=lambda v: 0 < v < math.inf, expected="positive and finite"):
-    # a real scalar as _real takes it; one value per row of a 2-d z as an
-    # (m, 1) float column, from an integer or float array only
-    if type(x) in (float, int) or not np.ndim(x):
-        return _real(x, name, ok, expected)
-    col = np.asarray(x)
-    if col.dtype.kind in "iuf":
-        col = col.astype(float, copy=False).reshape(-1, 1)
-        if z.ndim != 2 or len(col) != len(z):
-            raise ValueError(f"need one {name} per row of a 2-d input, got {len(col)} values")
-        if all(map(ok, col.ravel().tolist())):
-            return col
+    # ok, as given; a plain float or int is checked without the numbers ABC.
+    # With arrays set, also an array (or list) of integers or floats, of one
+    # or more dimensions, whose every value meets ok, as float; ok takes either
+    if type(x) in (float, int) or isinstance(x, numbers.Real) and not isinstance(x, bool):
+        if ok(x):
+            return x
+    elif arrays and (col := _floats(x)) is not None and col.ndim and ok(col).all():
+        return col
     raise ValueError(f"{name} must be {expected}, got {x!r}")
+
+
+def _floats(x):
+    # x as a float array if it holds integers or floats alone, else None;
+    # numpy makes a bool among a list's numbers a number, so a list's items are read too
+    arr = np.asarray(x)
+    if arr.dtype.kind in "iuf" and (isinstance(x, np.ndarray) or not any(
+            isinstance(v, (bool, np.bool_)) for v in np.asarray(x, object).flat)):
+        return arr.astype(float, copy=False)
+
+
+def _data(x, name, ranks=(1, 2)):
+    # a nonempty, finite array (or list) of integers or floats of one of the
+    # ranks, as float64; float64 input is returned as given, not copied
+    arr = _floats(x)
+    if arr is not None and arr.ndim in ranks and arr.size and np.isfinite(arr).all():
+        return arr
+    rank = " or ".join(f"{k}-d" for k in ranks)
+    raise ValueError(f"{name} must be finite, in a nonempty {rank} array of integers or floats, "
+                     f"got {np.asarray(x).dtype} of shape {np.shape(x)}")
+
+
+def _per_row(x, z, name, ok=lambda v: (0 < v) & (v < math.inf), expected="positive and finite"):
+    # a real scalar as _real takes it, or one value per row of a 2-d z as an
+    # (m, 1) float column
+    x = _real(x, name, ok, expected, arrays=True)
+    if isinstance(x, np.ndarray):
+        x = x.reshape(-1, 1)
+        if z.ndim != 2 or len(x) != len(z):
+            raise ValueError(f"need one {name} per row of a 2-d input, got {len(x)} values")
+    return x
 
 
 def _count(x, name, floor):
     # an integer count (int or numpy integer, not a bool) of at least floor,
     # as an int; a float is rejected, not truncated, even when it is integral
-    if not (isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= floor):
-        raise ValueError(f"{name} must be an integer >= {floor}, got {x!r}")
-    return int(x)
+    integer = lambda v: isinstance(v, (int, np.integer)) and v >= floor
+    return int(_real(x, name, integer, f"an integer >= {floor}"))
 
 
 @dataclass
@@ -133,11 +153,7 @@ class CanonicalSample:
     sigma: float = 1.0
 
     def __post_init__(self):
-        self.z = np.asarray(self.z, dtype=float)
-        if self.z.ndim not in (1, 2) or self.z.size < 1:
-            raise ValueError("z must be a nonempty 1-d array, or a 2-d array of rows")
-        if not np.isfinite(self.z).all():
-            raise ValueError("z must be finite")
+        self.z = _data(self.z, "z")
         self.sigma = _per_row(self.sigma, self.z, "sigma")
 
 
@@ -155,13 +171,15 @@ def c_beta(beta):
 
     Defined for 1/2 < beta <= 2; equals 2 at beta = 2 and 4/pi at beta = 1.
     """
-    _real(beta, "beta", lambda b: 0.5 < b <= 2.0, "in (1/2, 2]")
+    _real(beta, "beta", lambda b: (0.5 < b) & (b <= 2.0), "in (1/2, 2]")
     log_c = 2.0 * math.lgamma((beta + 1.0) / 2.0) - math.lgamma((2.0 * beta - 1.0) / 2.0)
     return 4.0 * math.exp(log_c) / math.sqrt(math.pi)
 
 
 def resolve_a(config, d):
     """Concrete shrinkage constant for dimension ``d`` under ``config.a_rule``."""
+    if not isinstance(config, ShrinkConfig):
+        raise ValueError(f"config must be a ShrinkConfig, got {config!r}")
     d = _count(d, "d", 1)
     beta, rule = config.beta, config.a_rule
     if rule == "finite":
@@ -209,14 +227,14 @@ def batch_estimate(z, sigma, beta, a, positive_part=True, segments=None):
     if segments is None:
         segments, a = ((0, z.shape[-1]),), [_per_row(a, z, "a")]
     else:
-        a = np.asarray(a, dtype=float)
-        if a.shape != (len(segments),) or not ((a > 0) & (a < math.inf)).all():
-            raise ValueError(f"a must be positive and finite, one value per segment, got {a}")
+        a = _real(a, "a", arrays=True)
+        if np.shape(a) != (len(segments),):
+            raise ValueError(f"need one a per segment, got {a!r}")
         starts = [0] + [hi for _, hi in segments]
         if ([lo for lo, _ in segments] != starts[:-1] or starts[-1] != z.shape[-1]
                 or any(lo > hi for lo, hi in segments)):
             raise ValueError(f"segments must tile the last axis of length {z.shape[-1]}, got {segments}")
-    beta = _per_row(beta, z, "beta", lambda b: 0.0 < b <= 2.0, "in (0, 2]")
+    beta = _per_row(beta, z, "beta", lambda b: (0.0 < b) & (b <= 2.0), "in (0, 2]")
     w = z / sigma
     absw = np.abs(w)
     # full-size passes in place; each swaps only the operand order of
@@ -316,12 +334,8 @@ def batch_sure(z, sigma, beta, a, total=False):
     """
     z = np.asarray(z, dtype=float)
     sigma = _per_row(sigma, z, "sigma")
-    beta = np.asarray(beta, dtype=float)
-    a = np.asarray(a, dtype=float)
-    if not ((beta > 1.0) & (beta <= 2.0)).all():
-        raise ValueError(f"unbiased risk formula requires beta in (1, 2], got {beta}")
-    if not ((a > 0) & np.isfinite(a)).all():
-        raise ValueError(f"a must be positive and finite, got {a}")
+    beta = _real(beta, "beta", lambda b: (1.0 < b) & (b <= 2.0), "in (1, 2]", arrays=True)
+    beta, a = np.asarray(beta, dtype=float), np.asarray(_real(a, "a", arrays=True), dtype=float)
     if beta.shape != a.shape:
         # one candidate per (beta, a) pair, so the in-place passes of the
         # kernel already have the shape of the result
@@ -437,7 +451,7 @@ def monte_carlo_a_beta(beta, d, reps, seed):
     numpy); a float, even an integral one, raises ValueError rather than
     being truncated.
     """
-    _real(beta, "beta", lambda b: 0.5 < b <= 2.0, "in (1/2, 2]")
+    _real(beta, "beta", lambda b: (0.5 < b) & (b <= 2.0), "in (1/2, 2]")
     d = _count(d, "d", 3)
     reps = _count(reps, "reps", 1000)
     batch = max(1, _MC_BLOCK // d)

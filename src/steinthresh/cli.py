@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from .baselines import METHOD_NAMES, _pipeline, apply_method, make_method
-from .canonical import A_RULES, ShrinkConfig, c_beta, monte_carlo_a_beta, resolve_a
+from .canonical import A_RULES, ShrinkConfig, _data, _real as _real_rule, c_beta, monte_carlo_a_beta, resolve_a
 from .dwt import dwt_forward, dwt_inverse, max_levels
 from .harness import estimate_sigma, risk_sweep
 from .testbed import SIGNAL_NAMES
@@ -62,14 +62,16 @@ def _seed(text):
     return value
 
 
+def _positive(text, name):
+    # a real as _real parses it, checked by the library's rule for a positive finite real
+    try:
+        return _real_rule(_real(text), name)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _sigma_flag(text):
-    s = text.strip()
-    if s == "auto":
-        return "auto"
-    value = _real(s)
-    if not 0 < value < np.inf:
-        raise argparse.ArgumentTypeError("sigma must be positive and finite (or 'auto')")
-    return value
+    return "auto" if text.strip() == "auto" else _positive(text, "sigma")
 
 
 def _a_rule(text):
@@ -78,10 +80,7 @@ def _a_rule(text):
     if s in A_RULES:
         return s
     if s.startswith("fixed:"):
-        value = _real(s[len("fixed:"):])
-        if not value > 0:
-            raise argparse.ArgumentTypeError("fixed a must be positive")
-        return value
+        return _positive(s[len("fixed:"):], "fixed a")
     raise argparse.ArgumentTypeError(f"invalid a-rule {text!r}; expected {_A_RULE_CHOICES}")
 
 
@@ -112,8 +111,7 @@ def cmd_denoise(args):
         raise ValueError("input must be a single-column CSV")
     n = data.size
     max_levels(n)  # identity runs no transform, so its length is checked here
-    if not np.isfinite(data).all():
-        raise ValueError("signal must be finite")
+    data = _data(data, "signal", (1,))
     if args.method == "identity":
         values = data
     else:

@@ -56,7 +56,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .canonical import _count
+from .canonical import _count, _data
 
 __all__ = ["HIGHPASS", "LOWPASS", "WaveletDecomposition", "dwt_forward", "dwt_inverse", "max_levels"]
 
@@ -213,11 +213,7 @@ class WaveletDecomposition:
 
 def dwt_forward(signal, levels):
     """Decompose a length-2**J signal, or (m, 2**J) rows of them, through ``levels`` analysis steps."""
-    x = np.asarray(signal, dtype=float)
-    if x.ndim not in (1, 2):
-        raise ValueError("signal must be 1-d, or 2-d with one signal per row")
-    if not np.isfinite(x).all():
-        raise ValueError("signal must be finite")
+    x = _data(signal, "signal")
     n = x.shape[-1]
     depth = max_levels(n)
     if _count(levels, "levels", 1) > depth:

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._rng import substream
 from .baselines import _pipeline, apply_method, make_method
-from .canonical import _count, _per_row, batch_estimate, resolve_a
+from .canonical import _count, _data, _per_row, batch_estimate, resolve_a
 from .dwt import dwt_forward, dwt_inverse
 from .testbed import generate_signal
 
@@ -76,16 +76,14 @@ def canonical_risk(theta, config, sigma, reps, seed, positive_part=True, workers
     or numpy) of at least 100; a float, even an integral one, raises
     ValueError rather than being truncated.
     """
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim != 1 or theta.size < 1 or not np.isfinite(theta).all():
-        raise ValueError("theta must be a nonempty, finite 1-d vector")
+    theta = _data(theta, "theta", (1,))
     sigma = _per_row(sigma, theta, "sigma")
     reps = _count(reps, "reps", 100)
     d = theta.size
     beta = a = None
     if config is not None:
+        a = resolve_a(config, d)  # checks that config is a ShrinkConfig
         beta = config.beta
-        a = resolve_a(config, d)
     errs = np.empty(reps)
     for b, lo in enumerate(range(0, reps, _BATCH)):
         hi = min(lo + _BATCH, reps)

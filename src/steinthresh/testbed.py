@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import _real
+from .canonical import _data, _real
 from .dwt import max_levels
 
 __all__ = [
@@ -31,7 +31,7 @@ class TestSignal:
     snr: float
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
+        object.__setattr__(self, "samples", _data(self.samples, "samples", (1,)))
         max_levels(self.samples.size)  # a power of two >= 2
         _real(self.snr, "snr")
 

@@ -652,6 +652,17 @@ class TestArgumentTypes:
             cli._a_rule("nope")
         assert str(info.value) == "invalid a-rule 'nope'; expected finite|asymptotic|eb|theorem|fixed:<real>"
 
+    @pytest.mark.parametrize("a_rule", ["fixed:inf", "fixed:-1", "fixed:nan", "fixed:0"])
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_fixed_a_is_checked_at_parse_time_for_every_method(self, tmp_path, capsys, method, a_rule):
+        # a missing input would exit 1 if it were read first; fixed:inf once
+        # passed the parser, so visu ran and zh failed later with another message
+        argv = ["denoise", "--input", str(tmp_path / "nope.csv"), "--method", method, "--a-rule", a_rule,
+                "--out", str(tmp_path / "x.csv")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "fixed a must be positive and finite" in err
+
     @pytest.mark.parametrize("argv, message", [
         ([*SIMULATE, "--snr", "x"], "not a real number: 'x'"),
         ([*SIMULATE, "--reps", "2.5"], "not a positive integer: '2.5'"),

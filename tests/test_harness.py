@@ -441,3 +441,68 @@ def test_sigma_columns_must_hold_reals():
     want = batch_estimate(Z, np.full((2, 1), 2.0), 1.5, 2.0)
     for t in REALS:
         assert batch_estimate(Z, np.full((2, 1), 2, dtype=t), 1.5, 2.0).tobytes() == want.tobytes()
+
+
+SEGMENTS = ((0, 2), (2, 4))
+
+# every entry point of the rules for arrays of constants and data arrays, as
+# (call of the one argument, inputs that numpy would convert to floats): a
+# bool, a string, a bool, str or object array, or a list that mixes a bool
+# into numbers must raise ValueError, not run as the numbers numpy makes of
+# it.  A bool beta is not listed: as 1 it is outside (1, 2] anyway
+ARRAY_ARGUMENTS = [
+    pytest.param(lambda b: batch_sure(Z, 1.0, b, 2.0), ["2", np.array([["1.5"], ["2"]])], id="batch_sure-beta"),
+    pytest.param(lambda a: batch_sure(Z, 1.0, 1.5, a), ["2", True, np.array([[True]]), np.array([["2"], ["3"]])],
+                 id="batch_sure-a"),
+    pytest.param(lambda a: batch_estimate(Z, 1.0, 1.5, a, True, SEGMENTS),
+                 [[True, "2"], np.array(["1", "2"]), [True, 2.0], [np.True_, 2]], id="batch_estimate-segment-a"),
+    pytest.param(lambda s: batch_estimate(Z, s, 1.5, 2.0), [[[True], [2.0]], [[2], [np.True_]]],
+                 id="batch_estimate-sigma-column"),
+    pytest.param(lambda a: batch_estimate(Z, 1.0, 1.5, a), [[[True], [2.0]]], id="batch_estimate-a-column"),
+    pytest.param(CanonicalSample, [["1", "2", "3"], [True, False, True], [True, 2.0, 3.0]], id="CanonicalSample-z"),
+    pytest.param(lambda t: canonical_risk(t, None, 1.0, 100, 0), [np.array(["1", "2", "3"]), [True, True]],
+                 id="canonical_risk-theta"),
+    pytest.param(lambda x: dwt_forward(x, 2),
+                 [np.array(["1"] * 8), np.ones(8, dtype=bool), np.ones(8, dtype=object), [True] + [2.0] * 7],
+                 id="dwt_forward-signal"),
+    pytest.param(lambda x: testbed.TestSignal("blocks", x, 3.0), [np.array(["1"] * 8), np.ones(8, dtype=bool)],
+                 id="TestSignal-samples"),
+]
+
+
+@pytest.mark.parametrize("call, bads", ARRAY_ARGUMENTS)
+def test_no_array_of_bools_or_strings_is_taken_for_numbers(call, bads):
+    for bad in bads:
+        with pytest.raises(ValueError):
+            call(bad)
+
+
+def test_integer_float32_and_list_arrays_give_the_float64_bytes():
+    want = batch_estimate(Z, 1.0, 1.5, np.array([2.0, 3.0]), True, SEGMENTS)
+    for a in ([2.0, 3.0], [2, 3], np.array([2, 3]), np.array([2, 3], dtype=np.float32)):
+        assert batch_estimate(Z, 1.0, 1.5, a, True, SEGMENTS).tobytes() == want.tobytes()
+    betas, a = np.array([1.25, 1.5, 2.0])[:, None, None], np.array([2.0, 3.0, 4.0])[:, None, None]
+    want = batch_sure(Z, 1.0, betas, a, True)
+    for forms in ((betas.tolist(), a.tolist()), (betas.astype(np.float32), a.astype(np.int64))):
+        assert batch_sure(Z, 1.0, *forms, True).tobytes() == want.tobytes()
+    ints = np.arange(-3, 5)
+    floats = ints.astype(float)
+    risk = canonical_risk(floats, ShrinkConfig(), 1.0, 100, 0)
+    for form in (ints, ints.astype(np.float32), ints.tolist()):
+        assert CanonicalSample(form).z.tobytes() == floats.tobytes()
+        assert dwt_forward(form, 2).values.tobytes() == dwt_forward(floats, 2).values.tobytes()
+        assert canonical_risk(form, ShrinkConfig(), 1.0, 100, 0) == risk
+    z = Z[:, 1:3]  # float64, so held as given
+    assert CanonicalSample(z).z is z
+    assert resolve_a(ShrinkConfig(a_rule=np.int64(80)), 50) == 80.0
+
+
+def test_a_config_that_is_not_a_shrink_config_is_rejected_where_it_enters():
+    # each was accepted and then failed inside the method or the engine with AttributeError
+    for bad in ({"beta": 1.5}, "finite", 1.5):
+        with pytest.raises(ValueError, match="ShrinkConfig"):
+            make_method("zh", config=bad)
+        with pytest.raises(ValueError, match="ShrinkConfig"):
+            canonical_risk(np.ones(5), bad, 1.0, 100, 0)
+    with pytest.raises(ValueError, match="ShrinkConfig"):
+        make_method("visu", config=ShrinkConfig())

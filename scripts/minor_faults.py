@@ -1,11 +1,13 @@
 """Print minor page faults and milliseconds per call of sweeps shaped like the bench's two sweep workloads.
 
-A sweep-fixed call is ``risk_sweep`` of zh, visu, sure, blockjs and js on
-one test signal at n = 1024 and 16384, 2 replicates, known sigma; a
-sweep-tuned call is ``risk_sweep`` of zh-sure on one test signal at
-n = 1024, 16 replicates, estimated sigma.  Each shape cycles over the six
-signals.  Each shape runs in fresh processes of its own, as each bench
-workload does, since one shape's heap changes the other's faults (on 2
+A sweep-fixed call is ``risk_sweep`` of ``bench/spec.py``'s ``FIXED_METHODS``
+on one test signal at its ``FIXED_SIZES`` with ``FIXED_REPS`` replicates,
+known sigma (today zh, visu, sure, blockjs and js at n = 1024 and 16384, 2
+replicates); a sweep-tuned call is ``risk_sweep`` of ``TUNED_METHOD`` on one
+test signal at ``TUNED_SIZE`` with ``TUNED_REPS`` replicates, estimated sigma
+(today zh-sure at n = 1024, 16 replicates).  Each shape cycles over
+``SIGNALS`` at ``SNR``.  Each shape runs in fresh processes of its own, as
+each bench workload does, since one shape's heap changes the other's faults (on 2
 vCPUs, a sweep-tuned loop run after a sweep-fixed one took 0.1 faults per
 call, and over 100 on its own).  There the six signals at the shape's lengths are
 generated first and one call warms the caches, as the bench's set-up does,
@@ -13,7 +15,8 @@ so the loop sees the heap a timed bench call sees.  Faults are
 ``getrusage`` of that process around the whole loop.  Each shape runs in
 three such processes one after another, and one line is printed per
 process, so the lines of one shape show the spread between processes.
-The package is imported from this checkout's ``src/``.
+The package is imported from this checkout's ``src/`` by
+``spec.import_package``.
 
     python3 scripts/minor_faults.py [--calls 120]
 
@@ -33,31 +36,32 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
-from steinthresh import generate_signal, risk_sweep  # noqa: E402
+import spec  # noqa: E402
 
-SIGNALS = ["blocks", "bumps", "heavisine", "doppler", "spikes", "corner"]
+st = spec.import_package()
+
 # fresh processes per shape, run one after another
 PROCESSES = 3
-# name: (methods, sizes, replicates, sigma mode)
+# name: (methods, sizes, replicates, sigma mode), as the bench workloads take them
 SHAPES = {
-    "sweep-fixed": (["zh", "visu", "sure", "blockjs", "js"], [1024, 16384], 2, "known"),
-    "sweep-tuned": (["zh-sure"], [1024], 16, "estimated"),
+    "sweep-fixed": (list(spec.FIXED_METHODS), list(spec.FIXED_SIZES), spec.FIXED_REPS, "known"),
+    "sweep-tuned": ([spec.TUNED_METHOD], [spec.TUNED_SIZE], spec.TUNED_REPS, "estimated"),
 }
 
 
 def measure(shape, calls, run):
     methods, sizes, reps, sigma_mode = SHAPES[shape]
-    for name in SIGNALS:
+    for name in spec.SIGNALS:
         for n in sizes:
-            generate_signal(name, n, 3.0)
-    risk_sweep(methods, SIGNALS[:1], sizes, 3.0, reps, 0, sigma_mode)
+            st.generate_signal(name, n, spec.SNR)
+    st.risk_sweep(methods, spec.SIGNALS[:1], sizes, spec.SNR, reps, 0, sigma_mode)
     times = []
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for k in range(calls):
         t = time.perf_counter()
-        risk_sweep(methods, [SIGNALS[k % len(SIGNALS)]], sizes, 3.0, reps, 1 + k, sigma_mode)
+        st.risk_sweep(methods, [spec.SIGNALS[k % len(spec.SIGNALS)]], sizes, spec.SNR, reps, 1 + k, sigma_mode)
         times.append(time.perf_counter() - t)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     print(f"{shape} (process {run} of {PROCESSES}): {calls} calls: {faults / calls:.2f} minor faults per call, "

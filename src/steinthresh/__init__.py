@@ -6,32 +6,12 @@ modules apply it level by level in an orthonormal wavelet decomposition and
 measure risk against classical soft- and block-thresholding baselines.
 """
 
-from .baselines import (
-    METHOD_NAMES,
-    LevelwiseMethod,
-    apply_method,
-    make_method,
-    resolution_cutoff,
-    soft_threshold,
-)
-from .canonical import (
-    CanonicalSample,
-    ShrinkConfig,
-    c_beta,
-    moment_constant,
-    monte_carlo_a_beta,
-    resolve_a,
-    select_beta_by_sure,
-)
-from .dwt import WaveletDecomposition, dwt_forward, dwt_inverse, max_levels
-from .harness import (
-    CanonicalRiskReport,
-    RiskReport,
-    canonical_risk,
-    estimate_sigma,
-    risk_sweep,
-    wavelet_risk_replicates,
-)
-from .testbed import CANONICAL_SIGNALS, SIGNAL_NAMES, TestSignal, generate_signal
+# the package's names are the union of its modules' __all__ lists; cli stays
+# out, so importing the package loads no command-line code
+from .baselines import *
+from .canonical import *
+from .dwt import *
+from .harness import *
+from .testbed import *
 
 __version__ = "0.1.0"

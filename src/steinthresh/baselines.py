@@ -41,6 +41,7 @@ import numpy as np
 from .canonical import (
     CanonicalSample,
     ShrinkConfig,
+    _floats,
     _per_row,
     _real,
     batch_estimate,
@@ -81,8 +82,13 @@ def _pipeline(n):
 
 
 def soft_threshold(x, lam):
-    """sign(x) * (|x| - lam)+ elementwise; lam must be nonnegative."""
-    return _soft(np.array(x, dtype=float), _real(lam, "lambda", lambda v: v >= 0, "nonnegative"))
+    """sign(x) * (|x| - lam)+ elementwise, on a copy of x; lam must be nonnegative.
+
+    x is a number or an array (or list) of integers or floats of any rank.
+    """
+    if (arr := _floats(x)) is None:
+        raise ValueError(f"x must hold integers or floats, not bools or strings, got {np.asarray(x).dtype}")
+    return _soft(np.array(arr), _real(lam, "lambda", lambda v: v >= 0, "nonnegative"))
 
 
 def _soft(x, lam):

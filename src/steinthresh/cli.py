@@ -95,15 +95,16 @@ def _count_list(text):
     return [_count(s) for s in _comma_list(text)]
 
 
-def _build_method(name, beta, a_rule):
-    if name == "zh":
-        return make_method("zh", config=ShrinkConfig(beta=beta, a_rule=a_rule))
-    return make_method(name)
+def _methods(names, args):
+    # --beta and --a-rule make one ShrinkConfig, checked whatever the methods;
+    # only zh takes it
+    config = ShrinkConfig(beta=args.beta, a_rule=args.a_rule)
+    return [make_method(name, config if name == "zh" else None) for name in names]
 
 
 def cmd_denoise(args):
-    # the method's flags are checked before the input is read, as in simulate
-    method = _build_method(args.method, args.beta, args.a_rule)
+    # the flags are checked before the input is read, as in simulate
+    [method] = _methods([args.method], args)
     with warnings.catch_warnings():  # an empty input fails the length check below
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         data = np.loadtxt(args.input, delimiter=",", ndmin=1)
@@ -130,7 +131,7 @@ def cmd_denoise(args):
 
 
 def cmd_simulate(args):
-    methods = [_build_method(m, args.beta, args.a_rule) for m in args.methods]
+    methods = _methods(args.methods, args)
     reports = risk_sweep(
         methods,
         args.signals,

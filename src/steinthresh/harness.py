@@ -21,7 +21,7 @@ import numpy as np
 
 from ._rng import substream
 from .baselines import _pipeline, apply_method, make_method
-from .canonical import _count, _data, _per_row, batch_estimate, resolve_a
+from .canonical import _count, _data, _real, batch_estimate, resolve_a
 from .dwt import dwt_forward, dwt_inverse
 from .testbed import generate_signal
 
@@ -71,13 +71,14 @@ def canonical_risk(theta, config, sigma, reps, seed, positive_part=True, workers
     """Monte Carlo risk E||estimate - theta||^2 in the canonical normal-means model.
 
     ``config=None`` measures the raw observation Z itself (risk d * sigma^2),
-    which is the natural calibration check for the engine.  ``workers`` has
-    no effect on results or execution.  ``reps`` must be an integer (Python
+    which is the natural calibration check for the engine.  ``sigma`` is one
+    positive finite real, as ``theta`` is one vector.  ``workers`` has no
+    effect on results or execution.  ``reps`` must be an integer (Python
     or numpy) of at least 100; a float, even an integral one, raises
     ValueError rather than being truncated.
     """
     theta = _data(theta, "theta", (1,))
-    sigma = _per_row(sigma, theta, "sigma")
+    sigma = _real(sigma, "sigma")
     reps = _count(reps, "reps", 100)
     d = theta.size
     beta = a = None

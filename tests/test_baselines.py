@@ -100,6 +100,22 @@ class TestSoftThreshold:
         with pytest.raises(ValueError):
             soft_threshold(np.ones(3), -0.1)
 
+    def test_x_of_integers_or_floats_of_any_rank_is_taken_and_left_unmodified(self):
+        want = np.array([-1.5, 0.0, 2.5])
+        for form in ([-3, 0, 4], np.array([-3, 0, 4]), np.array([-3.0, 0.2, 4.0], dtype=np.float32),
+                     [-3.0, 0.2, 4.0], (-3.0, 0.2, 4.0)):
+            assert soft_threshold(form, 1.5).tobytes() == want.tobytes()
+        x = np.array([[-3.0, np.inf], [-np.inf, 0.5]])
+        before = x.copy()
+        out = soft_threshold(x, 1.0)
+        np.testing.assert_array_equal(out, [[-2.0, np.inf], [-np.inf, 0.0]])
+        np.testing.assert_array_equal(x, before)
+        assert out is not x
+        zero_d = np.array(3.0)
+        assert soft_threshold(zero_d, 1.0) == 2.0 and zero_d == 3.0
+        assert soft_threshold(np.float32(-3.0), 1.0) == -2.0
+        assert soft_threshold(np.arange(-4, 4).reshape(2, 2, 2), 1).shape == (2, 2, 2)
+
     @settings(max_examples=60, deadline=None)
     @given(hst.floats(-1e8, 1e8), hst.floats(0, 1e8))
     def test_shrinks_toward_zero(self, x, lam):

@@ -663,6 +663,27 @@ class TestArgumentTypes:
         err = capsys.readouterr().err
         assert "usage:" in err and "fixed a must be positive and finite" in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--beta", "nan"], "beta must be in (0, 2], got nan"),
+        (["--beta", "5"], "beta must be in (0, 2], got 5.0"),
+        (["--a-rule", "theorem", "--beta", "1"], "minimaxity bound requires beta > 1"),
+    ])
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_beta_and_a_rule_are_checked_for_every_method(self, tmp_path, capsys, monkeypatch, method, flags,
+                                                          message):
+        # denoise fails before its missing input is read (which would exit 1),
+        # and simulate before any noise is drawn; visu once ran with --beta nan
+        def no_draw(*args):
+            raise AssertionError("noise was drawn")
+
+        monkeypatch.setattr(harness, "substream", no_draw)
+        out = tmp_path / "x.csv"
+        for argv in (["denoise", "--input", str(tmp_path / "nope.csv"), "--method", method],
+                     ["simulate", "--methods", method, "--signals", "blocks", "--n", "64", "--reps", "2"]):
+            assert cli.main([*argv, *flags, "--out", str(out)]) == 2
+            stdout, err = capsys.readouterr()
+            assert stdout == "" and message in err and not out.exists()
+
     @pytest.mark.parametrize("argv, message", [
         ([*SIMULATE, "--snr", "x"], "not a real number: 'x'"),
         ([*SIMULATE, "--reps", "2.5"], "not a positive integer: '2.5'"),

@@ -467,6 +467,9 @@ ARRAY_ARGUMENTS = [
                  id="dwt_forward-signal"),
     pytest.param(lambda x: testbed.TestSignal("blocks", x, 3.0), [np.array(["1"] * 8), np.ones(8, dtype=bool)],
                  id="TestSignal-samples"),
+    pytest.param(lambda x: soft_threshold(x, 1.0),
+                 [np.array(["3", "-2"]), [True, False], [True, 2.0], np.ones(3, dtype=object), np.True_, "3"],
+                 id="soft_threshold-x"),
 ]
 
 
@@ -495,6 +498,14 @@ def test_integer_float32_and_list_arrays_give_the_float64_bytes():
     z = Z[:, 1:3]  # float64, so held as given
     assert CanonicalSample(z).z is z
     assert resolve_a(ShrinkConfig(a_rule=np.int64(80)), 50) == 80.0
+
+
+def test_canonical_risk_takes_sigma_as_one_real():
+    # theta is one vector, so a sigma per row has no rows to match: an array
+    # is rejected by the scalar rule, not by a row count
+    for bad in (np.array([1.0]), [1.0, 2.0], np.ones((5, 1))):
+        with pytest.raises(ValueError, match=r"^sigma must be positive and finite, got "):
+            canonical_risk(np.ones(5), ShrinkConfig(), bad, 100, 0)
 
 
 def test_a_config_that_is_not_a_shrink_config_is_rejected_where_it_enters():

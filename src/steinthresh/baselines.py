@@ -42,6 +42,7 @@ from .canonical import (
     CanonicalSample,
     ShrinkConfig,
     _floats,
+    _held,
     _per_row,
     _real,
     batch_estimate,
@@ -87,7 +88,7 @@ def soft_threshold(x, lam):
     x is a number or an array (or list) of integers or floats of any rank.
     """
     if (arr := _floats(x)) is None:
-        raise ValueError(f"x must hold integers or floats, not bools or strings, got {np.asarray(x).dtype}")
+        raise ValueError(f"x must hold integers or floats, not bools or strings, got {_held(x)}")
     return _soft(np.array(arr), _real(lam, "lambda", lambda v: v >= 0, "nonnegative"))
 
 
@@ -139,9 +140,9 @@ def _visu(t, sigma, n, config, levels):
 
 def _sure(t, sigma, n, config, levels):
     # per-level hybrid soft thresholding: sparse levels get the universal
-    # threshold; each row is thresholded on its own
-    w = t / sigma
-    thresh = np.hstack([_hybrid_threshold(w[:, lo:hi]) for lo, hi in levels]) * sigma
+    # threshold; each row is thresholded on its own, and each level is
+    # standardized where it is scored, so no standardized slice is held
+    thresh = np.hstack([_hybrid_threshold(t[:, lo:hi] / sigma) for lo, hi in levels]) * sigma
     _soft(t, np.repeat(thresh, [hi - lo for lo, hi in levels], axis=-1))
 
 

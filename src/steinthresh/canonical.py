@@ -124,7 +124,15 @@ def _data(x, name, ranks=(1, 2)):
         return arr
     rank = " or ".join(f"{k}-d" for k in ranks)
     raise ValueError(f"{name} must be finite, in a nonempty {rank} array of integers or floats, "
-                     f"got {np.asarray(x).dtype} of shape {np.shape(x)}")
+                     f"got {_held(x)} (shape {np.shape(x)})")
+
+
+def _held(x):
+    # what x holds, for a message: the first bool or string item of a list,
+    # whose dtype numpy may make float64 or str, else x's dtype
+    items = () if isinstance(x, np.ndarray) else np.asarray(x, object).flat
+    v = next((v for v in items if isinstance(v, (bool, np.bool_, str))), None)
+    return np.asarray(x).dtype if v is None else f"{type(v).__name__} item {v!r}"
 
 
 def _per_row(x, z, name, ok=lambda v: (0 < v) & (v < math.inf), expected="positive and finite"):
@@ -447,13 +455,15 @@ def monte_carlo_a_beta(beta, d, reps, seed):
     chunk size does not change the result.  Blocks run on a thread pool of
     one thread per available core, at most one per block, and their partial
     sums are added in block order, so the result does not depend on the
-    number of cores either.  ``d`` and ``reps`` must be integers (Python or
-    numpy); a float, even an integral one, raises ValueError rather than
-    being truncated.
+    number of cores either.  ``d``, ``reps`` and ``seed`` must be integers
+    (Python or numpy), the seed at least 0; a float, even an integral one,
+    raises ValueError rather than being truncated, as does a bool or a
+    sequence seed.
     """
     _real(beta, "beta", lambda b: (0.5 < b) & (b <= 2.0), "in (1/2, 2]")
     d = _count(d, "d", 3)
     reps = _count(reps, "reps", 1000)
+    seed = _count(seed, "seed", 0)
     batch = max(1, _MC_BLOCK // d)
     sizes = [min(batch, reps - lo) for lo in range(0, reps, batch)]
     run = partial(_mc_block, beta, d, seed)

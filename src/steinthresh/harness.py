@@ -74,12 +74,14 @@ def canonical_risk(theta, config, sigma, reps, seed, positive_part=True, workers
     which is the natural calibration check for the engine.  ``sigma`` is one
     positive finite real, as ``theta`` is one vector.  ``workers`` has no
     effect on results or execution.  ``reps`` must be an integer (Python
-    or numpy) of at least 100; a float, even an integral one, raises
-    ValueError rather than being truncated.
+    or numpy) of at least 100 and ``seed`` one of at least 0; a float, even
+    an integral one, raises ValueError rather than being truncated, as does
+    a bool or a sequence seed.
     """
     theta = _data(theta, "theta", (1,))
     sigma = _real(sigma, "sigma")
     reps = _count(reps, "reps", 100)
+    seed = _count(seed, "seed", 0)
     d = theta.size
     beta = a = None
     if config is not None:
@@ -134,6 +136,7 @@ def _cell_errors(methods, signal, sigma_mode, reps, seed):
     if sigma_mode not in ("known", "estimated"):
         raise ValueError(f"sigma_mode must be 'known' or 'estimated', got {sigma_mode!r}")
     reps = _count(reps, "reps", 2)  # a standard error needs two replicates
+    seed = _count(seed, "seed", 0)
     f = signal.samples
     n = f.size
     levels, cutoff = _pipeline(n)
@@ -188,8 +191,9 @@ def wavelet_risk_replicates(method, signal, sigma_mode="known", reps=500, seed=0
     but one seed are paired.  Model noise scale is sigma = 1; the
     signal-to-noise ratio lives in the signal scaling.  ``workers`` has no
     effect on results or execution.  ``reps`` must be an integer (Python or
-    numpy) of at least 2; a float, even an integral one, raises ValueError
-    rather than being truncated.
+    numpy) of at least 2 and ``seed`` one of at least 0; a float, even an
+    integral one, raises ValueError rather than being truncated, as does a
+    bool or a sequence seed.
     """
     return _cell_errors(_as_methods([method]), signal, sigma_mode, reps, seed)[0]
 
@@ -202,12 +206,14 @@ def risk_sweep(methods, signals, n_values, snr, reps, seed, sigma_mode="known", 
     cell every method consumes identical noise draws, and each replicate's
     forward transform is computed once for all of them.  Every (signal, n)
     is fetched, and every n checked against the pipeline's depth, before
-    any cell runs, so a bad name or size costs no run.  Signals come from
+    any cell runs, so a bad name or size costs no run; a bad seed fails in
+    the first cell, before it draws any noise.  Signals come from
     ``generate_signal``, so each (signal, n, snr) is generated once per
     process, not once per call, and shared read-only.  A cell's means and
     standard errors are taken in one pass over its (methods, reps) errors.
-    Each n and ``reps`` must be an integer (Python or numpy); a float, even
-    an integral one, raises ValueError rather than being truncated.
+    Each n, ``reps`` and ``seed`` must be an integer (Python or numpy), the
+    seed at least 0; a float, even an integral one, raises ValueError
+    rather than being truncated, as does a bool or a sequence seed.
     Reports are ordered by signal, then n, then method.
     """
     methods = _as_methods(methods)

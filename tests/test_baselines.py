@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -116,6 +117,14 @@ class TestSoftThreshold:
         assert soft_threshold(np.float32(-3.0), 1.0) == -2.0
         assert soft_threshold(np.arange(-4, 4).reshape(2, 2, 2), 1).shape == (2, 2, 2)
 
+    def test_message_names_a_lists_first_bool_or_string_item(self):
+        # numpy makes [True, 2.0] float64, so its dtype would name no fault
+        for bad, got in (([True, 2.0], "bool item True"), ([2.0, "3", True], "str item '3'"),
+                         ([[1.0], [np.True_]], "bool item np.True_"), ("3", "str item '3'"),
+                         (np.array([True, False]), "bool"), (np.ones(2, dtype=object), "object")):
+            with pytest.raises(ValueError, match=rf"not bools or strings, got {re.escape(got)}$"):
+                soft_threshold(bad, 1.0)
+
     @settings(max_examples=60, deadline=None)
     @given(hst.floats(-1e8, 1e8), hst.floats(0, 1e8))
     def test_shrinks_toward_zero(self, x, lam):
@@ -195,6 +204,36 @@ class TestSureShrink:
         out1 = run("sure", mid_decomp(v), 5.0, 4)
         out2 = run("sure", mid_decomp(v / 5.0), 1.0, 4)
         np.testing.assert_allclose(out1.details[2][1], 5.0 * out2.details[2][1], rtol=1e-13)
+
+    @pytest.mark.parametrize("sigma", [1.0, 0.5])  # every level scored sparse at 1.0, the finest dense at 0.5
+    def test_working_set_is_one_levels_scoring_or_the_soft_pass(self, sigma):
+        # the rule standardizes each level where it scores it, so what it
+        # holds on top of its output copy is the larger of one level's scoring
+        # (the standardized level and the hybrid rule's temporaries) and the
+        # soft pass over the slice (its spread thresholds and signs), with no
+        # standardized copy of the whole slice under either
+        n, m = 16384, 2
+        x = generate_signal("doppler", n, 3.0).samples + np.random.default_rng(n).standard_normal((m, n))
+        levels, cutoff = baselines._pipeline(n)
+        decomp = dwt_forward(x, levels)
+        method = make_method("sure")
+        apply_method(method, decomp, sigma, cutoff)  # fill the caches first
+        t = decomp.values[:, 2**cutoff:]
+        tracemalloc.start()
+        try:
+            scoring = 0
+            for j in range(cutoff, n.bit_length() - 1):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                baselines._hybrid_threshold(decomp.values[:, 2**j:2**(j + 1)] / sigma)
+                scoring = max(scoring, tracemalloc.get_traced_memory()[1] - base)
+            tracemalloc.reset_peak()
+            out = apply_method(method, decomp, sigma, cutoff)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.values.shape == (m, n)
+        assert peak - held <= max(scoring, 2 * t.nbytes) + 2**14
 
 
 def oracle_hybrid_threshold(w):

@@ -1053,3 +1053,12 @@ class TestSampleValidation:
             CanonicalSample(np.ones((3, 4)), sigma=np.ones(2))
         rows = CanonicalSample(np.array([[1.0, 2.0]]), sigma=[2.0])
         assert rows.z.shape == (1, 2) and rows.sigma.shape == (1, 1)
+
+    def test_message_names_a_lists_first_bool_or_string_item(self):
+        # numpy makes [True, 2.0, 3.0] float64, so its dtype would name no fault;
+        # an array keeps its dtype in the message
+        for bad, got in (([True, 2.0, 3.0], "bool item True (shape (3,))"),
+                         ([[1.0, "2"], [np.True_, 4.0]], "str item '2' (shape (2, 2))"),
+                         (np.array(["1", "2"]), "<U1 (shape (2,))"), (np.zeros(0), "float64 (shape (0,))")):
+            with pytest.raises(ValueError, match=rf"^z must be finite, .* got {re.escape(got)}$"):
+                CanonicalSample(bad)

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from steinthresh import harness, testbed
+from steinthresh import canonical, harness, testbed
 from steinthresh._rng import substream
 from steinthresh.baselines import apply_method, make_method, resolution_cutoff, soft_threshold
 from steinthresh.canonical import (
@@ -369,6 +369,15 @@ class TestRiskSweep:
 # every entry point of the count and length rules, as (call of the one
 # argument, a valid value); a float must raise ValueError even when it is
 # integral, and a numpy integer must give what the Python int gives
+# each engine as a call of its seed alone
+SEED_ENGINES = {
+    "monte_carlo_a_beta": lambda seed: monte_carlo_a_beta(1.5, 5, 1000, seed),
+    "canonical_risk": lambda seed: canonical_risk(np.ones(5), ShrinkConfig(), 1.0, 100, seed),
+    "wavelet_risk_replicates": lambda seed: wavelet_risk_replicates("zh", generate_signal("blocks", 64, 3.0),
+                                                                    reps=2, seed=seed),
+    "risk_sweep": lambda seed: risk_sweep(["zh"], ["blocks"], [64], 3.0, 2, seed),
+}
+
 INTEGER_ARGUMENTS = [
     pytest.param(lambda d: monte_carlo_a_beta(1.5, d, 1000, 0), 64, id="monte_carlo_a_beta-d"),
     pytest.param(lambda reps: monte_carlo_a_beta(1.5, 5, reps, 0), 1000, id="monte_carlo_a_beta-reps"),
@@ -380,6 +389,7 @@ INTEGER_ARGUMENTS = [
     pytest.param(lambda n: generate_signal("blocks", n, 3.0).samples, 64, id="generate_signal-n"),
     pytest.param(resolution_cutoff, 64, id="resolution_cutoff-n"),
     pytest.param(lambda d: resolve_a(ShrinkConfig(), d), 64, id="resolve_a-d"),
+    *(pytest.param(engine, 7, id=f"{name}-seed") for name, engine in SEED_ENGINES.items()),
 ]
 
 
@@ -420,6 +430,7 @@ NUMBER_ARGUMENTS = [
     pytest.param(lambda lam: soft_threshold(Z, lam), 1.0, REALS, id="soft_threshold-lambda"),
     pytest.param(lambda c: apply_method(make_method("visu"), dwt_forward(np.arange(32.0), 3), 1.0, c).values,
                  3, REALS, id="apply_method-cutoff_level"),
+    *(pytest.param(engine, 7, COUNTS, id=f"{name}-seed") for name, engine in SEED_ENGINES.items()),
 ]
 
 
@@ -431,6 +442,20 @@ def test_no_bool_or_string_is_taken_for_a_number(call, value, types):
     want = call(value)
     for t in types:
         np.testing.assert_equal(call(t(value)), want)
+
+
+@pytest.mark.parametrize("engine", SEED_ENGINES.values(), ids=SEED_ENGINES.keys())
+def test_a_bad_seed_is_named_before_any_noise_is_drawn(monkeypatch, engine):
+    # SeedSequence would run a bool as seed 1 and a list as entropy, and its
+    # errors for the others name no argument
+    def no_draw(seed, *path):
+        raise AssertionError("noise drawn for a bad seed")
+
+    monkeypatch.setattr(harness, "substream", no_draw)
+    monkeypatch.setattr(canonical, "substream", no_draw)
+    for bad in (True, np.True_, 1.5, -1, np.int64(-1), "3", [1, 2]):
+        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got "):
+            engine(bad)
 
 
 def test_sigma_columns_must_hold_reals():

@@ -39,16 +39,12 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import spec  # noqa: E402
+from layer_memory import SHAPES  # noqa: E402
 
 st = spec.import_package()
 
 # fresh processes per shape, run one after another
 PROCESSES = 3
-# name: (methods, sizes, replicates, sigma mode), as the bench workloads take them
-SHAPES = {
-    "sweep-fixed": (list(spec.FIXED_METHODS), list(spec.FIXED_SIZES), spec.FIXED_REPS, "known"),
-    "sweep-tuned": ([spec.TUNED_METHOD], [spec.TUNED_SIZE], spec.TUNED_REPS, "estimated"),
-}
 
 
 def measure(shape, calls, run):

@@ -258,11 +258,14 @@ def batch_estimate(z, sigma, beta, a, positive_part=True, segments=None):
                 raise ValueError("z must not hold nan")
             if not positive_part and hi > lo and (dk == 0.0).any():
                 raise ValueError("degenerate input: all coordinates zero")
+        zero = None if positive_part else absw == 0.0
+        est = np.power(absw, beta - 2.0 if positive_part else beta - 1.0, out=absw)
+        if not positive_part:
+            est *= np.sign(w)
+        for (lo, hi), ak, dk in zip(segments, a, dnm):
+            est[..., lo:hi] *= ak
+            est[..., lo:hi] /= dk
         if positive_part:
-            est = np.power(absw, beta - 2.0, out=absw)
-            for (lo, hi), ak, dk in zip(segments, a, dnm):
-                est[..., lo:hi] *= ak
-                est[..., lo:hi] /= dk
             # zero where the ratio is not below 1; it is nan only where
             # |0|**(beta-2) = inf meets a D that overflowed to inf, a zero coordinate
             clip = ~(est < 1.0)
@@ -270,13 +273,8 @@ def batch_estimate(z, sigma, beta, a, positive_part=True, segments=None):
             est *= w
             np.copyto(est, 0.0, where=clip)
         else:
-            gain = np.power(absw, beta - 1.0)
-            gain *= np.sign(w)
-            for (lo, hi), ak, dk in zip(segments, a, dnm):
-                gain[..., lo:hi] *= ak
-                gain[..., lo:hi] /= dk
-            np.copyto(gain, 0.0, where=absw == 0.0)
-            est = w - gain
+            np.copyto(est, 0.0, where=zero)
+            np.subtract(w, est, out=est)
     est *= sigma
     return est
 

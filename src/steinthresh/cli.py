@@ -14,7 +14,8 @@ import warnings
 import numpy as np
 
 from .baselines import METHOD_NAMES, _pipeline, apply_method, make_method
-from .canonical import A_RULES, ShrinkConfig, _data, _real as _real_rule, c_beta, monte_carlo_a_beta, resolve_a
+from .canonical import A_RULES, ShrinkConfig, _count as _count_rule, _data, _real as _real_rule, c_beta
+from .canonical import monte_carlo_a_beta, resolve_a
 from .dwt import dwt_forward, dwt_inverse, max_levels
 from .harness import estimate_sigma, risk_sweep
 from .testbed import SIGNAL_NAMES
@@ -52,26 +53,25 @@ def _count(text):
     return rounded
 
 
-def _seed(text):
+def _checked(rule, value, *args):
+    # a library rule applied to a parsed value, its ValueError made argparse's usage error
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer seed: {text!r}") from None
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must be an unsigned 64-bit integer")
-    return value
-
-
-def _positive(text, name):
-    # a real as _real parses it, checked by the library's rule for a positive finite real
-    try:
-        return _real_rule(_real(text), name)
+        return rule(value, *args)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _seed(text):
+    # any integer the engines take as a seed, by their own rule
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer seed: {text!r}") from None
+    return _checked(_count_rule, value, "seed", 0)
+
+
 def _sigma_flag(text):
-    return "auto" if text.strip() == "auto" else _positive(text, "sigma")
+    return "auto" if text.strip() == "auto" else _checked(_real_rule, _real(text), "sigma")
 
 
 def _a_rule(text):
@@ -80,7 +80,7 @@ def _a_rule(text):
     if s in A_RULES:
         return s
     if s.startswith("fixed:"):
-        return _positive(s[len("fixed:"):], "fixed a")
+        return _checked(_real_rule, _real(s[len("fixed:"):]), "fixed a")
     raise argparse.ArgumentTypeError(f"invalid a-rule {text!r}; expected {_A_RULE_CHOICES}")
 
 
@@ -157,14 +157,14 @@ def cmd_simulate(args):
 
 
 def cmd_bound_a(args):
-    # every d is checked before any is simulated, and every row is computed
-    # before the table is printed, so a bad d costs no run and no partial output
-    if min(args.d) < 3:
-        raise ValueError("d must be at least 3")
+    # the finite rule checks beta and every d before any is simulated, and every
+    # row is computed before the table is printed, so a bad d costs no run and
+    # no partial output
+    config = ShrinkConfig(beta=args.beta, a_rule="finite")
+    finite_rule = [resolve_a(config, d) for d in args.d]
     rows = []
-    for d in args.d:
+    for d, finite in zip(args.d, finite_rule):
         estimate, std_error = monte_carlo_a_beta(args.beta, d, args.reps, args.seed)
-        finite = resolve_a(ShrinkConfig(beta=args.beta, a_rule="finite"), d)
         rows.append(f"{args.beta:>10.6g} {d:>8d} {estimate:>14.6g} {std_error:>12.3g} "
                     f"{finite:>14.6g} {d * c_beta(args.beta):>14.6g}")
     print(f"{'beta':>10} {'d':>8} {'a_beta':>14} {'std_error':>12} {'finite_rule':>14} {'d_c_beta':>14}")

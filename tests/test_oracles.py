@@ -1,0 +1,85 @@
+"""Closed-form risk oracles for the wavelet harness at n = 1024.
+
+With sigma = 1 known, the orthonormal transform keeps squared error
+(Parseval), so a method that acts on each coefficient alone has a risk that
+sums over the clean coefficients c of one signal.  identity has risk n.
+visu soft-thresholds the treated levels at sqrt(2 ln n) and passes the
+2**cutoff coarse values through, so its risk is 2**cutoff + sum_i r(lam, c_i)
+over the treated c_i, with r the soft-threshold risk of Donoho & Johnstone
+(1994).  The harness's Monte Carlo means must agree with these within 4
+standard errors.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from steinthresh.baselines import _pipeline
+from steinthresh.dwt import dwt_forward
+from steinthresh.harness import wavelet_risk_replicates
+from steinthresh.testbed import CANONICAL_SIGNALS, generate_signal
+
+N = 1024
+SNR = 3.0
+REPS = 2000
+SEED = 1  # chosen once, before the first run, and not re-picked
+
+
+def normal_pdf(x):
+    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+
+def normal_cdf(x):
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def soft_risk(lam, theta):
+    """E(soft(theta + Z, lam) - theta)**2 for Z ~ N(0, 1), in closed form."""
+    inside = normal_cdf(lam - theta) - normal_cdf(-lam - theta)
+    return (1.0 + lam**2 + (theta**2 - lam**2 - 1.0) * inside
+            - (lam - theta) * normal_pdf(lam + theta) - (lam + theta) * normal_pdf(lam - theta))
+
+
+def soft_risk_by_quadrature(lam, theta, h=1e-4):
+    # the trapezoidal rule over z in [-12, 12], where the normal tail is below 1e-30
+    z = np.arange(-12.0, 12.0 + h / 2, h)
+    x = theta + z
+    err = np.sign(x) * np.maximum(np.abs(x) - lam, 0.0) - theta
+    f = err**2 * np.exp(-0.5 * z**2) / math.sqrt(2.0 * math.pi)
+    return h * (f.sum() - 0.5 * (f[0] + f[-1]))
+
+
+def visu_exact_risk(f):
+    levels, cutoff = _pipeline(f.size)
+    lam = math.sqrt(2.0 * math.log(f.size))
+    treated = dwt_forward(f, levels).values[2**cutoff:]
+    return 2**cutoff + sum(soft_risk(lam, c) for c in treated.tolist())
+
+
+def mean_and_se(errs):
+    return errs.mean(), errs.std(ddof=1) / math.sqrt(errs.size)
+
+
+class TestSoftRisk:
+    @pytest.mark.parametrize("theta", [0.0, 0.3, -1.7, 4.0, 25.0])
+    def test_no_threshold_has_unit_risk(self, theta):
+        assert soft_risk(0.0, theta) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, math.sqrt(2.0 * math.log(N))])
+    @pytest.mark.parametrize("theta", [0.0, 0.4, -2.5, 3.7, 9.0])
+    def test_matches_direct_quadrature(self, lam, theta):
+        assert soft_risk(lam, theta) == pytest.approx(soft_risk_by_quadrature(lam, theta), abs=1e-7)
+
+
+@pytest.mark.parametrize("name", CANONICAL_SIGNALS)
+class TestHarnessAgainstExactRisk:
+    def test_visu_mean_is_within_4_se_of_its_exact_risk(self, name):
+        sig = generate_signal(name, N, SNR)
+        mean, se = mean_and_se(wavelet_risk_replicates("visu", sig, reps=REPS, seed=SEED))
+        assert abs(mean - visu_exact_risk(sig.samples)) < 4.0 * se
+
+    def test_identity_mean_is_within_4_se_of_n(self, name):
+        sig = generate_signal(name, N, SNR)
+        mean, se = mean_and_se(wavelet_risk_replicates("identity", sig, reps=REPS, seed=SEED))
+        assert abs(mean - N) < 4.0 * se

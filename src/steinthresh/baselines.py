@@ -242,8 +242,11 @@ def apply_method(method, decomp, sigma, cutoff_level):
     as one (m, T) slice of rows, a 1-d decomposition being m = 1;
     below-cutoff levels and the coarse block keep their bits.  sigma is
     checked for every method, identity included: it must be positive and
-    finite, a scalar or one value per row.
+    finite, a scalar or one value per row.  ``method`` must be a
+    LevelwiseMethod; anything else, a bare name included, raises ValueError.
     """
+    if not isinstance(method, LevelwiseMethod):
+        raise ValueError(f"method must be a LevelwiseMethod, got {method!r}")
     _real(cutoff_level, "cutoff_level", math.isfinite, "finite")
     out = decomp.values.copy()
     sigma = _per_row(sigma, decomp.coarse, "sigma")

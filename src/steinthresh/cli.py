@@ -42,15 +42,14 @@ def _real(text):
         raise argparse.ArgumentTypeError(f"not a real number: {text!r}") from None
 
 
-def _count(text):
+def _integer(text):
+    # digits exactly, at any size; other text as a real, an int when it is
+    # integral, else as given, for the rule of the engine that reads it
     try:
-        value = float(text)
-        rounded = int(value)  # inf overflows, nan is a ValueError
-    except (ValueError, OverflowError):
-        raise argparse.ArgumentTypeError(f"not a count: {text!r}") from None
-    if rounded < 1 or rounded != value:
-        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
-    return rounded
+        return int(text)
+    except ValueError:
+        value = _real(text)
+        return int(value) if value.is_integer() else value
 
 
 def _checked(rule, value, *args):
@@ -59,15 +58,6 @@ def _checked(rule, value, *args):
         return rule(value, *args)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _seed(text):
-    # any integer the engines take as a seed, by their own rule
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer seed: {text!r}") from None
-    return _checked(_count_rule, value, "seed", 0)
 
 
 def _sigma_flag(text):
@@ -91,8 +81,8 @@ def _comma_list(text):
     return items
 
 
-def _count_list(text):
-    return [_count(s) for s in _comma_list(text)]
+def _integer_list(text):
+    return [_integer(s) for s in _comma_list(text)]
 
 
 def _methods(names, args):
@@ -194,12 +184,12 @@ def _build_parser():
                      help=f"comma list from {','.join(METHOD_NAMES)}")
     sim.add_argument("--signals", type=_comma_list, required=True,
                      help=f"comma list from {','.join(SIGNAL_NAMES)}")
-    sim.add_argument("--n", type=_count_list, required=True, help="comma list of sample sizes")
+    sim.add_argument("--n", type=_integer_list, required=True, help="comma list of sample sizes")
     sim.add_argument("--snr", type=_real, default=3.0)
-    sim.add_argument("--reps", type=_count, default=500)
-    sim.add_argument("--seed", type=_seed, default=0)
+    sim.add_argument("--reps", type=_integer, default=500)
+    sim.add_argument("--seed", type=_integer, default=0)
     sim.add_argument("--sigma-mode", choices=("known", "estimated"), default="known")
-    sim.add_argument("--workers", type=_count, default=1,
+    sim.add_argument("--workers", type=lambda text: _checked(_count_rule, _integer(text), "workers", 1), default=1,
                      help="accepted for compatibility; no effect on results or execution")
     sim.add_argument("--out", required=True, help="output CSV path")
     sim.set_defaults(func=cmd_simulate)
@@ -213,9 +203,9 @@ def _build_parser():
 
     bnd = sub.add_parser("bound-a", help="simulate the Bayes-risk-safe shrink constant")
     bnd.add_argument("--beta", type=_real, required=True, help="exponent in (1/2, 2]; fractions allowed")
-    bnd.add_argument("--d", type=_count_list, required=True, help="comma list of dimensions")
-    bnd.add_argument("--reps", type=_count, default=100000)
-    bnd.add_argument("--seed", type=_seed, default=0)
+    bnd.add_argument("--d", type=_integer_list, required=True, help="comma list of dimensions")
+    bnd.add_argument("--reps", type=_integer, default=100000)
+    bnd.add_argument("--seed", type=_integer, default=0)
     bnd.set_defaults(func=cmd_bound_a)
 
     return parser

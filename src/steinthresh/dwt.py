@@ -56,7 +56,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .canonical import _count, _data
+from .canonical import _count, _data, _real
 
 __all__ = ["HIGHPASS", "LOWPASS", "WaveletDecomposition", "dwt_forward", "dwt_inverse", "max_levels"]
 
@@ -87,14 +87,13 @@ HIGHPASS.setflags(write=False)
 
 
 def _is_pow2(n):
-    # an int or numpy integer, not a bool
-    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1 and (n & (n - 1)) == 0
+    # an int or numpy integer; _real, which takes it as its test, rejects a bool first
+    return isinstance(n, (int, np.integer)) and n >= 1 and (n & (n - 1)) == 0
 
 
 def max_levels(n):
     """Number of analysis steps available for a length-n signal (n = 2**J gives J)."""
-    if not _is_pow2(n) or n < 2:
-        raise ValueError(f"signal length must be a power of two >= 2, got {n}")
+    _real(n, "signal length", lambda v: _is_pow2(v) and v >= 2, "a power of two >= 2")
     return int(n).bit_length() - 1
 
 
@@ -196,8 +195,7 @@ class WaveletDecomposition:
         if not (_is_pow2(n) and n >= 2 and values.dtype == np.float64):
             raise ValueError(f"values must be float64, 1-d or 2-d, with a power-of-two length >= 2, "
                              f"got {values.dtype} {values.shape}")
-        if not (_is_pow2(coarse_size) and coarse_size < n):
-            raise ValueError(f"coarse_size must be an int power of two below {n}, got {coarse_size!r}")
+        _real(coarse_size, "coarse_size", lambda v: _is_pow2(v) and v < n, f"an int power of two below {n}")
         self.values = values
         self.coarse = values[..., :coarse_size]
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import substream
-from .baselines import _pipeline, apply_method, make_method
+from .baselines import LevelwiseMethod, _pipeline, apply_method, make_method
 from .canonical import _count, _data, _real, batch_estimate, resolve_a
 from .dwt import dwt_forward, dwt_inverse
 from .testbed import generate_signal
@@ -179,14 +179,16 @@ def _squared_errors(fhat, f):
 
 
 def _as_methods(methods):
-    # LevelwiseMethod objects for methods given as objects or bare names
-    return [make_method(m) if isinstance(m, str) else m for m in methods]
+    # LevelwiseMethod objects for methods given as objects or bare names; any
+    # other value fails make_method's name check, before any noise is drawn
+    return [m if isinstance(m, LevelwiseMethod) else make_method(m) for m in methods]
 
 
 def wavelet_risk_replicates(method, signal, sigma_mode="known", reps=500, seed=0, workers=1):
     """Per-replicate squared errors ||fhat - f||^2 of the full denoising pipeline.
 
-    ``method`` is a LevelwiseMethod or a bare method name.  Noise for
+    ``method`` is a LevelwiseMethod or a bare method name; any other value
+    raises ValueError before any noise is drawn.  Noise for
     replicate r depends only on (seed, r), so calls with different methods
     but one seed are paired.  Model noise scale is sigma = 1; the
     signal-to-noise ratio lives in the signal scaling.  ``workers`` has no
@@ -201,10 +203,11 @@ def wavelet_risk_replicates(method, signal, sigma_mode="known", reps=500, seed=0
 def risk_sweep(methods, signals, n_values, snr, reps, seed, sigma_mode="known", workers=1):
     """Cartesian sweep over (signal, n, method) with common random numbers.
 
-    ``methods`` may hold LevelwiseMethod objects or bare method names;
-    ``signals`` holds names from ``SIGNAL_NAMES``.  Within one (signal, n)
-    cell every method consumes identical noise draws, and each replicate's
-    forward transform is computed once for all of them.  Every (signal, n)
+    ``methods`` may hold LevelwiseMethod objects or bare method names, and
+    any other item raises ValueError before any noise is drawn; ``signals``
+    holds names from ``SIGNAL_NAMES``.  Within one (signal, n) cell every
+    method consumes identical noise draws, and each replicate's forward
+    transform is computed once for all of them.  Every (signal, n)
     is fetched, and every n checked against the pipeline's depth, before
     any cell runs, so a bad name or size costs no run; a bad seed fails in
     the first cell, before it draws any noise.  Signals come from

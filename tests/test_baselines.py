@@ -462,6 +462,12 @@ class TestMethodDispatch:
         with pytest.raises(ValueError):
             LevelwiseMethod("visu", config=ShrinkConfig())
 
+    @pytest.mark.parametrize("bad", ["zh", None, ShrinkConfig()], ids=["name", "None", "ShrinkConfig"])
+    def test_apply_method_takes_only_a_levelwise_method(self, bad):
+        # a bare name once raised AttributeError
+        with pytest.raises(ValueError, match=r"^method must be a LevelwiseMethod, got "):
+            apply_method(bad, mid_decomp(np.ones(16)), 1.0, 3)
+
     def test_make_method_fills_default_config(self):
         m = make_method("zh")
         assert m.config == ShrinkConfig()

@@ -697,10 +697,10 @@ class TestArgumentTypes:
 
     @pytest.mark.parametrize("argv, message", [
         ([*SIMULATE, "--snr", "x"], "not a real number: 'x'"),
-        ([*SIMULATE, "--reps", "2.5"], "not a positive integer: '2.5'"),
-        ([*SIMULATE, "--reps", "0"], "not a positive integer: '0'"),
+        ([*SIMULATE, "--reps", "2.5"], "reps must be an integer >= 2, got 2.5"),
+        ([*SIMULATE, "--reps", "0"], "reps must be an integer >= 2, got 0"),
         ([*SIMULATE, "--seed", "-1"], "seed must be an integer >= 0, got -1"),
-        ([*SIMULATE, "--seed", "1.5"], "not an integer seed: '1.5'"),
+        ([*SIMULATE, "--seed", "1.5"], "seed must be an integer >= 0, got 1.5"),
         ([*SIMULATE, "--methods", ","], "empty list"),
         (["denoise", "--input", "two.csv", "--method", "zh", "--out", "x.csv"], "input must be a single-column CSV"),
     ])
@@ -712,35 +712,47 @@ class TestArgumentTypes:
         assert out == "" and message in err
         assert not (tmp_path / "x.csv").exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["simulate", "--methods", "zh", "--signals", "blocks", "--n", "64", "--reps", "1e400", "--out", "x.csv"],
-        ["simulate", "--methods", "zh", "--signals", "blocks", "--n", "64", "--reps", "inf", "--out", "x.csv"],
-        ["bound-a", "--beta", "4/3", "--d", "1e400"],
-        ["simulate", "--methods", "zh", "--signals", "blocks", "--n", "64,1e400", "--out", "x.csv"],
+    # a count's bound is the engine's, checked before any noise is drawn or anything printed
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--methods", "zh", "--signals", "blocks", "--n", "64", "--reps", "1e400", "--out", "x.csv"],
+         "reps must be an integer >= 2, got inf"),
+        (["simulate", "--methods", "zh", "--signals", "blocks", "--n", "64", "--reps", "inf", "--out", "x.csv"],
+         "reps must be an integer >= 2, got inf"),
+        (["bound-a", "--beta", "4/3", "--d", "1e400"], "d must be an integer >= 1, got inf"),
+        (["simulate", "--methods", "zh", "--signals", "blocks", "--n", "64,1e400", "--out", "x.csv"],
+         "signal length must be a power of two >= 2, got inf"),
     ])
-    def test_non_finite_count_is_validation_error(self, tmp_path, argv):
+    def test_non_finite_count_is_validation_error(self, tmp_path, argv, message):
         r = run_cli(*argv, cwd=tmp_path)
         assert r.returncode == 2
-        assert "usage:" in r.stderr and "not a count" in r.stderr
+        assert message in r.stderr and r.stdout == ""
         assert "Traceback" not in r.stderr
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("text", ["inf", "-inf", "nan", "1e400", "-1e400"])
-    def test_count_rejects_non_finite_values(self, text):
-        with pytest.raises(argparse.ArgumentTypeError):
-            cli._count(text)
+    def test_count_rejects_non_finite_values(self, tmp_path, monkeypatch, capsys, text):
+        def no_draw(*args):
+            raise AssertionError("noise was drawn")
+
+        monkeypatch.setattr(harness, "substream", no_draw)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([*SIMULATE, f"--reps={text}"]) == 2  # "--reps -inf" would read -inf as a flag
+        out, err = capsys.readouterr()
+        assert out == "" and f"reps must be an integer >= 2, got {float(text)}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("reps", ["1000.0000001", "1000000.0001"])
     def test_count_near_an_integer_is_validation_error(self, tmp_path, reps):
         # these were once rounded and run as 1,000 and 10**6 replicates
         r = run_cli("bound-a", "--beta", "4/3", "--d", "50", "--reps", reps, cwd=tmp_path)
         assert r.returncode == 2
-        assert "usage:" in r.stderr and f"not a positive integer: {reps!r}" in r.stderr
-        assert r.stdout == ""
+        assert f"reps must be an integer >= 1000, got {reps}" in r.stderr
+        assert r.stdout == "" and "Traceback" not in r.stderr
 
     def test_count_accepts_integral_float_text(self):
         for text, count in (("1e6", 10**6), ("64.0", 64), ("7", 7)):
-            assert cli._count(text) == count and type(cli._count(text)) is int
+            assert cli._integer(text) == count and type(cli._integer(text)) is int
 
 
 class TestReadme:

@@ -458,6 +458,20 @@ def test_a_bad_seed_is_named_before_any_noise_is_drawn(monkeypatch, engine):
             engine(bad)
 
 
+@pytest.mark.parametrize("bad", [3, None, ShrinkConfig(), object()], ids=["int", "None", "ShrinkConfig", "object"])
+def test_a_bad_method_is_named_before_any_noise_is_drawn(monkeypatch, bad):
+    # each once raised AttributeError, after the first block's noise and forward transform
+    def no_draw(seed, *path):
+        raise AssertionError("noise drawn for a bad method")
+
+    monkeypatch.setattr(harness, "substream", no_draw)
+    sig = generate_signal("blocks", 64, 3.0)
+    with pytest.raises(ValueError, match=r"^unknown method "):
+        risk_sweep(["visu", bad], ["blocks"], [64], snr=3.0, reps=2, seed=0)
+    with pytest.raises(ValueError, match=r"^unknown method "):
+        wavelet_risk_replicates(bad, sig, reps=2, seed=0)
+
+
 def test_sigma_columns_must_hold_reals():
     # a bool column would run as sigma = 1 per row, and string or object columns would be converted
     for bad in ([[True], [True]], [["2"], ["2"]], np.array([[2.0], [2.0]], dtype=object)):

@@ -222,7 +222,8 @@ def batch_estimate(z, sigma, beta, a, positive_part=True, segments=None):
     -1 exactly and a column one through ``pow``: at beta = 2 or 0.5, at
     beta = 1 (``|w|**(beta-2)``) and, untruncated, at beta = 1.5.  A row
     whose ``D`` overflows (``|w|`` near 1e154 and up) has ``D = inf`` and is
-    returned unshrunk, apart from its exact zeros.  A nan in ``z`` raises
+    returned unshrunk, apart from its exact zeros.  ``z`` is a data array
+    (nonempty, finite, of integers or floats), so a nan or inf in it raises
     ValueError in either form.
 
     ``segments``, a tuple of (start, stop) column bounds that tile the last
@@ -230,7 +231,7 @@ def batch_estimate(z, sigma, beta, a, positive_part=True, segments=None):
     ``D``; ``a`` then holds one value per segment, and each segment's output
     has the bits of a call on that segment alone.
     """
-    z = np.asarray(z, dtype=float)
+    z = _data(z, "z")
     sigma = _per_row(sigma, z, "sigma")
     if segments is None:
         segments, a = ((0, z.shape[-1]),), [_per_row(a, z, "a")]
@@ -252,10 +253,7 @@ def batch_estimate(z, sigma, beta, a, positive_part=True, segments=None):
     # its own a and D column in place, with no full-width copy of either
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         dnm = [(absw[..., lo:hi]**beta).sum(axis=-1, keepdims=True) for lo, hi in segments]
-        # a segment's D is nan exactly when the segment holds a nan
         for (lo, hi), dk in zip(segments, dnm):
-            if np.isnan(dk).any():
-                raise ValueError("z must not hold nan")
             if not positive_part and hi > lo and (dk == 0.0).any():
                 raise ValueError("degenerate input: all coordinates zero")
         zero = None if positive_part else absw == 0.0
@@ -330,7 +328,9 @@ def batch_sure(z, sigma, beta, a, total=False):
     clipped, even in a row whose ``D`` overflows.  Clipped coordinates score
     ``w**2 - 1`` times ``sigma**2``, so an all-zero row (``D = 0``, every
     coordinate clipped) scores ``-sigma**2`` per coordinate at every
-    candidate.  Overflow gives inf or nan scores, not a warning.
+    candidate.  Overflow gives inf or nan scores, not a warning.  ``z`` is
+    a data array, as in :func:`batch_estimate`: a nan or inf in it raises
+    ValueError.
 
     With ``total`` true the scores are summed along d instead, and
     candidates stacked on an extra leading axis (``beta`` or ``a`` of higher
@@ -338,7 +338,7 @@ def batch_sure(z, sigma, beta, a, total=False):
     ``max(_SURE_BLOCK, m * d)`` values, so the temporaries stay small.  Each
     total is one sum along d, so it has the bits of the summed full result.
     """
-    z = np.asarray(z, dtype=float)
+    z = _data(z, "z")
     sigma = _per_row(sigma, z, "sigma")
     beta = _real(beta, "beta", lambda b: (1.0 < b) & (b <= 2.0), "in (1, 2]", arrays=True)
     beta, a = np.asarray(beta, dtype=float), np.asarray(_real(a, "a", arrays=True), dtype=float)

@@ -131,6 +131,11 @@ def estimate_sigma(decomp):
     return float(sigma[0]) if finest.ndim == 1 else sigma
 
 
+def _block(n):
+    # replicate rows per block at signal length n, read from _BLOCK_VALUES at call time
+    return max(2 if n <= _BLOCK_VALUES else 1, _BLOCK_VALUES // n)
+
+
 def _cell_errors(methods, signal, sigma_mode, reps, seed):
     # (len(methods), reps) squared errors; one analysis per block of replicate rows serves every method
     if sigma_mode not in ("known", "estimated"):
@@ -141,7 +146,7 @@ def _cell_errors(methods, signal, sigma_mode, reps, seed):
     n = f.size
     levels, cutoff = _pipeline(n)
     errs = np.empty((len(methods), reps))
-    block = max(2 if n <= _BLOCK_VALUES else 1, _BLOCK_VALUES // n)
+    block = _block(n)
     for lo in range(0, reps, block):
         decomp = dwt_forward(_noisy_rows(f, seed, lo, min(lo + block, reps)), levels)
         sigma = 1.0 if sigma_mode == "known" else estimate_sigma(decomp)

@@ -913,11 +913,11 @@ class TestBatchEstimateColumns:
         # the positive-part form once returned exact zeros for a segment
         # holding a nan, and the untruncated form returned nan
         z = np.array([[4.0, -3.0, 0.2, 5.0], [1.0, 2.0, np.nan, 4.0]])
-        with pytest.raises(ValueError, match="nan"):
+        with pytest.raises(ValueError, match="must be finite"):
             batch_estimate(z, 1.0, 1.5, 2.0, positive_part)
-        with pytest.raises(ValueError, match="nan"):
+        with pytest.raises(ValueError, match="must be finite"):
             batch_estimate(z, 1.0, 1.5, np.array([2.0, 1.5]), positive_part, ((0, 2), (2, 4)))
-        with pytest.raises(ValueError, match="nan"):
+        with pytest.raises(ValueError, match="must be finite"):
             batch_estimate(z[1], 1.0, 1.5, 2.0, positive_part)
 
 

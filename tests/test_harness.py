@@ -488,7 +488,11 @@ SEGMENTS = ((0, 2), (2, 4))
 # (call of the one argument, inputs that numpy would convert to floats): a
 # bool, a string, a bool, str or object array, or a list that mixes a bool
 # into numbers must raise ValueError, not run as the numbers numpy makes of
-# it.  A bool beta is not listed: as 1 it is outside (1, 2] anyway
+# it.  A bool beta is not listed: as 1 it is outside (1, 2] anyway.  The
+# batch kernels' z is a data array too, so an inf (once scored nan by
+# batch_sure) or an empty z (once an empty result) raises as well
+BAD_Z = [["1", "2", "3", "4"], [True, False, True, True], [True, 2.0, 3.0, 4.0], np.array([1j, 2, 3, 4]),
+         [1.0, np.inf, 2.0, 3.0], [[1.0, 2.0], [-np.inf, 3.0]], [], np.zeros((2, 0))]
 ARRAY_ARGUMENTS = [
     pytest.param(lambda b: batch_sure(Z, 1.0, b, 2.0), ["2", np.array([["1.5"], ["2"]])], id="batch_sure-beta"),
     pytest.param(lambda a: batch_sure(Z, 1.0, 1.5, a), ["2", True, np.array([[True]]), np.array([["2"], ["3"]])],
@@ -498,6 +502,8 @@ ARRAY_ARGUMENTS = [
     pytest.param(lambda s: batch_estimate(Z, s, 1.5, 2.0), [[[True], [2.0]], [[2], [np.True_]]],
                  id="batch_estimate-sigma-column"),
     pytest.param(lambda a: batch_estimate(Z, 1.0, 1.5, a), [[[True], [2.0]]], id="batch_estimate-a-column"),
+    pytest.param(lambda z: batch_estimate(z, 1.0, 1.5, 2.0), BAD_Z, id="batch_estimate-z"),
+    pytest.param(lambda z: batch_sure(z, 1.0, 1.5, 2.0), BAD_Z, id="batch_sure-z"),
     pytest.param(CanonicalSample, [["1", "2", "3"], [True, False, True], [True, 2.0, 3.0]], id="CanonicalSample-z"),
     pytest.param(lambda t: canonical_risk(t, None, 1.0, 100, 0), [np.array(["1", "2", "3"]), [True, True]],
                  id="canonical_risk-theta"),

@@ -14,6 +14,7 @@ js's risk.  The harness's Monte Carlo means must agree with the exact risks
 within 4 standard errors, and js's may exceed its bound by at most that.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ import pytest
 
 from steinthresh.baselines import _pipeline
 from steinthresh.dwt import dwt_forward
-from steinthresh.harness import wavelet_risk_replicates
+from steinthresh.harness import risk_sweep, wavelet_risk_replicates
 from steinthresh.testbed import CANONICAL_SIGNALS, generate_signal
 
 N = 1024
@@ -102,6 +103,15 @@ def mean_and_se(errs):
     return errs.mean(), errs.std(ddof=1) / math.sqrt(errs.size)
 
 
+@functools.lru_cache(maxsize=None)
+def risks_at_n(name):
+    # (mean, se) of identity, visu and js at n = N from one sweep, so the
+    # three tests share one set of noise draws; a report's mean and se equal
+    # mean_and_se of that method's wavelet_risk_replicates at the same seed
+    reports = risk_sweep(["identity", "visu", "js"], [name], [N], SNR, REPS, SEED)
+    return {r.method: (r.mean_risk, r.std_error) for r in reports}
+
+
 class TestSoftRisk:
     @pytest.mark.parametrize("theta", [0.0, 0.3, -1.7, 4.0, 25.0])
     def test_no_threshold_has_unit_risk(self, theta):
@@ -117,17 +127,16 @@ class TestSoftRisk:
 class TestHarnessAgainstExactRisk:
     def test_visu_mean_is_within_4_se_of_its_exact_risk(self, name):
         sig = generate_signal(name, N, SNR)
-        mean, se = mean_and_se(wavelet_risk_replicates("visu", sig, reps=REPS, seed=SEED))
+        mean, se = risks_at_n(name)["visu"]
         assert abs(mean - visu_exact_risk(sig.samples)) < 4.0 * se
 
     def test_identity_mean_is_within_4_se_of_n(self, name):
-        sig = generate_signal(name, N, SNR)
-        mean, se = mean_and_se(wavelet_risk_replicates("identity", sig, reps=REPS, seed=SEED))
+        mean, se = risks_at_n(name)["identity"]
         assert abs(mean - N) < 4.0 * se
 
     def test_js_mean_is_at_most_its_plain_james_stein_bound(self, name):
         sig = generate_signal(name, N, SNR)
-        mean, se = mean_and_se(wavelet_risk_replicates("js", sig, reps=REPS, seed=SEED))
+        mean, se = risks_at_n(name)["js"]
         assert mean <= js_risk_bound(sig.samples) + 4.0 * se
 
     def test_visu_mean_at_the_larger_n_is_within_4_se_of_its_exact_risk(self, name):

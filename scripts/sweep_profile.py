@@ -1,17 +1,24 @@
 """Print the time and memory of each sweep layer, the DWT and each SURE level, then the faults per sweep call.
 
-A sweep replicate block runs, in order: its noisy rows (the harness's
-``_noisy_rows``, the one private call, since the noise draw has no public
-entry point), ``dwt_forward``, ``estimate_sigma`` when sigma is estimated,
-then ``apply_method`` and ``dwt_inverse`` once per method.  ``layers`` walks
-such a block by direct calls, with nothing patched, at the sweep-fixed shape
+A sweep cell first transforms its clean signal once (``dwt_forward`` of one
+row).  Each replicate block then runs, in order: its noisy rows (the
+harness's ``_noisy_rows``, since the noise draw has no public entry point),
+``dwt_forward``, ``estimate_sigma`` when sigma is estimated, then, once per
+method, ``apply_method`` and the scoring of its shrunk coefficients against
+the clean ones (the harness's ``_squared_errors``); a sweep runs no
+``dwt_inverse``.  The scoring works in place, so each timed call scores a
+fresh copy of the method's coefficients, and its line includes that copy.
+``layers`` walks the clean transform and one such block by direct calls,
+with nothing patched, at the sweep-fixed shape
 (``bench/spec.py``'s ``FIXED_METHODS`` at each of ``FIXED_SIZES``,
 ``FIXED_REPS`` replicates, known sigma) and the sweep-tuned shape
 (``TUNED_METHOD`` at ``TUNED_SIZE``, ``TUNED_REPS`` replicates, estimated
 sigma).  A block holds as many rows as the harness's ``_block`` gives the
-shape's first block.  Two more groups of lines profile single calls outside
-the sweep shapes: ``dwt_forward`` and ``dwt_inverse`` of one signal at each
-of ``DWT_SIZES``, to the pipeline's depth (as ``denoise`` runs them), and
+shape's first block; the clean transform's line still divides by that
+count in its per-row column, though it is one row.  Two more groups of lines
+profile single calls outside the sweep shapes: ``dwt_forward`` and
+``dwt_inverse`` of one signal at each of ``DWT_SIZES``, to the pipeline's
+depth (as ``denoise`` and ``wavelet_risk_replicates`` run them), and
 ``select_beta_by_sure`` on each of the six detail levels that zh-sure tunes
 in a sweep-tuned block (sigma estimated per row).
 
@@ -95,10 +102,11 @@ def traced(call):
 
 
 def layers(f, rows, methods, sigma_mode):
-    # (name, call) of each layer of one block, in the order the harness runs
-    # them; each call takes the results of the calls before it
+    # (name, call) of the cell's clean transform and each layer of one block,
+    # in the order a sweep runs them; each call takes the results of the calls before it
     levels, cutoff = st.baselines._pipeline(f.size)
     state = {}
+    yield "dwt_forward clean", lambda: state.setdefault("clean", st.dwt_forward(f, levels).values)
     yield "noise rows", lambda: state.setdefault("y", st.harness._noisy_rows(f, 0, 0, rows))
     yield "dwt_forward", lambda: state.setdefault("decomp", st.dwt_forward(state["y"], levels))
     if sigma_mode == "estimated":
@@ -108,7 +116,7 @@ def layers(f, rows, methods, sigma_mode):
         method = st.make_method(m)
         yield f"apply_method {m}", lambda m=m, method=method: state.setdefault(
             m, st.apply_method(method, state["decomp"], sigma(), cutoff))
-        yield f"dwt_inverse {m}", lambda m=m: st.dwt_inverse(state[m])
+        yield f"score {m}", lambda m=m: st.harness._squared_errors(state[m].values.copy(), state["clean"])
 
 
 def dwt_calls(f):

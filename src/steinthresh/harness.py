@@ -11,7 +11,13 @@ wavelet engine for several methods with the same seed gives common random
 numbers: every method sees exactly the same noisy data, which is what makes
 paired risk comparisons sharp at a few hundred replicates.  A sweep cell
 shares one analysis per block (noise, forward transform, estimated sigma)
-among its methods, and each method's errors equal a single-method call's.
+among its methods, and each method's errors equal a one-method sweep's.
+``wavelet_risk_replicates`` scores the reconstruction against the signal,
+the full denoising pipeline; ``risk_sweep`` scores each method's shrunk
+coefficients against the clean signal's, transformed once per cell, and
+runs no inverse transform.  The transform is orthonormal, so by Parseval the
+two scorings agree up to roundoff (within a relative 1e-12), though not bit
+for bit.  Either scoring keeps each replicate's bits independent of its block.
 """
 
 import math
@@ -136,8 +142,10 @@ def _block(n):
     return max(2 if n <= _BLOCK_VALUES else 1, _BLOCK_VALUES // n)
 
 
-def _cell_errors(methods, signal, sigma_mode, reps, seed):
-    # (len(methods), reps) squared errors; one analysis per block of replicate rows serves every method
+def _cell_errors(methods, signal, sigma_mode, reps, seed, coefficients=False):
+    # (len(methods), reps) squared errors; one analysis per block of replicate rows serves every method.
+    # With coefficients set, each method's shrunk coefficients are scored against the clean signal's,
+    # which by Parseval (the transform is orthonormal) is the signal error up to roundoff, with no inverse
     if sigma_mode not in ("known", "estimated"):
         raise ValueError(f"sigma_mode must be 'known' or 'estimated', got {sigma_mode!r}")
     reps = _count(reps, "reps", 2)  # a standard error needs two replicates
@@ -145,6 +153,7 @@ def _cell_errors(methods, signal, sigma_mode, reps, seed):
     f = signal.samples
     n = f.size
     levels, cutoff = _pipeline(n)
+    target, synthesis = (dwt_forward(f, levels).values, lambda d: d.values) if coefficients else (f, dwt_inverse)
     errs = np.empty((len(methods), reps))
     block = _block(n)
     for lo in range(0, reps, block):
@@ -152,19 +161,19 @@ def _cell_errors(methods, signal, sigma_mode, reps, seed):
         sigma = 1.0 if sigma_mode == "known" else estimate_sigma(decomp)
         for i, method in enumerate(methods):
             errs[i, lo:lo + block] = _squared_errors(
-                dwt_inverse(apply_method(method, decomp, sigma, cutoff)), f)
+                synthesis(apply_method(method, decomp, sigma, cutoff)), target)
     return errs
 
 
 # _noisy_rows and _squared_errors own their arrays, so a block's noisy rows are
-# freed once the forward transform has read them, and each reconstruction
-# before the next method's is made.  At n = 16384 a row is 128 KiB, just above
-# glibc's default mmap threshold and top pad, and a 2-row block is 256 KiB;
-# the fewer such arrays are live at once, the less often the heap top is
-# trimmed and refaulted between methods.  So the layers keep a 2-row block's
-# transients small: the forward transform allocates its output after its
-# first step, the largest synthesis steps fill one row's operand at a time,
-# and zh and js scale each level in place.
+# freed once the forward transform has read them, and each method's shrunk
+# coefficients (or reconstruction) before the next method's are made.  At
+# n = 16384 a row is 128 KiB, just above glibc's default mmap threshold and
+# top pad, and a 2-row block is 256 KiB; the fewer such arrays are live at
+# once, the less often the heap top is trimmed and refaulted between methods.
+# So the layers keep a 2-row block's transients small: the forward transform
+# allocates its output after its first step, the largest synthesis steps fill
+# one row's operand at a time, and zh and js scale each level in place.
 
 
 def _noisy_rows(f, seed, lo, hi):
@@ -177,10 +186,17 @@ def _noisy_rows(f, seed, lo, hi):
 
 
 def _squared_errors(fhat, f):
-    # each row's squared distance from f, computed in place on fhat
+    # each row's squared distance from f (a signal or its coefficients), computed in place on fhat
     fhat -= f
     fhat *= fhat
     return fhat.sum(axis=-1)
+
+
+def _axis(values, name):
+    # one sweep axis as a list; a bare string would be read letter by letter, and a single value is no axis
+    if isinstance(values, str) or not hasattr(values, "__iter__"):
+        raise ValueError(f"{name} must be a collection of items, not a single {type(values).__name__}: {values!r}")
+    return list(values)
 
 
 def _as_methods(methods):
@@ -192,8 +208,11 @@ def _as_methods(methods):
 def wavelet_risk_replicates(method, signal, sigma_mode="known", reps=500, seed=0, workers=1):
     """Per-replicate squared errors ||fhat - f||^2 of the full denoising pipeline.
 
-    ``method`` is a LevelwiseMethod or a bare method name; any other value
-    raises ValueError before any noise is drawn.  Noise for
+    Each replicate's estimate is reconstructed by ``dwt_inverse`` and scored
+    against the signal, as ``denoise`` would return it; ``risk_sweep`` gives
+    the same errors within a relative 1e-12 without the inverse.  ``method``
+    is a LevelwiseMethod or a bare method name; any other value raises
+    ValueError before any noise is drawn.  Noise for
     replicate r depends only on (seed, r), so calls with different methods
     but one seed are paired.  Model noise scale is sigma = 1; the
     signal-to-noise ratio lives in the signal scaling.  ``workers`` has no
@@ -212,25 +231,32 @@ def risk_sweep(methods, signals, n_values, snr, reps, seed, sigma_mode="known", 
     any other item raises ValueError before any noise is drawn; ``signals``
     holds names from ``SIGNAL_NAMES``.  Within one (signal, n) cell every
     method consumes identical noise draws, and each replicate's forward
-    transform is computed once for all of them.  Every (signal, n)
-    is fetched, and every n checked against the pipeline's depth, before
-    any cell runs, so a bad name or size costs no run; a bad seed fails in
-    the first cell, before it draws any noise.  Signals come from
-    ``generate_signal``, so each (signal, n, snr) is generated once per
-    process, not once per call, and shared read-only.  A cell's means and
+    transform is computed once for all of them.  Each method's error is
+    scored in the coefficient domain, against the clean signal's
+    coefficients (transformed once per cell), so no inverse transform runs;
+    by Parseval it is ``wavelet_risk_replicates``'s error within a relative
+    1e-12.  ``methods``, ``signals`` and ``n_values`` are each a collection
+    of items; a bare string or a single value raises ValueError naming the
+    argument, before any cell runs.  Every (signal, n) is fetched, and
+    every n checked against the pipeline's depth, before any cell runs, so
+    a bad name or size costs no run; a bad seed fails in the first cell,
+    before it draws any noise.  Signals come from ``generate_signal``, so
+    each (signal, n, snr) is generated once per process, not once per call,
+    and shared read-only.  A cell's means and
     standard errors are taken in one pass over its (methods, reps) errors.
     Each n, ``reps`` and ``seed`` must be an integer (Python or numpy), the
     seed at least 0; a float, even an integral one, raises ValueError
     rather than being truncated, as does a bool or a sequence seed.
     Reports are ordered by signal, then n, then method.
     """
-    methods = _as_methods(methods)
-    cells = [generate_signal(name, n, snr) for name in signals for n in n_values]
+    methods = _as_methods(_axis(methods, "methods"))
+    n_values = _axis(n_values, "n_values")  # a list, so every signal reads all of an iterator's sizes
+    cells = [generate_signal(name, n, snr) for name in _axis(signals, "signals") for n in n_values]
     for sig in cells:
         _pipeline(sig.samples.size)  # an n too small for the pipeline fails before any cell runs
     reports = []
     for sig in cells:
-        errs = _cell_errors(methods, sig, sigma_mode, reps, seed)
+        errs = _cell_errors(methods, sig, sigma_mode, reps, seed, True)  # scored in the coefficient domain
         n, count = sig.samples.size, errs.shape[1]
         # each row's values equal that row's own mean() and std(ddof=1)
         means = errs.mean(axis=1).tolist()

@@ -392,8 +392,8 @@ class TestSimulate:
                     "--signals", "blocks,bumps,doppler", "--n", "256,1024,4096",
                     "--snr", "3", "--reps", "20", "--seed", "11"]
     PINNED_SHA256 = {
-        "estimated": "13bc34907f2db1357e300e7029ff0d4febf7550cb16f8ff534605ee225fd1c42",
-        "known": "9aba95afa306be7b71b61bf04a5f7b629ba9e5b2203e041f4a2eb22571978b05",
+        "estimated": "702376ec5c2c2b25f9ae57de30f9152f724153c730b97012fca58dfc0f152c37",
+        "known": "79e5b5819c072adc6c37b96a4bafd70e519d9ab36a6f32362162d60fb1ad8c69",
     }
 
     @pytest.mark.parametrize("rows_at_1024", [None, 1, 7, 8, 16, 64])

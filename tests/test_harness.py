@@ -8,7 +8,7 @@ import pytest
 
 from steinthresh import canonical, harness, testbed
 from steinthresh._rng import substream
-from steinthresh.baselines import apply_method, make_method, resolution_cutoff, soft_threshold
+from steinthresh.baselines import METHOD_NAMES, apply_method, make_method, resolution_cutoff, soft_threshold
 from steinthresh.canonical import (
     CanonicalSample,
     ShrinkConfig,
@@ -202,11 +202,12 @@ class TestWaveletRisk:
 
         monkeypatch.setattr(harness, "dwt_forward", forward)
         risk_sweep(["zh", "visu"], ["doppler"], [16384], 3.0, 2, 4)
-        assert shapes == [(2, 16384)]
+        assert shapes == [(16384,), (2, 16384)]  # the clean signal's coefficients, then the block
 
     def test_replicates_above_16384_run_one_row_a_block(self, monkeypatch):
         # the second row's memory was measured only at n = 16384, so longer
-        # signals keep one replicate row per block
+        # signals keep one replicate row per block, after the sweep's one
+        # forward transform of the clean signal
         shapes = []
 
         def forward(y, levels):
@@ -215,7 +216,7 @@ class TestWaveletRisk:
 
         monkeypatch.setattr(harness, "dwt_forward", forward)
         risk_sweep(["visu"], ["doppler"], [32768], 3.0, 2, 4)
-        assert shapes == [(1, 32768)] * 2
+        assert shapes == [(32768,)] + [(1, 32768)] * 2
 
     @pytest.mark.parametrize("name", ["zh", "js"])
     def test_a_two_row_block_bounds_the_segment_rules_transient(self, name):
@@ -236,21 +237,54 @@ class TestWaveletRisk:
             tracemalloc.stop()
         assert peak <= 4.25 * x.nbytes
 
-    @pytest.mark.parametrize("sigma_mode", ["known", "estimated"])
-    def test_three_replicates_at_16384_match_one_row_runs_bitwise(self, sigma_mode):
+    @pytest.mark.parametrize("sigma_mode, coefficients", [
+        pytest.param(mode, coefficients, id=mode + ("-coefficients" if coefficients else ""))
+        for coefficients in (False, True) for mode in ("known", "estimated")])
+    def test_three_replicates_at_16384_match_one_row_runs_bitwise(self, sigma_mode, coefficients):
         # reps = 3 at n = 16384 runs a 2-row block and a 1-row block; each
-        # replicate's errors have the bits of that replicate run alone
+        # replicate's errors have the bits of that replicate run alone, scored
+        # against the signal or against the clean signal's coefficients
         sig = generate_signal("bumps", 16384, 3.0)
         f, seed = sig.samples, 8
         levels, cutoff = harness._pipeline(f.size)
         methods = [make_method(m) for m in ("zh", "visu", "sure", "blockjs", "js", "zh-sure")]
-        errs = harness._cell_errors(methods, sig, sigma_mode, 3, seed)
+        errs = harness._cell_errors(methods, sig, sigma_mode, 3, seed, coefficients)
+        clean = dwt_forward(f, levels).values
         for r in range(3):
             decomp = dwt_forward(harness._noisy_rows(f, seed, r, r + 1), levels)
             sigma = 1.0 if sigma_mode == "known" else estimate_sigma(decomp)
             for i, method in enumerate(methods):
-                alone = harness._squared_errors(dwt_inverse(apply_method(method, decomp, sigma, cutoff)), f)
+                shrunk = apply_method(method, decomp, sigma, cutoff)
+                if coefficients:
+                    alone = harness._squared_errors(shrunk.values, clean)
+                else:
+                    alone = harness._squared_errors(dwt_inverse(shrunk), f)
                 assert errs[i, r:r + 1].tobytes() == alone.tobytes(), (method.name, r)
+
+    @pytest.mark.parametrize("n", [256, 1024, 16384])
+    @pytest.mark.parametrize("sigma_mode", ["known", "estimated"])
+    def test_sweep_rows_equal_the_pipelines_errors_within_roundoff(self, sigma_mode, n):
+        # the sweep scores coefficients, the pipeline its reconstruction; the
+        # transform is orthonormal, so by Parseval they agree up to roundoff
+        sig = generate_signal("doppler", n, 3.0)
+        methods = [make_method(m) for m in METHOD_NAMES]
+        rows = harness._cell_errors(methods, sig, sigma_mode, 3, 21, True)
+        reports = risk_sweep(methods, ["doppler"], [n], 3.0, 3, 21, sigma_mode)
+        for method, row, rep in zip(methods, rows, reports):
+            errs = wavelet_risk_replicates(method, sig, sigma_mode, 3, 21)
+            np.testing.assert_allclose(row, errs, rtol=1e-12, err_msg=method.name)
+            assert rep.mean_risk == float(row.mean())
+            assert rep.mean_risk == pytest.approx(float(errs.mean()), rel=1e-12)
+
+    def test_a_sweep_runs_no_inverse_transform(self, monkeypatch):
+        def no_inverse(decomp):
+            raise AssertionError("a sweep ran dwt_inverse")
+
+        monkeypatch.setattr(harness, "dwt_inverse", no_inverse)
+        reports = risk_sweep(list(METHOD_NAMES), ["bumps"], [256, 16384], 3.0, 3, 2, "estimated")
+        assert len(reports) == 2 * len(METHOD_NAMES)
+        with pytest.raises(AssertionError, match="dwt_inverse"):
+            wavelet_risk_replicates("zh", generate_signal("bumps", 256, 3.0), reps=2, seed=2)
 
     def test_noisy_rows_are_drawn_into_one_block(self):
         # each row has the bits of its replicate's own draw, and the transient
@@ -332,38 +366,66 @@ class TestRiskSweep:
     @pytest.mark.parametrize("sigma_mode", ["known", "estimated"])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_rows_equal_single_method_calls_bitwise(self, sigma_mode, workers):
-        # the shared per-replicate analysis must not change any method's errors,
-        # and the accepted workers argument must not change anything either
+        # the shared per-replicate analysis must not change any method's
+        # coefficient-scored errors, and the accepted workers argument must not
+        # change anything either; the pipeline's errors agree up to roundoff
         names = ["zh", "zh-sure", "visu", "zh", "blockjs"]
         reports = risk_sweep(names, ["bumps"], [256], snr=3.0, reps=40, seed=12,
                              sigma_mode=sigma_mode, workers=workers)
         sig = generate_signal("bumps", 256, 3.0)
         methods = [make_method(name) for name in names]
-        rows = harness._cell_errors(methods, sig, sigma_mode, 40, 12)
+        rows = harness._cell_errors(methods, sig, sigma_mode, 40, 12, True)
         assert rows.shape == (len(names), 40)
         for method, row, rep in zip(methods, rows, reports):
-            errs = wavelet_risk_replicates(method, sig, sigma_mode, 40, 12, workers)
-            assert row.tobytes() == errs.tobytes()
+            alone = harness._cell_errors([method], sig, sigma_mode, 40, 12, True)[0]
+            assert row.tobytes() == alone.tobytes()
             assert rep == risk_sweep([method], ["bumps"], [256], 3.0, 40, 12, sigma_mode, workers)[0]
+            errs = wavelet_risk_replicates(method, sig, sigma_mode, 40, 12, workers)
+            np.testing.assert_allclose(row, errs, rtol=1e-12)
         assert rows[0].tobytes() == rows[3].tobytes()
 
     @pytest.mark.parametrize("reps", [2, 16, 1001])
     def test_one_pass_summaries_equal_each_rows_own_bitwise(self, reps):
+        # each report has the bits of its own coefficient-scored row's summaries
+        # and of a one-method sweep, and the pipeline's mean within roundoff
         methods = ["zh", "visu", "js"]
         reports = risk_sweep(methods, ["bumps"], [64], 3.0, reps, seed=8)
         sig = generate_signal("bumps", 64, 3.0)
-        for rep, name in zip(reports, methods):
-            e = wavelet_risk_replicates(name, sig, reps=reps, seed=8)
+        rows = harness._cell_errors([make_method(m) for m in methods], sig, "known", reps, 8, True)
+        for rep, name, e in zip(reports, methods, rows):
             assert rep.reps == reps
             assert rep.mean_risk == float(e.mean())
             assert rep.std_error == float(e.std(ddof=1) / math.sqrt(reps))
             assert rep.relative_risk == float(e.mean()) / 64
+            assert rep == risk_sweep([name], ["bumps"], [64], 3.0, reps, seed=8)[0]
+            pipeline = wavelet_risk_replicates(name, sig, reps=reps, seed=8)
+            assert rep.mean_risk == pytest.approx(float(pipeline.mean()), rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             risk_sweep(["zh", "visu"], ["blocks"], [64], snr=3.0, reps=10, seed=0, sigma_mode="exact")
         with pytest.raises(ValueError):
             risk_sweep(["zh", "visu"], ["blocks"], [64], snr=3.0, reps=1, seed=0)
+
+    @pytest.mark.parametrize("argument, call", [
+        ("methods", lambda: risk_sweep("zh", ["blocks"], [64], 3.0, 2, 0)),
+        ("signals", lambda: risk_sweep(["zh"], "blocks", [64], 3.0, 2, 0)),
+        ("n_values", lambda: risk_sweep(["zh"], ["blocks"], 64, 3.0, 2, 0)),
+    ], ids=["methods-str", "signals-str", "n_values-int"])
+    def test_a_bare_argument_is_named_before_any_cell_runs(self, monkeypatch, argument, call):
+        # iterated, a bare string would be read letter by letter ("unknown
+        # method 'z'") and a bare n would raise TypeError
+        calls = []
+        monkeypatch.setattr(harness, "_cell_errors", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=rf"^{argument} must be a collection of items"):
+            call()
+        assert calls == []
+
+    def test_an_iterator_of_sizes_serves_every_signal(self):
+        # the sizes are read once, not once per signal, so an iterator of them
+        # gives every signal its cells
+        reports = risk_sweep(["zh"], ["blocks", "bumps"], iter([64, 128]), 3.0, 2, 0)
+        assert [(r.signal, r.n) for r in reports] == [("blocks", 64), ("blocks", 128), ("bumps", 64), ("bumps", 128)]
 
 
 # every entry point of the count and length rules, as (call of the one

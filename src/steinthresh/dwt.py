@@ -23,12 +23,11 @@ its operand with three slice copies and keeps no index; a block shorter
 than 16 is tiled to 16 first.  Synthesis row q holds
 approx[(8q - 7 + s) mod h] for s < 16, then detail at the same positions,
 Q = ceil(h/8), and its 16 outputs are the output values 16q .. 16q + 15.
-Synthesis steps below h = 8192 gather their operand through a cached
-periodic index; there are 13 such step sizes, so the cache holds about
-260 KiB at most, whatever lengths it has seen.  From h = 8192 up, a step
-copies each row's operand from two (Q - 1, 8) views of each channel, taken
-from offset 1, plus that channel's wrap row, and multiplies it into its row
-before the next row's is filled, so it holds one row's operand at a time.
+That row is rows q - 1 and q of each channel viewed from position 1 as
+(Q - 1, 8), except where it wraps: row 0 starts, and row Q - 1 ends, with
+positions h - 7 .. h - 1 then 0.  So synthesis fills its operand with five
+slice copies, every row of the block at once, and keeps no index either; a
+block shorter than 8 is tiled to 8 first.
 An analysis step keeps the first m/2 pairs, so blocks down to m = 2 take the
 same path.  A synthesis step from h = 8 up writes its product straight into
 its output block, viewed as (Q, 16); a smaller one keeps the first 2h of its
@@ -52,7 +51,7 @@ the same prefix.  So no step concatenates blocks, and the prefix is
 copied into the operand before it is overwritten.
 """
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -115,22 +114,6 @@ _ANALYSIS_BANK = _bank(_ANALYSIS, 2)
 _SYNTHESIS_BANK = _bank(_SYNTHESIS, 1)
 
 
-# synthesis steps from this h up copy their operand from rows, so the index
-# cache keeps no entry that large; copying rows at smaller steps took new
-# minor faults per sweep call, where the cached index takes none
-_ROW_COPY_MIN = 8192
-
-
-@lru_cache(maxsize=128)
-def _gather_index(h):
-    # synthesis below _ROW_COPY_MIN only; row q: (8q - 7 + s) mod h for s < 16 in
-    # the approximation block, then the same positions in the detail block at offset h
-    pos = (8 * np.arange(-(-h // 8))[:, None] - 7 + np.arange(16)) % h
-    idx = np.hstack((pos, pos + h))
-    idx.setflags(write=False)
-    return idx
-
-
 def _analysis_step(x):
     # operand row q is rows q and q + 1 (mod Q) of x viewed as (Q, 16); a block
     # shorter than 16 is tiled to 16 first, so its one row wraps onto itself
@@ -147,33 +130,31 @@ def _analysis_step(x):
 def _synthesis_step(x):
     # x holds an approximation block then a detail block, h values each, and
     # is overwritten with the block of length 2h they synthesize, then
-    # returned; each operand is filled before x is written.  From
-    # _ROW_COPY_MIN up, one row's operand at a time is copied from that row's
-    # views and multiplied into the row, so the step holds one row's operand
-    # however many rows the block has.  Below it the block's operand is
-    # gathered through the cached index; from h = 8 up the product lands in
-    # x directly, and a smaller block is the first 2h of its one operand
-    # row's 16 outputs.
+    # returned; the operand is filled before x is written.  Operand row q
+    # takes rows q - 1 and q of each half viewed from position 1 as (Q - 1, 8),
+    # and the wrap, positions h - 7 .. h - 1 then 0, is row 0's first 8 and
+    # row Q - 1's last 8.  A block shorter than 8 is tiled to 8 first and
+    # keeps the first 2h of its one row's outputs; from h = 8 up the product
+    # lands in x directly.
     h = x.shape[-1] // 2
-    if h >= _ROW_COPY_MIN:
-        operand = np.empty((h // 8, 32))
-        for row in x.reshape(-1, 2 * h):
-            for c, half in ((0, row[:h]), (16, row[h:])):
-                # view row p is positions 8p + 1 .. 8p + 8; operand row q takes
-                # view rows q - 1 and q, and both ends wrap to positions h - 7 .. h
-                rows = half[1:h - 7].reshape(-1, 8)
-                operand[1:, c:c + 8] = rows
-                operand[:-1, c + 8:c + 16] = rows
-                operand[0, c:c + 7] = half[h - 7:]
-                operand[0, c + 7] = half[0]
-                operand[-1, c + 8:c + 16] = operand[0, c:c + 8]
-            np.matmul(operand, _SYNTHESIS_BANK, out=row.reshape(-1, 16))
-        return x
-    operand = x.take(_gather_index(h), axis=-1)
+    lead = x.shape[:-1]
+    halves = x.reshape(lead + (2, h))
+    if h < 8:
+        halves = np.tile(halves, 8 // h)
+    k = halves.shape[-1]
+    # axes: operand row, half of x, first or last 8 of that half's 16 positions
+    operand = np.empty(lead + (k // 8, 2, 2, 8))
+    rows = halves[..., 1:k - 7].reshape(lead + (2, -1, 8)).swapaxes(-3, -2)
+    operand[..., 1:, :, 0, :] = rows
+    operand[..., :-1, :, 1, :] = rows
+    operand[..., 0, :, 0, :7] = halves[..., k - 7:]
+    operand[..., 0, :, 0, 7] = halves[..., 0]
+    operand[..., -1, :, 1, :] = operand[..., 0, :, 0, :]
+    operand = operand.reshape(lead + (-1, 32))
     if h < 8:
         x[...] = (operand @ _SYNTHESIS_BANK)[..., 0, :2 * h]
     else:
-        np.matmul(operand, _SYNTHESIS_BANK, out=x.reshape(x.shape[:-1] + (-1, 16)))
+        np.matmul(operand, _SYNTHESIS_BANK, out=x.reshape(lead + (-1, 16)))
     return x
 
 

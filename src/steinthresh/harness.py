@@ -172,8 +172,8 @@ def _cell_errors(methods, signal, sigma_mode, reps, seed, coefficients=False):
 # top pad, and a 2-row block is 256 KiB; the fewer such arrays are live at
 # once, the less often the heap top is trimmed and refaulted between methods.
 # So the layers keep a 2-row block's transients small: the forward transform
-# allocates its output after its first step, the largest synthesis steps fill
-# one row's operand at a time, and zh and js scale each level in place.
+# allocates its output after its first step, a sweep scores coefficients and
+# runs no inverse, and zh and js scale each level in place.
 
 
 def _noisy_rows(f, seed, lo, hi):
@@ -193,8 +193,9 @@ def _squared_errors(fhat, f):
 
 
 def _axis(values, name):
-    # one sweep axis as a list; a bare string would be read letter by letter, and a single value is no axis
-    if isinstance(values, str) or not hasattr(values, "__iter__"):
+    # one sweep axis as a list; a bare string would be read letter by letter, and a single value,
+    # a 0-d array among them, is no axis (an iterator has no ndim, so it passes)
+    if isinstance(values, str) or not hasattr(values, "__iter__") or getattr(values, "ndim", 1) == 0:
         raise ValueError(f"{name} must be a collection of items, not a single {type(values).__name__}: {values!r}")
     return list(values)
 

@@ -66,7 +66,7 @@ def gathered_forward(x):
 
 
 def gathered_inverse(values, coarse_size):
-    """dwt_inverse with each synthesis operand gathered here, not through dwt's cached index."""
+    """dwt_inverse with each synthesis operand gathered here, not copied from rows as dwt does."""
     x = values.copy()
     h = coarse_size
     while h < x.shape[-1]:
@@ -163,7 +163,7 @@ class TestStepsMatchDefinition:
 
 
 class TestBytesMatchTheIndexGather:
-    """Analysis copies rows instead of gathering through an index; no output byte may move."""
+    """Both steps copy rows instead of gathering through an index; no output byte may move."""
 
     @pytest.mark.parametrize("n", [2**k for k in range(1, 18)])
     def test_forward_and_inverse_bytes_at_every_depth(self, n):
@@ -179,38 +179,42 @@ class TestBytesMatchTheIndexGather:
                 assert dwt_inverse(dec).tobytes() == gathered_inverse(want, h).tobytes(), (x.shape, levels)
 
     def test_forward_keeps_no_index(self):
-        # only synthesis gathers by index; one forward transform caches nothing
-        # and holds nothing beyond its own output once it returns
+        # one forward transform holds nothing beyond its own output once it returns
         x = np.random.default_rng(3).standard_normal(2**16)
-        dwt._gather_index.cache_clear()
         tracemalloc.start()
         try:
             dec = dwt_forward(x, max_levels(x.size))
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert dwt._gather_index.cache_info().currsize == 0
         # the output, the first step's (n/16, 32) operand and its product: 4 x the
         # input's bytes, where an int64 index would add 2 x more
         assert peak < 4.5 * x.nbytes
         assert held < dec.values.nbytes + 64 * 1024
 
-    def test_synthesis_caches_no_index_from_8192_up(self):
-        # a full-depth transform at n = 2**17 runs synthesis steps h = 1 .. 2**16;
-        # only the 13 below 8192 gather through the cache, whose live entries
-        # then take about 260 KiB (about 4 MiB with every step cached)
-        x = np.random.default_rng(5).standard_normal(2**17)
-        dwt._gather_index.cache_clear()
+    def test_inverse_holds_nothing_once_it_returns(self):
+        # a full-depth transform at n = 2**17 runs synthesis steps h = 1 .. 2**16,
+        # and none of them leaves an index or an operand behind
+        dec = dwt_forward(np.random.default_rng(5).standard_normal(2**17), 17)
         tracemalloc.start()
         try:
-            dwt_inverse(dwt_forward(x, max_levels(x.size)))
-            cached = tracemalloc.get_traced_memory()[0]
-            assert dwt._gather_index.cache_info().currsize == 13
-            dwt._gather_index.cache_clear()
-            cached -= tracemalloc.get_traced_memory()[0]
+            out = dwt_inverse(dec)
+            held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert cached <= 272 * 1024
+        assert held <= out.nbytes + 64 * 1024
+
+    def test_inverse_peak_is_its_last_operand(self):
+        # at (2, 16384) the largest transient is the last step's (2, 1024, 32)
+        # operand, 512 KiB, filled for both rows at once
+        dec = dwt_forward(np.random.default_rng(6).standard_normal((2, 16384)), 14)
+        tracemalloc.start()
+        try:
+            out = dwt_inverse(dec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 528 * 1024
 
 
 class TestRoundTrip:

@@ -411,10 +411,12 @@ class TestRiskSweep:
         ("methods", lambda: risk_sweep("zh", ["blocks"], [64], 3.0, 2, 0)),
         ("signals", lambda: risk_sweep(["zh"], "blocks", [64], 3.0, 2, 0)),
         ("n_values", lambda: risk_sweep(["zh"], ["blocks"], 64, 3.0, 2, 0)),
-    ], ids=["methods-str", "signals-str", "n_values-int"])
+        ("n_values", lambda: risk_sweep(["zh"], ["blocks"], np.array(64), 3.0, 2, 0)),
+        ("methods", lambda: risk_sweep(np.array("zh"), ["blocks"], [64], 3.0, 2, 0)),
+    ], ids=["methods-str", "signals-str", "n_values-int", "n_values-0d-array", "methods-0d-array"])
     def test_a_bare_argument_is_named_before_any_cell_runs(self, monkeypatch, argument, call):
         # iterated, a bare string would be read letter by letter ("unknown
-        # method 'z'") and a bare n would raise TypeError
+        # method 'z'") and a bare n or a 0-d array would raise TypeError
         calls = []
         monkeypatch.setattr(harness, "_cell_errors", lambda *args: calls.append(args))
         with pytest.raises(ValueError, match=rf"^{argument} must be a collection of items"):

@@ -1,26 +1,28 @@
 """Print the time and memory of each sweep layer, the DWT and each SURE level, then the faults per sweep call.
 
-A sweep cell first transforms its clean signal once (``dwt_forward`` of one
-row).  Each replicate block then runs, in order: its noisy rows (the
+A sweep cell first transforms its clean signal once, by ``dwt_forward``
+to the pipeline's depth.  Each replicate block then runs,
+in order: its noisy rows, drawn as coefficients onto the clean ones (the
 harness's ``_noisy_rows``, since the noise draw has no public entry point),
-``dwt_forward``, ``estimate_sigma`` when sigma is estimated, then, once per
-method, ``apply_method`` and the scoring of its shrunk coefficients against
-the clean ones (the harness's ``_squared_errors``); a sweep runs no
-``dwt_inverse``.  The scoring works in place, so each timed call scores a
-fresh copy of the method's coefficients, and its line includes that copy.
-``layers`` walks the clean transform and one such block by direct calls,
-with nothing patched, at the sweep-fixed shape
+``estimate_sigma`` when sigma is estimated, then, once per method, a copy
+of the rows into the work array and the method's rule on its treated
+levels in place (``baselines._shrink_levels``), and the in-place scoring of
+the shrunk coefficients against the clean ones (the harness's
+``_squared_errors``); a sweep runs no transform per replicate.  The rule
+and the scoring work in place, so each timed call works on a fresh copy,
+and its line includes that copy.  ``layers`` walks the clean transform and
+one such block by direct calls, with nothing patched, at the sweep-fixed shape
 (``bench/spec.py``'s ``FIXED_METHODS`` at each of ``FIXED_SIZES``,
 ``FIXED_REPS`` replicates, known sigma) and the sweep-tuned shape
 (``TUNED_METHOD`` at ``TUNED_SIZE``, ``TUNED_REPS`` replicates, estimated
 sigma).  A block holds as many rows as the harness's ``_block`` gives the
 shape's first block; the clean transform's line still divides by that
-count in its per-row column, though it is one row.  Two more groups of lines
-profile single calls outside the sweep shapes: ``dwt_forward`` and
-``dwt_inverse`` of one signal at each of ``DWT_SIZES``, to the pipeline's
-depth (as ``denoise`` and ``wavelet_risk_replicates`` run them), and
-``select_beta_by_sure`` on each of the six detail levels that zh-sure tunes
-in a sweep-tuned block (sigma estimated per row).
+count in its per-row column.  Two more groups of lines profile single calls outside
+the sweep shapes: ``dwt_forward`` and ``dwt_inverse`` of one signal at each
+of ``DWT_SIZES``, to the pipeline's depth (as ``denoise`` and
+``wavelet_risk_replicates`` run them), and ``select_beta_by_sure`` on each
+of the six detail levels that zh-sure tunes in a sweep-tuned block (sigma
+estimated per row).
 
 Each call runs on each of the six test signals of ``spec.SIGNALS`` at
 ``spec.SNR``, as the sweep workloads cycle over them (a rule's time and
@@ -31,7 +33,7 @@ row of the block; these come from ``time_calls``, with tracemalloc off.
 Then, on a fresh walk with tracemalloc on, it gives the largest peak of the
 traced heap during the call above the heap held just before it, and the
 largest that the result keeps, in KiB.  Every call runs before it is traced,
-so caches filled on the first call (the DWT's index tables) are not counted;
+so caches filled on the first call are not counted;
 tracemalloc counts numpy's and Python's allocations, not the RSS.
 
 The last lines give minor page faults and milliseconds per ``risk_sweep``
@@ -101,36 +103,46 @@ def traced(call):
     return peak - base, held - base
 
 
-def layers(f, rows, methods, sigma_mode):
-    # (name, call) of the cell's clean transform and each layer of one block,
+def coefficient_rows(sig, rows):
+    # a sweep block's noisy coefficient rows, as a decomposition
+    levels, _ = st.baselines._pipeline(sig.samples.size)
+    clean = st.dwt_forward(sig.samples, levels).values
+    return st.WaveletDecomposition(st.harness._noisy_rows(clean, 0, 0, rows), clean.size >> levels)
+
+
+def layers(sig, rows, methods, sigma_mode):
+    # (name, call) of the cell's clean coefficients and each layer of one block,
     # in the order a sweep runs them; each call takes the results of the calls before it
-    levels, cutoff = st.baselines._pipeline(f.size)
+    levels, cutoff = st.baselines._pipeline(sig.samples.size)
     state = {}
-    yield "dwt_forward clean", lambda: state.setdefault("clean", st.dwt_forward(f, levels).values)
-    yield "noise rows", lambda: state.setdefault("y", st.harness._noisy_rows(f, 0, 0, rows))
-    yield "dwt_forward", lambda: state.setdefault("decomp", st.dwt_forward(state["y"], levels))
+
+    def shrunk(method):
+        work = state["decomp"].values.copy()
+        st.baselines._shrink_levels(method, work, state.get("sigma", 1.0), state["decomp"].coarse.shape[-1], cutoff)
+        return work
+
+    yield "dwt_forward clean", lambda: state.setdefault("clean", st.dwt_forward(sig.samples, levels).values)
+    yield "noise rows", lambda: state.setdefault("decomp", coefficient_rows(sig, rows))
     if sigma_mode == "estimated":
         yield "estimate_sigma", lambda: state.setdefault("sigma", st.estimate_sigma(state["decomp"]))
-    sigma = lambda: state.get("sigma", 1.0)
     for m in methods:
         method = st.make_method(m)
-        yield f"apply_method {m}", lambda m=m, method=method: state.setdefault(
-            m, st.apply_method(method, state["decomp"], sigma(), cutoff))
-        yield f"score {m}", lambda m=m: st.harness._squared_errors(state[m].values.copy(), state["clean"])
+        yield f"copy and {m}", lambda m=m, method=method: state.setdefault(m, shrunk(method))
+        yield f"score {m}", lambda m=m: st.harness._squared_errors(state[m].copy(), state["clean"])
 
 
-def dwt_calls(f):
+def dwt_calls(sig):
     # the forward and inverse transform of one signal, to the pipeline's depth
+    f = sig.samples
     levels, _ = st.baselines._pipeline(f.size)
     decomp = st.dwt_forward(f, levels)
     yield "dwt_forward", lambda: st.dwt_forward(f, levels)
     yield "dwt_inverse", lambda: st.dwt_inverse(decomp)
 
 
-def sure_levels(f, rows):
-    # select_beta_by_sure on each detail level of a block, sigma estimated per row
-    levels, _ = st.baselines._pipeline(f.size)
-    decomp = st.dwt_forward(st.harness._noisy_rows(f, 0, 0, rows), levels)
+def sure_levels(sig, rows):
+    # select_beta_by_sure on each detail level of a sweep block, sigma estimated per row
+    decomp = coefficient_rows(sig, rows)
     sigma = st.estimate_sigma(decomp)
     for _, block in decomp.details:
         sample = st.CanonicalSample(block, sigma)
@@ -138,16 +150,16 @@ def sure_levels(f, rows):
 
 
 def report(shape, n, rows, walk):
-    # one line per call that walk(f) yields, over the six signals at length n:
+    # one line per call that walk(sig) yields, over the six signals at length n:
     # each walk is timed untraced, then measured on a fresh walk under tracemalloc
     timings, memory = {}, {}
     for name in spec.SIGNALS:
-        f = st.generate_signal(name, n, spec.SNR).samples
-        for layer, call in walk(f):
+        sig = st.generate_signal(name, n, spec.SNR)
+        for layer, call in walk(sig):
             timings.setdefault(layer, []).append(time_calls(call, TIMED_CALLS))
         tracemalloc.start()
         try:
-            for layer, call in walk(f):
+            for layer, call in walk(sig):
                 memory.setdefault(layer, []).append(traced(call))
         finally:
             tracemalloc.stop()
@@ -187,11 +199,11 @@ def main():
     for shape, (methods, sizes, reps, sigma_mode) in SHAPES.items():
         for n in sizes:
             rows = min(reps, st.harness._block(n))
-            report(shape, n, rows, lambda f: layers(f, rows, methods, sigma_mode))
+            report(shape, n, rows, lambda sig: layers(sig, rows, methods, sigma_mode))
     for n in DWT_SIZES:
         report("dwt", n, 1, dwt_calls)
     rows = min(spec.TUNED_REPS, st.harness._block(spec.TUNED_SIZE))
-    report("sure-levels", spec.TUNED_SIZE, rows, lambda f: sure_levels(f, rows))
+    report("sure-levels", spec.TUNED_SIZE, rows, lambda sig: sure_levels(sig, rows))
     sys.stdout.flush()
 
     ctx = multiprocessing.get_context("spawn")

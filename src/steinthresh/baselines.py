@@ -11,10 +11,11 @@ that of the row on its own.
 Methods are addressed by short tokens, the keys of one rule table that also
 supplies the CLI method names.  Every rule has the one shape
 ``rule(t, sigma, n, config, levels)``: it shrinks ``t`` in place and returns
-None.  ``t`` is the treated slice of a copy of the decomposition's dyadic
-array, as (m, T) rows holding every treated level side by side.  ``levels``
-gives each level's (start, stop) columns within the slice, n is the length
-of one signal, sigma a scalar or an (m, 1) column and config the method's
+None.  ``t`` is the treated slice of a writable dyadic array
+(``apply_method``'s copy of the decomposition's, or a sweep's work array),
+as (m, T) rows holding every treated level side by side.  ``levels`` gives
+each level's (start, stop) columns within the slice, n is the length of
+one signal, sigma a scalar or an (m, 1) column and config the method's
 ShrinkConfig (None for all but zh).  A level's output has the bits of the
 rule run on that level alone.  visu, js and zh are one elementwise pass over
 the whole slice, with per-level constants and sums spread over each level's
@@ -41,10 +42,12 @@ import numpy as np
 from .canonical import (
     CanonicalSample,
     ShrinkConfig,
+    _data,
     _floats,
     _held,
     _per_row,
     _real,
+    _shrink,
     batch_estimate,
     resolve_a,
     select_beta_by_sure,
@@ -172,15 +175,14 @@ def _js(t, sigma, n, config, levels):
     if kept:
         skip = kept[0][0]
         segments = tuple((lo - skip, hi - skip) for lo, hi in kept)
-        t[:, skip:] = batch_estimate(t[:, skip:], sigma, 2.0, [hi - lo - 2.0 for lo, hi in kept],
-                                     True, segments)
+        v = t[:, skip:]
+        _shrink(v, sigma, 2.0, [hi - lo - 2.0 for lo, hi in kept], True, segments, out=v)
 
 
 def _zh(t, sigma, n, config, levels):
     # the canonical thresholding estimator, with the constant a resolved
     # against each level's own coefficient count
-    t[:] = batch_estimate(t, sigma, config.beta, [resolve_a(config, hi - lo) for lo, hi in levels],
-                          True, levels)
+    _shrink(t, sigma, config.beta, [resolve_a(config, hi - lo) for lo, hi in levels], True, levels, out=t)
 
 
 def _zh_sure(t, sigma, n, config, levels):
@@ -242,17 +244,27 @@ def apply_method(method, decomp, sigma, cutoff_level):
     as one (m, T) slice of rows, a 1-d decomposition being m = 1;
     below-cutoff levels and the coarse block keep their bits.  sigma is
     checked for every method, identity included: it must be positive and
-    finite, a scalar or one value per row.  ``method`` must be a
-    LevelwiseMethod; anything else, a bare name included, raises ValueError.
+    finite, a scalar or one value per row.  Every coefficient must be
+    finite too, for every method, since the rules shrink in place with no
+    check of their own.  ``method`` must be a LevelwiseMethod; anything
+    else, a bare name included, raises ValueError.
     """
     if not isinstance(method, LevelwiseMethod):
         raise ValueError(f"method must be a LevelwiseMethod, got {method!r}")
     _real(cutoff_level, "cutoff_level", math.isfinite, "finite")
-    out = decomp.values.copy()
     sigma = _per_row(sigma, decomp.coarse, "sigma")
-    size, n = decomp.coarse.shape[-1], decomp.n
+    out = _data(decomp.values, "decomposition values").copy()
+    size = decomp.coarse.shape[-1]
+    _shrink_levels(method, out, sigma, size, cutoff_level)
+    return WaveletDecomposition(out, size)
+
+
+def _shrink_levels(method, values, sigma, size, cutoff_level):
+    # the method's rule, in place, on the levels from cutoff_level up of
+    # values, dyadic rows (or one row) whose coarse block has length size,
+    # as one (m, T) slice; sigma is a scalar or column as apply_method checks it
+    n = values.shape[-1]
     first = max(math.ceil(cutoff_level), size.bit_length() - 1)
     if 2**first < n:
         levels = tuple((2**j - 2**first, 2**(j + 1) - 2**first) for j in range(first, n.bit_length() - 1))
-        _RULES[method.name](np.atleast_2d(out)[:, 2**first:], sigma, n, method.config, levels)
-    return WaveletDecomposition(out, size)
+        _RULES[method.name](np.atleast_2d(values)[:, 2**first:], sigma, n, method.config, levels)

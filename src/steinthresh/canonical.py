@@ -244,13 +244,21 @@ def batch_estimate(z, sigma, beta, a, positive_part=True, segments=None):
                 or any(lo > hi for lo, hi in segments)):
             raise ValueError(f"segments must tile the last axis of length {z.shape[-1]}, got {segments}")
     beta = _per_row(beta, z, "beta", lambda b: (0.0 < b) & (b <= 2.0), "in (0, 2]")
-    w = z / sigma
+    return _shrink(z, sigma, beta, a, positive_part, segments)
+
+
+def _shrink(z, sigma, beta, a, positive_part, segments, out=None):
+    # batch_estimate's arithmetic on checked rows z: w = z / sigma, written
+    # to out (z itself for a rule that shrinks its slice in place) or a new
+    # array, becomes the estimate, in z's units, and is returned; a holds one
+    # scalar or (m, 1) column per segment.  Full-size passes in place; each
+    # swaps only the operand order of a*|w|**(beta-2)/D
+    # (a*sign(w)*|w|**(beta-1)/D untruncated), so kept values keep their
+    # bits, while the entries that copyto overwrites may pass through inf
+    # and nan (|0|**(beta-2) times 0).  Each segment is scaled by its own a
+    # and D column in place, with no full-width copy of either
+    w = np.divide(z, sigma, out=out)
     absw = np.abs(w)
-    # full-size passes in place; each swaps only the operand order of
-    # a*|w|**(beta-2)/D (a*sign(w)*|w|**(beta-1)/D untruncated), so kept values
-    # keep their bits, while the entries that copyto overwrites may pass
-    # through inf and nan (|0|**(beta-2) times 0).  Each segment is scaled by
-    # its own a and D column in place, with no full-width copy of either
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         dnm = [(absw[..., lo:hi]**beta).sum(axis=-1, keepdims=True) for lo, hi in segments]
         for (lo, hi), dk in zip(segments, dnm):
@@ -268,13 +276,13 @@ def batch_estimate(z, sigma, beta, a, positive_part=True, segments=None):
             # |0|**(beta-2) = inf meets a D that overflowed to inf, a zero coordinate
             clip = ~(est < 1.0)
             np.subtract(1.0, est, out=est)
-            est *= w
-            np.copyto(est, 0.0, where=clip)
+            w *= est
+            np.copyto(w, 0.0, where=clip)
         else:
             np.copyto(est, 0.0, where=zero)
-            np.subtract(w, est, out=est)
-    est *= sigma
-    return est
+            w -= est
+    w *= sigma
+    return w
 
 
 def _sure_kernel(logw, clipped, var, beta, lead_power, a, scale, shift):

@@ -211,9 +211,24 @@ def _build_parser():
     return parser
 
 
+def _attached(argv):
+    # "--flag -value" as "--flag=-value": argparse reads a value that starts
+    # with "-" and is not a plain negative decimal ("-inf", "-1e3") as a flag
+    # of its own, but -h is this parser's only short flag and every long flag
+    # but --help takes a value, so such a value reaches its flag's rule
+    out = []
+    for token in argv:
+        if (out and token[:1] == "-" and token[:2] != "--" and token != "-h"
+                and out[-1][:2] == "--" and "=" not in out[-1] and not "--help".startswith(out[-1])):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None):
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(_attached(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 0 if exc.code is None else int(exc.code)
     try:

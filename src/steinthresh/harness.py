@@ -9,15 +9,22 @@ the block size or on the other rows of its block.  The ``workers`` argument
 is still accepted and has no effect on results or execution.  Calling the
 wavelet engine for several methods with the same seed gives common random
 numbers: every method sees exactly the same noisy data, which is what makes
-paired risk comparisons sharp at a few hundred replicates.  A sweep cell
-shares one analysis per block (noise, forward transform, estimated sigma)
-among its methods, and each method's errors equal a one-method sweep's.
-``wavelet_risk_replicates`` scores the reconstruction against the signal,
-the full denoising pipeline; ``risk_sweep`` scores each method's shrunk
-coefficients against the clean signal's, transformed once per cell, and
-runs no inverse transform.  The transform is orthonormal, so by Parseval the
-two scorings agree up to roundoff (within a relative 1e-12), though not bit
-for bit.  Either scoring keeps each replicate's bits independent of its block.
+paired risk comparisons sharp at a few hundred replicates.
+
+``wavelet_risk_replicates`` runs the full denoising pipeline: it adds the
+noise to the signal, transforms, shrinks, reconstructs and scores the
+reconstruction against the signal.  ``risk_sweep`` runs no transform per
+replicate.  The transform is orthonormal, so white noise on the signal is
+white noise on its coefficients, and the squared error of a reconstruction
+is that of its coefficients (Parseval).  So a sweep draws each replicate's
+noise straight onto the clean signal's coefficients, computed once per
+cell, shrinks, and scores the shrunk coefficients against the clean
+ones.  Its errors therefore equal the pipeline's in distribution, not
+replicate by replicate: one seed gives each replicate other noise in the
+two engines.  A sweep cell shares one noisy block (and its estimated sigma)
+among its methods, so common random numbers hold across a sweep's methods,
+and each method's errors equal a one-method sweep's.  Either engine keeps
+each replicate's bits independent of its block.
 """
 
 import math
@@ -26,9 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import substream
-from .baselines import LevelwiseMethod, _pipeline, apply_method, make_method
+from .baselines import LevelwiseMethod, _pipeline, _shrink_levels, apply_method, make_method
 from .canonical import _count, _data, _real, batch_estimate, resolve_a
-from .dwt import dwt_forward, dwt_inverse
+from .dwt import WaveletDecomposition, dwt_forward, dwt_inverse
 from .testbed import generate_signal
 
 __all__ = [
@@ -142,42 +149,50 @@ def _block(n):
     return max(2 if n <= _BLOCK_VALUES else 1, _BLOCK_VALUES // n)
 
 
-def _cell_errors(methods, signal, sigma_mode, reps, seed, coefficients=False):
-    # (len(methods), reps) squared errors; one analysis per block of replicate rows serves every method.
-    # With coefficients set, each method's shrunk coefficients are scored against the clean signal's,
-    # which by Parseval (the transform is orthonormal) is the signal error up to roundoff, with no inverse
+def _cell_args(sigma_mode, reps, seed):
+    # a cell's checked (reps, seed), the sigma mode checked too, before any noise is drawn
     if sigma_mode not in ("known", "estimated"):
         raise ValueError(f"sigma_mode must be 'known' or 'estimated', got {sigma_mode!r}")
-    reps = _count(reps, "reps", 2)  # a standard error needs two replicates
-    seed = _count(seed, "seed", 0)
-    f = signal.samples
-    n = f.size
+    return _count(reps, "reps", 2), _count(seed, "seed", 0)  # a standard error needs two replicates
+
+
+def _cell_errors(methods, signal, sigma_mode, reps, seed):
+    # (len(methods), reps) squared coefficient errors of one sweep cell.  The
+    # clean signal is transformed once; each block's noise is drawn as
+    # coefficients onto the clean ones; each method copies the block into
+    # one work array, shrinks it in place and is scored in place against the
+    # clean coefficients
+    reps, seed = _cell_args(sigma_mode, reps, seed)
+    n = signal.samples.size
     levels, cutoff = _pipeline(n)
-    target, synthesis = (dwt_forward(f, levels).values, lambda d: d.values) if coefficients else (f, dwt_inverse)
+    coarse = n >> levels
+    clean = dwt_forward(signal.samples, levels).values
     errs = np.empty((len(methods), reps))
     block = _block(n)
     for lo in range(0, reps, block):
-        decomp = dwt_forward(_noisy_rows(f, seed, lo, min(lo + block, reps)), levels)
-        sigma = 1.0 if sigma_mode == "known" else estimate_sigma(decomp)
+        rows = _noisy_rows(clean, seed, lo, min(lo + block, reps))
+        sigma = 1.0 if sigma_mode == "known" else estimate_sigma(WaveletDecomposition(rows, coarse))
+        work = np.empty_like(rows)
         for i, method in enumerate(methods):
-            errs[i, lo:lo + block] = _squared_errors(
-                synthesis(apply_method(method, decomp, sigma, cutoff)), target)
+            np.copyto(work, rows)
+            _shrink_levels(method, work, sigma, coarse, cutoff)
+            errs[i, lo:lo + block] = _squared_errors(work, clean)
     return errs
 
 
-# _noisy_rows and _squared_errors own their arrays, so a block's noisy rows are
-# freed once the forward transform has read them, and each method's shrunk
-# coefficients (or reconstruction) before the next method's are made.  At
-# n = 16384 a row is 128 KiB, just above glibc's default mmap threshold and
-# top pad, and a 2-row block is 256 KiB; the fewer such arrays are live at
-# once, the less often the heap top is trimmed and refaulted between methods.
-# So the layers keep a 2-row block's transients small: the forward transform
-# allocates its output after its first step, a sweep scores coefficients and
-# runs no inverse, and zh and js scale each level in place.
+# _noisy_rows and _squared_errors own their arrays.  At n = 16384 a row is
+# 128 KiB, just above glibc's default mmap threshold and top pad, and a 2-row
+# block is 256 KiB; the fewer such arrays are live at once, the less often
+# the heap top is trimmed and refaulted between methods.  So a sweep block
+# holds its noisy coefficients and one work array that every method shrinks
+# in place, with no transform, and zh and js scale each level in place; the
+# pipeline frees a block's noisy rows once the forward transform has read
+# them, and each method's reconstruction before the next block's is made.
 
 
 def _noisy_rows(f, seed, lo, hi):
-    # replicates lo .. hi - 1 of f plus unit noise, one row each, assigned into one block
+    # replicates lo .. hi - 1 of f (a signal or its coefficients) plus unit
+    # noise, one row each, assigned into one block
     y = np.empty((hi - lo, f.size))
     for i, r in enumerate(range(lo, hi)):
         y[i] = substream(seed, r).standard_normal(f.size)
@@ -210,8 +225,9 @@ def wavelet_risk_replicates(method, signal, sigma_mode="known", reps=500, seed=0
     """Per-replicate squared errors ||fhat - f||^2 of the full denoising pipeline.
 
     Each replicate's estimate is reconstructed by ``dwt_inverse`` and scored
-    against the signal, as ``denoise`` would return it; ``risk_sweep`` gives
-    the same errors within a relative 1e-12 without the inverse.  ``method``
+    against the signal, as ``denoise`` would return it; ``risk_sweep`` draws
+    its noise as coefficients instead, so its errors have the same
+    distribution but other realizations.  ``method``
     is a LevelwiseMethod or a bare method name; any other value raises
     ValueError before any noise is drawn.  Noise for
     replicate r depends only on (seed, r), so calls with different methods
@@ -222,7 +238,17 @@ def wavelet_risk_replicates(method, signal, sigma_mode="known", reps=500, seed=0
     integral one, raises ValueError rather than being truncated, as does a
     bool or a sequence seed.
     """
-    return _cell_errors(_as_methods([method]), signal, sigma_mode, reps, seed)[0]
+    [method] = _as_methods([method])
+    reps, seed = _cell_args(sigma_mode, reps, seed)
+    f = signal.samples
+    levels, cutoff = _pipeline(f.size)
+    errs = np.empty(reps)
+    block = _block(f.size)
+    for lo in range(0, reps, block):
+        decomp = dwt_forward(_noisy_rows(f, seed, lo, min(lo + block, reps)), levels)
+        sigma = 1.0 if sigma_mode == "known" else estimate_sigma(decomp)
+        errs[lo:lo + block] = _squared_errors(dwt_inverse(apply_method(method, decomp, sigma, cutoff)), f)
+    return errs
 
 
 def risk_sweep(methods, signals, n_values, snr, reps, seed, sigma_mode="known", workers=1):
@@ -231,14 +257,16 @@ def risk_sweep(methods, signals, n_values, snr, reps, seed, sigma_mode="known", 
     ``methods`` may hold LevelwiseMethod objects or bare method names, and
     any other item raises ValueError before any noise is drawn; ``signals``
     holds names from ``SIGNAL_NAMES``.  Within one (signal, n) cell every
-    method consumes identical noise draws, and each replicate's forward
-    transform is computed once for all of them.  Each method's error is
-    scored in the coefficient domain, against the clean signal's
-    coefficients (transformed once per cell), so no inverse transform runs;
-    by Parseval it is ``wavelet_risk_replicates``'s error within a relative
-    1e-12.  ``methods``, ``signals`` and ``n_values`` are each a collection
-    of items; a bare string or a single value raises ValueError naming the
-    argument, before any cell runs.  Every (signal, n) is fetched, and
+    method shrinks identical noisy coefficients.  Replicate r's noise is
+    drawn from ``substream(seed, r)`` straight onto the clean signal's
+    coefficients, which are transformed once per cell, and
+    each method's error is scored against those clean coefficients, so a
+    sweep runs no transform per replicate.  The transform is orthonormal,
+    so the errors have the distribution of ``wavelet_risk_replicates``'s,
+    though not its realizations: the two agree in their means within
+    standard errors, not within roundoff.  ``methods``, ``signals`` and
+    ``n_values`` are each a collection of items; a bare string or a single
+    value raises ValueError naming the argument, before any cell runs.  Every (signal, n) is fetched, and
     every n checked against the pipeline's depth, before any cell runs, so
     a bad name or size costs no run; a bad seed fails in the first cell,
     before it draws any noise.  Signals come from ``generate_signal``, so
@@ -257,7 +285,7 @@ def risk_sweep(methods, signals, n_values, snr, reps, seed, sigma_mode="known", 
         _pipeline(sig.samples.size)  # an n too small for the pipeline fails before any cell runs
     reports = []
     for sig in cells:
-        errs = _cell_errors(methods, sig, sigma_mode, reps, seed, True)  # scored in the coefficient domain
+        errs = _cell_errors(methods, sig, sigma_mode, reps, seed)
         n, count = sig.samples.size, errs.shape[1]
         # each row's values equal that row's own mean() and std(ddof=1)
         means = errs.mean(axis=1).tolist()

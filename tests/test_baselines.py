@@ -523,6 +523,16 @@ class TestMethodDispatch:
         with pytest.raises(ValueError):
             run("visu", mid_decomp(np.ones(16)), 1.0, cutoff)
 
+    @pytest.mark.parametrize("name", METHOD_NAMES)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_a_non_finite_coefficient_is_rejected_by_every_method(self, name, bad):
+        # the rules shrink in place with no check of their own; zh and js once
+        # rejected it through batch_estimate, and visu returned nan
+        level4 = np.ones(16)
+        level4[5] = bad
+        with pytest.raises(ValueError, match="decomposition values must be finite"):
+            run(name, mid_decomp(level4), 1.0, 3)
+
     def test_quadratic_config_reproduces_james_stein_when_a_matches(self):
         dec = mid_decomp(np.random.default_rng(13).standard_normal(16) * 2.0)
         zh = apply_method(make_method("zh", config=fixed(2.0, 14.0)), dec, 1.0, 4)
@@ -530,18 +540,20 @@ class TestMethodDispatch:
         np.testing.assert_array_equal(zh.details[2][1], js.details[2][1])
 
     @pytest.mark.parametrize("name, hooks, estimates", [
-        ("zh", {"batch_estimate"}, 1),  # one pass over both treated levels
-        ("js", {"batch_estimate"}, 1),
+        ("zh", {"_shrink"}, 1),  # one in-place pass over both treated levels
+        ("js", {"_shrink"}, 1),
         ("zh-sure", {"batch_estimate", "select_beta_by_sure"}, 2),  # one per treated level
     ], ids=["zh-hooks0", "js-hooks1", "zh-sure-hooks2"])
     def test_rules_look_up_canonical_calls_at_call_time(self, monkeypatch, name, hooks, estimates):
-        # a wrapper swapped into the baselines module after import must see every call
-        calls = {"batch_estimate": [], "select_beta_by_sure": []}
+        # a wrapper swapped into the baselines module after import must see
+        # every call: zh and js run the estimator's kernel on their slice in
+        # place, zh-sure the checked estimator on each level's rows
+        calls = {"_shrink": [], "batch_estimate": [], "select_beta_by_sure": []}
 
         def counting(fn, seen):
-            def wrapper(*args):
+            def wrapper(*args, **kwargs):
                 seen.append(args)
-                return fn(*args)
+                return fn(*args, **kwargs)
             return wrapper
 
         for attr, seen in calls.items():
@@ -551,6 +563,6 @@ class TestMethodDispatch:
         monkeypatch.undo()
         np.testing.assert_array_equal(out.details[2][1], run(name, dec, 1.0, 3).details[2][1])
         assert {attr for attr, seen in calls.items() if seen} == hooks
-        assert len(calls["batch_estimate"]) == estimates
+        assert len(calls["_shrink"]) + len(calls["batch_estimate"]) == estimates
         for (sample,) in calls["select_beta_by_sure"]:
             assert isinstance(sample, CanonicalSample)

@@ -392,8 +392,8 @@ class TestSimulate:
                     "--signals", "blocks,bumps,doppler", "--n", "256,1024,4096",
                     "--snr", "3", "--reps", "20", "--seed", "11"]
     PINNED_SHA256 = {
-        "estimated": "702376ec5c2c2b25f9ae57de30f9152f724153c730b97012fca58dfc0f152c37",
-        "known": "79e5b5819c072adc6c37b96a4bafd70e519d9ab36a6f32362162d60fb1ad8c69",
+        "estimated": "4f7d295ae0dcc8206603aec4a20427c1996e282b0eb62d87e7f43886a9bfd675",
+        "known": "a9b11c8a5554e8b85ff549feb26de4dba5ffe9226cfd6d10e4fcf8b2792ad4d3",
     }
 
     @pytest.mark.parametrize("rows_at_1024", [None, 1, 7, 8, 16, 64])
@@ -736,10 +736,26 @@ class TestArgumentTypes:
 
         monkeypatch.setattr(harness, "substream", no_draw)
         monkeypatch.chdir(tmp_path)
-        assert cli.main([*SIMULATE, f"--reps={text}"]) == 2  # "--reps -inf" would read -inf as a flag
+        assert cli.main([*SIMULATE, f"--reps={text}"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and f"reps must be an integer >= 2, got {float(text)}" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--reps", "-inf", "reps must be an integer >= 2, got -inf"),
+        ("--seed", "-1e3", "seed must be an integer >= 0, got -1000"),
+        ("--snr", "-1e-3", "snr must be positive and finite, got -0.001"),
+    ], ids=["reps", "seed", "snr"])
+    def test_a_value_that_starts_with_a_minus_reaches_its_rule(self, tmp_path, monkeypatch, capsys, flag, value,
+                                                              message):
+        # argparse alone reads "-inf", "-1e3" and "-1e-3" as flags and exits 2
+        # with "expected one argument", before the engine sees the value
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([*SIMULATE, flag, value]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+        assert "expected one argument" not in err
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("reps", ["1000.0000001", "1000000.0001"])

@@ -191,9 +191,23 @@ class TestWaveletRisk:
         monkeypatch.setattr(harness, "_BLOCK_VALUES", 8 * 1024)
         assert one_block <= 1.35 * peak()
 
-    def test_two_replicates_at_16384_run_as_one_block(self, monkeypatch):
-        # a block holds at least two rows up to n = 16384, so a 2-replicate cell
-        # makes one forward transform there, here on a (2, 16384) block
+    @staticmethod
+    def block_shapes(monkeypatch):
+        # the shape of every block of noisy rows drawn from here on
+        shapes = []
+        noisy_rows = harness._noisy_rows
+
+        def recorded(*args):
+            rows = noisy_rows(*args)
+            shapes.append(rows.shape)
+            return rows
+
+        monkeypatch.setattr(harness, "_noisy_rows", recorded)
+        return shapes
+
+    @staticmethod
+    def forward_shapes(monkeypatch):
+        # the shape of every array the harness transforms from here on
         shapes = []
 
         def forward(y, levels):
@@ -201,22 +215,33 @@ class TestWaveletRisk:
             return dwt_forward(y, levels)
 
         monkeypatch.setattr(harness, "dwt_forward", forward)
+        return shapes
+
+    def test_two_replicates_at_16384_run_as_one_block(self, monkeypatch):
+        # a block holds at least two rows up to n = 16384, so a 2-replicate cell
+        # draws one (2, 16384) block of noisy coefficients there
+        shapes = self.block_shapes(monkeypatch)
         risk_sweep(["zh", "visu"], ["doppler"], [16384], 3.0, 2, 4)
-        assert shapes == [(16384,), (2, 16384)]  # the clean signal's coefficients, then the block
+        assert shapes == [(2, 16384)]
 
     def test_replicates_above_16384_run_one_row_a_block(self, monkeypatch):
         # the second row's memory was measured only at n = 16384, so longer
-        # signals keep one replicate row per block, after the sweep's one
-        # forward transform of the clean signal
-        shapes = []
-
-        def forward(y, levels):
-            shapes.append(y.shape)
-            return dwt_forward(y, levels)
-
-        monkeypatch.setattr(harness, "dwt_forward", forward)
+        # signals keep one replicate row per block
+        shapes = self.block_shapes(monkeypatch)
         risk_sweep(["visu"], ["doppler"], [32768], 3.0, 2, 4)
-        assert shapes == [(32768,)] + [(1, 32768)] * 2
+        assert shapes == [(1, 32768)] * 2
+
+    def test_the_pipeline_transforms_two_replicates_at_16384_as_one_block(self, monkeypatch):
+        # the pipeline blocks its replicates by the same rule, and transforms
+        # each block: one (2, 16384) forward transform for 2 replicates
+        shapes = self.forward_shapes(monkeypatch)
+        wavelet_risk_replicates("zh", generate_signal("doppler", 16384, 3.0), reps=2, seed=4)
+        assert shapes == [(2, 16384)]
+
+    def test_the_pipeline_transforms_one_row_a_block_above_16384(self, monkeypatch):
+        shapes = self.forward_shapes(monkeypatch)
+        wavelet_risk_replicates("visu", generate_signal("doppler", 32768, 3.0), reps=2, seed=4)
+        assert shapes == [(1, 32768)] * 2
 
     @pytest.mark.parametrize("name", ["zh", "js"])
     def test_a_two_row_block_bounds_the_segment_rules_transient(self, name):
@@ -237,54 +262,69 @@ class TestWaveletRisk:
             tracemalloc.stop()
         assert peak <= 4.25 * x.nbytes
 
-    @pytest.mark.parametrize("sigma_mode, coefficients", [
-        pytest.param(mode, coefficients, id=mode + ("-coefficients" if coefficients else ""))
-        for coefficients in (False, True) for mode in ("known", "estimated")])
-    def test_three_replicates_at_16384_match_one_row_runs_bitwise(self, sigma_mode, coefficients):
+    @pytest.mark.parametrize("sigma_mode", ["known", "estimated"])
+    def test_three_replicates_at_16384_match_one_row_runs_bitwise(self, sigma_mode):
         # reps = 3 at n = 16384 runs a 2-row block and a 1-row block; each
-        # replicate's errors have the bits of that replicate run alone, scored
-        # against the signal or against the clean signal's coefficients
+        # replicate's pipeline error, reconstruction against signal, has the
+        # bits of that replicate run alone
         sig = generate_signal("bumps", 16384, 3.0)
         f, seed = sig.samples, 8
         levels, cutoff = harness._pipeline(f.size)
         methods = [make_method(m) for m in ("zh", "visu", "sure", "blockjs", "js", "zh-sure")]
-        errs = harness._cell_errors(methods, sig, sigma_mode, 3, seed, coefficients)
-        clean = dwt_forward(f, levels).values
+        errs = [wavelet_risk_replicates(method, sig, sigma_mode, 3, seed) for method in methods]
         for r in range(3):
             decomp = dwt_forward(harness._noisy_rows(f, seed, r, r + 1), levels)
             sigma = 1.0 if sigma_mode == "known" else estimate_sigma(decomp)
-            for i, method in enumerate(methods):
-                shrunk = apply_method(method, decomp, sigma, cutoff)
-                if coefficients:
-                    alone = harness._squared_errors(shrunk.values, clean)
-                else:
-                    alone = harness._squared_errors(dwt_inverse(shrunk), f)
-                assert errs[i, r:r + 1].tobytes() == alone.tobytes(), (method.name, r)
+            for method, row in zip(methods, errs):
+                alone = harness._squared_errors(dwt_inverse(apply_method(method, decomp, sigma, cutoff)), f)
+                assert row[r:r + 1].tobytes() == alone.tobytes(), (method.name, r)
 
+    @pytest.mark.parametrize("block_values", [None, 1], ids=["default-blocks", "one-row-blocks"])
     @pytest.mark.parametrize("n", [256, 1024, 16384])
     @pytest.mark.parametrize("sigma_mode", ["known", "estimated"])
-    def test_sweep_rows_equal_the_pipelines_errors_within_roundoff(self, sigma_mode, n):
-        # the sweep scores coefficients, the pipeline its reconstruction; the
-        # transform is orthonormal, so by Parseval they agree up to roundoff
+    def test_sweep_rows_equal_the_per_replicate_oracle_bitwise(self, monkeypatch, sigma_mode, n, block_values):
+        # replicate r of a sweep is the clean coefficients plus substream(seed, r)'s
+        # draw as one row, shrunk by apply_method and scored against the clean
+        # coefficients; 3 replicates run as one block up to n = 1024 and as a
+        # 2-row and a 1-row block at 16384 by default, one row a block with 1
+        if block_values is not None:
+            monkeypatch.setattr(harness, "_BLOCK_VALUES", block_values)
         sig = generate_signal("doppler", n, 3.0)
+        levels, cutoff = harness._pipeline(n)
+        clean = dwt_forward(sig.samples, levels).values
         methods = [make_method(m) for m in METHOD_NAMES]
-        rows = harness._cell_errors(methods, sig, sigma_mode, 3, 21, True)
-        reports = risk_sweep(methods, ["doppler"], [n], 3.0, 3, 21, sigma_mode)
-        for method, row, rep in zip(methods, rows, reports):
-            errs = wavelet_risk_replicates(method, sig, sigma_mode, 3, 21)
-            np.testing.assert_allclose(row, errs, rtol=1e-12, err_msg=method.name)
-            assert rep.mean_risk == float(row.mean())
-            assert rep.mean_risk == pytest.approx(float(errs.mean()), rel=1e-12)
+        rows = harness._cell_errors(methods, sig, sigma_mode, 3, 21)
+        for r in range(3):
+            decomp = WaveletDecomposition((clean + substream(21, r).standard_normal(n))[None], n >> levels)
+            sigma = 1.0 if sigma_mode == "known" else estimate_sigma(decomp)
+            for method, row in zip(methods, rows):
+                shrunk = apply_method(method, decomp, sigma, cutoff).values
+                assert row[r:r + 1].tobytes() == ((shrunk - clean) ** 2).sum(axis=-1).tobytes(), (method.name, r)
 
-    def test_a_sweep_runs_no_inverse_transform(self, monkeypatch):
+    def test_a_sweep_transforms_each_clean_signal_once_and_runs_no_inverse(self, monkeypatch):
+        # each (signal, n) cell transforms its clean signal once and no block
+        # of noisy rows, whatever the number of blocks (2 at n = 16384 here)
         def no_inverse(decomp):
             raise AssertionError("a sweep ran dwt_inverse")
 
+        forward = self.forward_shapes(monkeypatch)
         monkeypatch.setattr(harness, "dwt_inverse", no_inverse)
-        reports = risk_sweep(list(METHOD_NAMES), ["bumps"], [256, 16384], 3.0, 3, 2, "estimated")
-        assert len(reports) == 2 * len(METHOD_NAMES)
+        reports = risk_sweep(list(METHOD_NAMES), ["bumps", "spikes"], [256, 16384], 3.0, 3, 3, "estimated")
+        assert len(reports) == 4 * len(METHOD_NAMES)
+        assert forward == [(256,), (16384,)] * 2
         with pytest.raises(AssertionError, match="dwt_inverse"):
             wavelet_risk_replicates("zh", generate_signal("bumps", 256, 3.0), reps=2, seed=2)
+
+    @pytest.mark.parametrize("sigma_mode", ["known", "estimated"])
+    def test_sweep_means_agree_with_the_pipelines_within_4_standard_errors(self, sigma_mode):
+        # the sweep draws its noise as coefficients and the pipeline as signal
+        # values, so their errors agree in distribution, not replicate by replicate
+        sig = generate_signal("doppler", 1024, 3.0)
+        reports = risk_sweep(list(METHOD_NAMES), ["doppler"], [1024], 3.0, 200, 41, sigma_mode)
+        for rep in reports:
+            errs = wavelet_risk_replicates(rep.method, sig, sigma_mode, 200, 41)
+            se = errs.std(ddof=1) / math.sqrt(errs.size)
+            assert abs(rep.mean_risk - errs.mean()) < 4.0 * math.hypot(rep.std_error, se), rep.method
 
     def test_noisy_rows_are_drawn_into_one_block(self):
         # each row has the bits of its replicate's own draw, and the transient
@@ -366,40 +406,34 @@ class TestRiskSweep:
     @pytest.mark.parametrize("sigma_mode", ["known", "estimated"])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_rows_equal_single_method_calls_bitwise(self, sigma_mode, workers):
-        # the shared per-replicate analysis must not change any method's
-        # coefficient-scored errors, and the accepted workers argument must not
-        # change anything either; the pipeline's errors agree up to roundoff
+        # the shared noisy block must not change any method's errors, and the
+        # accepted workers argument must not change anything either
         names = ["zh", "zh-sure", "visu", "zh", "blockjs"]
         reports = risk_sweep(names, ["bumps"], [256], snr=3.0, reps=40, seed=12,
                              sigma_mode=sigma_mode, workers=workers)
         sig = generate_signal("bumps", 256, 3.0)
         methods = [make_method(name) for name in names]
-        rows = harness._cell_errors(methods, sig, sigma_mode, 40, 12, True)
+        rows = harness._cell_errors(methods, sig, sigma_mode, 40, 12)
         assert rows.shape == (len(names), 40)
         for method, row, rep in zip(methods, rows, reports):
-            alone = harness._cell_errors([method], sig, sigma_mode, 40, 12, True)[0]
+            alone = harness._cell_errors([method], sig, sigma_mode, 40, 12)[0]
             assert row.tobytes() == alone.tobytes()
             assert rep == risk_sweep([method], ["bumps"], [256], 3.0, 40, 12, sigma_mode, workers)[0]
-            errs = wavelet_risk_replicates(method, sig, sigma_mode, 40, 12, workers)
-            np.testing.assert_allclose(row, errs, rtol=1e-12)
         assert rows[0].tobytes() == rows[3].tobytes()
 
     @pytest.mark.parametrize("reps", [2, 16, 1001])
     def test_one_pass_summaries_equal_each_rows_own_bitwise(self, reps):
-        # each report has the bits of its own coefficient-scored row's summaries
-        # and of a one-method sweep, and the pipeline's mean within roundoff
+        # each report has the bits of its own row's summaries and of a one-method sweep
         methods = ["zh", "visu", "js"]
         reports = risk_sweep(methods, ["bumps"], [64], 3.0, reps, seed=8)
         sig = generate_signal("bumps", 64, 3.0)
-        rows = harness._cell_errors([make_method(m) for m in methods], sig, "known", reps, 8, True)
+        rows = harness._cell_errors([make_method(m) for m in methods], sig, "known", reps, 8)
         for rep, name, e in zip(reports, methods, rows):
             assert rep.reps == reps
             assert rep.mean_risk == float(e.mean())
             assert rep.std_error == float(e.std(ddof=1) / math.sqrt(reps))
             assert rep.relative_risk == float(e.mean()) / 64
             assert rep == risk_sweep([name], ["bumps"], [64], 3.0, reps, seed=8)[0]
-            pipeline = wavelet_risk_replicates(name, sig, reps=reps, seed=8)
-            assert rep.mean_risk == pytest.approx(float(pipeline.mean()), rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -106,9 +106,9 @@ def mean_and_se(errs):
 @functools.lru_cache(maxsize=None)
 def risks_at_n(name):
     # (mean, se) of identity, visu and js at n = N from one sweep, so the
-    # three tests share one set of noise draws; a report's mean and se match
-    # mean_and_se of that method's wavelet_risk_replicates at the same seed
-    # within a relative 1e-12, since the sweep scores coefficients, not signals
+    # three tests share one set of noise draws; the sweep draws its noise as
+    # coefficients, so its errors have the distribution of that method's
+    # wavelet_risk_replicates, though not the same realizations at one seed
     reports = risk_sweep(["identity", "visu", "js"], [name], [N], SNR, REPS, SEED)
     return {r.method: (r.mean_risk, r.std_error) for r in reports}
 

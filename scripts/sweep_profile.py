@@ -38,16 +38,19 @@ tracemalloc counts numpy's and Python's allocations, not the RSS.
 
 The last lines give minor page faults and milliseconds per ``risk_sweep``
 call shaped like each sweep workload, one signal a call, cycling over
-``SIGNALS``.  Each shape runs in three fresh spawn processes, one after
-another, as each bench workload runs in a process of its own, since one
-shape's heap changes the other's faults.  Each process generates the
-signals and warms the caches with one call, as the bench's set-up does,
-then counts ``getrusage`` faults around a loop of ``--calls`` calls.  A call
-that takes a few minor faults or fewer reuses its heap; hundreds per call
-mean that temporaries of 128 KiB or more (one row at n = 16384) are mapped
-and faulted in anew on every call.  The count can differ between processes
-of one tree (a sweep-tuned process has read about 160 or about 224 faults
-per call on 2 vCPUs), so compare trees by all three lines of a shape.
+``SIGNALS``, and per ``canonical_risk`` call shaped like the canonical-risk
+workload (theta = ``RISK_THETA`` in ``RISK_D`` coordinates, ``RISK_REPS``
+replicates, cycling over ``RISK_RULES``).  Each shape runs in three fresh
+spawn processes, one after another, as each bench workload runs in a
+process of its own, since one shape's heap changes the other's faults.
+Each process generates the signals and warms the caches with one call, as
+the bench's set-up does, then counts ``getrusage`` faults around a loop of
+``--calls`` calls.  A call that takes a few minor faults or fewer reuses its
+heap; hundreds per call mean that temporaries of 128 KiB or more (one row
+at n = 16384) are mapped and faulted in anew on every call.  The count can
+differ between processes of one tree (a sweep-tuned process has read about
+160 or about 224 faults per call on 2 vCPUs, and a canonical-risk one 0 or
+thousands), so compare trees by all three lines of a shape.
 
 The package is imported from this checkout's ``src/`` by
 ``spec.import_package``.  The figures gate nothing.
@@ -69,6 +72,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import spec  # noqa: E402
 
 st = spec.import_package()
+
+import numpy as np  # noqa: E402  (after the package, so numpy's import does not move the package's heap)
 
 # name: (methods, sizes, replicates, sigma mode), as the bench workloads take them
 SHAPES = {
@@ -171,18 +176,34 @@ def report(shape, n, rows, walk):
               f" {peak:>9.1f} {kept:>9.1f}")
 
 
-def faults(shape, calls, run):
-    # minor faults and ms per sweep call of one shape, in a process of its own
+def sweep_call(shape):
+    # call(k), the k-th risk_sweep of a sweep shape, on signal k mod 6 at seed
+    # k, once the signals are generated
     methods, sizes, reps, sigma_mode = SHAPES[shape]
     for name in spec.SIGNALS:
         for n in sizes:
             st.generate_signal(name, n, spec.SNR)
-    st.risk_sweep(methods, spec.SIGNALS[:1], sizes, spec.SNR, reps, 0, sigma_mode)
+    return lambda k: st.risk_sweep(methods, [spec.SIGNALS[k % len(spec.SIGNALS)]], sizes, spec.SNR, reps, k,
+                                   sigma_mode)
+
+
+def risk_call():
+    # call(k), the k-th canonical_risk of the canonical-risk workload, on rule k mod 3 at seed k
+    theta = np.full(spec.RISK_D, spec.RISK_THETA)
+    configs = [None if rule is None else st.ShrinkConfig(a_rule=rule) for rule in spec.RISK_RULES]
+    return lambda k: st.canonical_risk(theta, configs[k % len(configs)], 1.0, spec.RISK_REPS, k)
+
+
+def faults(shape, calls, run):
+    # minor faults and ms per call of one shape, in a process of its own:
+    # call 0 warms the caches, then calls 1 to calls are counted and timed
+    call = sweep_call(shape) if shape in SHAPES else risk_call()
+    call(0)
     times = []
     count = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for k in range(calls):
+    for k in range(1, calls + 1):
         t = time.perf_counter()
-        st.risk_sweep(methods, [spec.SIGNALS[k % len(spec.SIGNALS)]], sizes, spec.SNR, reps, 1 + k, sigma_mode)
+        call(k)
         times.append(time.perf_counter() - t)
     count = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - count
     print(f"{shape} (process {run} of {PROCESSES}): {calls} calls: {count / calls:.2f} minor faults per call, "
@@ -192,7 +213,7 @@ def faults(shape, calls, run):
 
 def main():
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--calls", type=int, default=120, help="sweep calls per fault-counting process")
+    p.add_argument("--calls", type=int, default=120, help="calls per fault-counting process")
     args = p.parse_args()
     print(f"{'shape':<12} {'n':>6} {'rows':>4}  {'layer':<28} {'median us':>10} {'best us':>10} {'us/row':>10}"
           f" {'peak KiB':>9} {'kept KiB':>9}")
@@ -207,7 +228,7 @@ def main():
     sys.stdout.flush()
 
     ctx = multiprocessing.get_context("spawn")
-    for shape in SHAPES:
+    for shape in (*SHAPES, "canonical-risk"):
         for run in range(1, PROCESSES + 1):
             proc = ctx.Process(target=faults, args=(shape, args.calls, run))
             proc.start()

@@ -48,7 +48,6 @@ from .canonical import (
     _per_row,
     _real,
     _shrink,
-    batch_estimate,
     resolve_a,
     select_beta_by_sure,
 )
@@ -189,19 +188,20 @@ def _zh_sure(t, sigma, n, config, levels):
     # like zh, but beta (and its finite-rule a) is tuned per level and row by
     # unbiased risk, read from the level in place; an all-zero row scores
     # -sigma**2 per coordinate at every candidate, so it picks beta = 2 and
-    # comes out as +0.0.  A level's rows are shrunk in one call with beta and
-    # a as per-row columns, except those that picked beta = 2: they share one
-    # scalar call, as a scalar exponent 2 is numpy's exact square while a
-    # column exponent runs pow
+    # comes out as +0.0.  A level's rows are shrunk by the estimator's kernel
+    # in one call with beta and a as per-row columns, except those that
+    # picked beta = 2: they share one scalar call, as a scalar exponent 2 is
+    # numpy's exact square while a column exponent runs pow.  Each call
+    # shrinks its copy of the rows in place, and the copy is written back
     s = sigma if np.ndim(sigma) else np.full((len(t), 1), sigma)
     for lo, hi in levels:
         v = t[:, lo:hi]
         betas, a = select_beta_by_sure(CanonicalSample(v, s))
         two = betas == 2.0
-        if two.any():
-            v[two] = batch_estimate(v[two], s[two], 2.0, float(a[two][0]))
-        if not two.all():
-            v[~two] = batch_estimate(v[~two], s[~two], betas[~two, None], a[~two, None])
+        for rows, beta, ak in ((two, 2.0, a[two][:1]), (~two, betas[~two, None], a[~two, None])):
+            if rows.any():
+                w = v[rows]
+                v[rows] = _shrink(w, s[rows], beta, [ak], True, ((0, hi - lo),), out=w)
 
 
 _RULES = {

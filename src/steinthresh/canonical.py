@@ -207,7 +207,7 @@ def resolve_a(config, d):
     return a
 
 
-def batch_estimate(z, sigma, beta, a, positive_part=True, segments=None):
+def batch_estimate(z, sigma, beta, a, positive_part=True):
     """Estimator over rows: ``z`` has shape (m, d), or (d,) for one sample.
 
     Per row, with ``w = z / sigma`` and ``D = sum |w_i|**beta``, returns
@@ -225,33 +225,21 @@ def batch_estimate(z, sigma, beta, a, positive_part=True, segments=None):
     returned unshrunk, apart from its exact zeros.  ``z`` is a data array
     (nonempty, finite, of integers or floats), so a nan or inf in it raises
     ValueError in either form.
-
-    ``segments``, a tuple of (start, stop) column bounds that tile the last
-    axis, makes each segment of a row a sample of its own with its own
-    ``D``; ``a`` then holds one value per segment, and each segment's output
-    has the bits of a call on that segment alone.
     """
     z = _data(z, "z")
     sigma = _per_row(sigma, z, "sigma")
-    if segments is None:
-        segments, a = ((0, z.shape[-1]),), [_per_row(a, z, "a")]
-    else:
-        a = _real(a, "a", arrays=True)
-        if np.shape(a) != (len(segments),):
-            raise ValueError(f"need one a per segment, got {a!r}")
-        starts = [0] + [hi for _, hi in segments]
-        if ([lo for lo, _ in segments] != starts[:-1] or starts[-1] != z.shape[-1]
-                or any(lo > hi for lo, hi in segments)):
-            raise ValueError(f"segments must tile the last axis of length {z.shape[-1]}, got {segments}")
+    a = _per_row(a, z, "a")
     beta = _per_row(beta, z, "beta", lambda b: (0.0 < b) & (b <= 2.0), "in (0, 2]")
-    return _shrink(z, sigma, beta, a, positive_part, segments)
+    return _shrink(z, sigma, beta, [a], positive_part, ((0, z.shape[-1]),))
 
 
 def _shrink(z, sigma, beta, a, positive_part, segments, out=None):
     # batch_estimate's arithmetic on checked rows z: w = z / sigma, written
     # to out (z itself for a rule that shrinks its slice in place) or a new
-    # array, becomes the estimate, in z's units, and is returned; a holds one
-    # scalar or (m, 1) column per segment.  Full-size passes in place; each
+    # array, becomes the estimate, in z's units, and is returned; segments
+    # are the (start, stop) column bounds of each row's samples, nonempty and
+    # tiling the row, and a holds one scalar or (m, 1) column per segment;
+    # none of this is checked here.  Full-size passes in place; each
     # swaps only the operand order of a*|w|**(beta-2)/D
     # (a*sign(w)*|w|**(beta-1)/D untruncated), so kept values keep their
     # bits, while the entries that copyto overwrites may pass through inf
@@ -261,9 +249,8 @@ def _shrink(z, sigma, beta, a, positive_part, segments, out=None):
     absw = np.abs(w)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         dnm = [(absw[..., lo:hi]**beta).sum(axis=-1, keepdims=True) for lo, hi in segments]
-        for (lo, hi), dk in zip(segments, dnm):
-            if not positive_part and hi > lo and (dk == 0.0).any():
-                raise ValueError("degenerate input: all coordinates zero")
+        if not positive_part and any((dk == 0.0).any() for dk in dnm):
+            raise ValueError("degenerate input: all coordinates zero")
         zero = None if positive_part else absw == 0.0
         est = np.power(absw, beta - 2.0 if positive_part else beta - 1.0, out=absw)
         if not positive_part:

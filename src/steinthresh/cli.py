@@ -1,7 +1,9 @@
 """Command-line surface: denoise a series, run risk sweeps, tabulate the shrink constant.
 
 Exit codes: 0 success, 1 I/O error, 2 validation error.  All commands are
-deterministic given --seed, and CSV output uses 17 significant digits so
+deterministic given --seed: their bytes hold for one machine, one numpy
+dispatch path (AVX-512 or AVX2, which round some last bits of pow, exp and
+log differently) and one BLAS.  CSV output uses 17 significant digits so
 values round-trip exactly.
 """
 

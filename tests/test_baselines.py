@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from steinthresh import baselines
+from steinthresh import baselines, canonical
 from steinthresh.baselines import (
     BLOCK_CRITICAL,
     METHOD_NAMES,
@@ -542,13 +542,15 @@ class TestMethodDispatch:
     @pytest.mark.parametrize("name, hooks, estimates", [
         ("zh", {"_shrink"}, 1),  # one in-place pass over both treated levels
         ("js", {"_shrink"}, 1),
-        ("zh-sure", {"batch_estimate", "select_beta_by_sure"}, 2),  # one per treated level
+        ("zh-sure", {"_shrink", "select_beta_by_sure"}, 2),  # one per treated level, of one row each
     ], ids=["zh-hooks0", "js-hooks1", "zh-sure-hooks2"])
     def test_rules_look_up_canonical_calls_at_call_time(self, monkeypatch, name, hooks, estimates):
         # a wrapper swapped into the baselines module after import must see
         # every call: zh and js run the estimator's kernel on their slice in
-        # place, zh-sure the checked estimator on each level's rows
-        calls = {"_shrink": [], "batch_estimate": [], "select_beta_by_sure": []}
+        # place, zh-sure on each level's rows, and none runs the checked
+        # batch_estimate, which baselines does not import
+        calls = {"_shrink": [], "select_beta_by_sure": []}
+        checked = []
 
         def counting(fn, seen):
             def wrapper(*args, **kwargs):
@@ -558,11 +560,13 @@ class TestMethodDispatch:
 
         for attr, seen in calls.items():
             monkeypatch.setattr(baselines, attr, counting(getattr(baselines, attr), seen))
+        monkeypatch.setattr(canonical, "batch_estimate", counting(canonical.batch_estimate, checked))
         dec = mid_decomp(np.random.default_rng(14).standard_normal(16) * 3.0)
         out = apply_method(make_method(name), dec, 1.0, 3)
         monkeypatch.undo()
         np.testing.assert_array_equal(out.details[2][1], run(name, dec, 1.0, 3).details[2][1])
         assert {attr for attr, seen in calls.items() if seen} == hooks
-        assert len(calls["_shrink"]) + len(calls["batch_estimate"]) == estimates
+        assert len(calls["_shrink"]) == estimates and not checked
+        assert not hasattr(baselines, "batch_estimate")
         for (sample,) in calls["select_beta_by_sure"]:
             assert isinstance(sample, CanonicalSample)

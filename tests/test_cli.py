@@ -52,6 +52,28 @@ def write_signal(path, values):
     path.write_text("".join(f"{float(v)!r}\n" for v in values))
 
 
+def simd_path():
+    """The widest x86 path numpy dispatches its float64 math to: "AVX512_SKX", "AVX2" or "baseline".
+
+    numpy's pow, exp and log round some last bits differently on its AVX-512
+    and AVX2 paths, so pinned bytes are keyed by this path.  It is read from
+    ``numpy._core._multiarray_umath.__cpu_features__``, a private name, as
+    numpy has no public one.  ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
+    AVX512_SPR"`` in a process's environment puts it on the AVX2 path.
+    """
+    from numpy._core._multiarray_umath import __cpu_features__ as features
+
+    return next((path for path in ("AVX512_SKX", "AVX2") if features.get(path)), "baseline")
+
+
+def pinned(table):
+    """The hashes of ``table`` pinned for the active path; a path with none fails, naming it."""
+    path = simd_path()
+    if path not in table:
+        pytest.fail(f"no hashes pinned for numpy's {path} dispatch path (pinned: {', '.join(table)})")
+    return table[path]
+
+
 class TestDenoise:
     def test_missing_input_is_io_error(self, tmp_path):
         r = run_cli(
@@ -257,30 +279,52 @@ class TestDenoise:
         assert not dst.exists()
 
     # sha256 of the stdout then the output file of each denoise run on noisy
-    # bumps; the transform steps are BLAS products, so these bytes depend on
-    # the BLAS kernel's summation order as well as on numpy's own math
+    # bumps, for each of numpy's dispatch paths (simd_path); the transform
+    # steps are BLAS products, so these bytes depend on the BLAS kernel's
+    # summation order as well as on numpy's own math
     PINNED_SHA256 = {
-        "identity.n256": "8f013887de3ac0c21ee7a2f2db39a50abf4a02d2a73289988782a6da8f98015f",
-        "visu.n256": "d7783440e1a8ae938dc6e13e2c38f61b7ef243003924ced79ac6c9d59fd33d9f",
-        "sure.n256": "efa8c663c837bb4374b8ccbfd20523bd160971fa24e62418c99ca0ba17aeca03",
-        "blockjs.n256": "90c804e263e4e80aaf52c12c53afc9269e85e8b09ccd6a0b64979bf12743ebbf",
-        "js.n256": "b712c1af98f0d0dc377fe8f7e94cb9f62de2e3a39e5a5dbdf3a8dd085455188a",
-        "zh.n256": "1ed37bd605490c673288500ee5c42a883d20ae53977c044f1a1b7dd6e53c59f8",
-        "zh-sure.n256": "ab35b03f8066a8bbcf202588f9d5f5852c06c2c5b113029484a76f03e038804d",
-        "identity.n1024": "26168a11c22158025de7883b4dd9d608d3b92eab0cc14a8811030f673a9d5cb9",
-        "visu.n1024": "b061557ab7b2bf0588f004d954494ddcfa4d89aad217602504f2ec8ef8eff35d",
-        "sure.n1024": "368648bfcdca19171c17631eff30090d02ceccaf5c1e0d7112211996d0c89d90",
-        "blockjs.n1024": "2900dfcfefea5dd463d87170c58746a9f9fde8cb743ce8f0a846a834bae4f8e8",
-        "js.n1024": "dd2b01a9895fa0ab9b6a990bdcc3064678a1e9cd96955a0cf8df0feb15bf3eee",
-        "zh.n1024": "fb9d0b17101e1ade8408994814e486b361634706edc8fba592d7fa4917fd3ae7",
-        "zh-sure.n1024": "f363d2ae443fe585f8c7b51fb3ec9befb41561a2cee4e37ef2026e3867684e3e",
-        "zh.n256.theorem": "91432ce4fa1eb0eea4e2c6ccf6bf27a1840cf0a4f2b74609d8cbe7ba13c5ec57",
-        "zh.n1024.theorem": "b93eb43d2b4951497cfe6d7105eef117c6f42b07bd2b1ca5cff46929b7359440",
+        "AVX512_SKX": {
+            "identity.n256": "8f013887de3ac0c21ee7a2f2db39a50abf4a02d2a73289988782a6da8f98015f",
+            "visu.n256": "d7783440e1a8ae938dc6e13e2c38f61b7ef243003924ced79ac6c9d59fd33d9f",
+            "sure.n256": "efa8c663c837bb4374b8ccbfd20523bd160971fa24e62418c99ca0ba17aeca03",
+            "blockjs.n256": "90c804e263e4e80aaf52c12c53afc9269e85e8b09ccd6a0b64979bf12743ebbf",
+            "js.n256": "b712c1af98f0d0dc377fe8f7e94cb9f62de2e3a39e5a5dbdf3a8dd085455188a",
+            "zh.n256": "1ed37bd605490c673288500ee5c42a883d20ae53977c044f1a1b7dd6e53c59f8",
+            "zh-sure.n256": "ab35b03f8066a8bbcf202588f9d5f5852c06c2c5b113029484a76f03e038804d",
+            "identity.n1024": "26168a11c22158025de7883b4dd9d608d3b92eab0cc14a8811030f673a9d5cb9",
+            "visu.n1024": "b061557ab7b2bf0588f004d954494ddcfa4d89aad217602504f2ec8ef8eff35d",
+            "sure.n1024": "368648bfcdca19171c17631eff30090d02ceccaf5c1e0d7112211996d0c89d90",
+            "blockjs.n1024": "2900dfcfefea5dd463d87170c58746a9f9fde8cb743ce8f0a846a834bae4f8e8",
+            "js.n1024": "dd2b01a9895fa0ab9b6a990bdcc3064678a1e9cd96955a0cf8df0feb15bf3eee",
+            "zh.n1024": "fb9d0b17101e1ade8408994814e486b361634706edc8fba592d7fa4917fd3ae7",
+            "zh-sure.n1024": "f363d2ae443fe585f8c7b51fb3ec9befb41561a2cee4e37ef2026e3867684e3e",
+            "zh.n256.theorem": "91432ce4fa1eb0eea4e2c6ccf6bf27a1840cf0a4f2b74609d8cbe7ba13c5ec57",
+            "zh.n1024.theorem": "b93eb43d2b4951497cfe6d7105eef117c6f42b07bd2b1ca5cff46929b7359440",
+        },
+        "AVX2": {
+            "identity.n256": "28793bcae840dd87045eb60b6f034667f7716649876d4fb4497b93b939b500cb",
+            "visu.n256": "62df3d8f526c67c39ab6ae221a1f9d0bc87baeac033c58129e95f44883cce6e7",
+            "sure.n256": "d791b209e7814a722e5cc4e106d497698e7516b14ac036cff8fe3cbf36e62c4f",
+            "blockjs.n256": "4af40e9d7b322317309c13eaeea185fc27980ee7dd316a9665c31d06cd2f49c5",
+            "js.n256": "3de759163d7b2daf059bf9abe526f11d74dcc12f7aae794d942eb6c6686d1b1c",
+            "zh.n256": "cc8dd43adc06b57581137be4fc9ccf478cad0e357d30633fd70f9639c6faf09d",
+            "zh-sure.n256": "5f07e52b16b666df6bd2111822364a2070969bbbbb9ea44027370ae4a2cdb5ce",
+            "identity.n1024": "ed35a7656ce3943ad94b804b2edba7148b2eb2a978f679f9168314224ad7d872",
+            "visu.n1024": "02e625886290ce7e3c99b9c170edf61a6e72d95b0eee8daecad6836f6e90a95b",
+            "sure.n1024": "9fe83eda0cdaefc6c93823b955445c190253cd4e3bd84f0e33a7e3a25cf0c1c0",
+            "blockjs.n1024": "31556060c87c4947ebcc0a21fc817dcb94e29bcc5e07f18e9e5d631684bcd6e3",
+            "js.n1024": "08e67cc23082283bf2585b3760912af69111c79e69c585c7dd094feed0be0dd6",
+            "zh.n1024": "65b09daf11c40338843827481f5e0a7c49d86b2b6958e7da10760198a9b656d8",
+            "zh-sure.n1024": "59d913107acf102341ac84f9fcf4275470f072cda7aaab1aa6be2ae31fe9ec07",
+            "zh.n256.theorem": "ec69c2bd4c92743312e6d60d26a069a6d501cc9aa48e1bd7487ac70dc99eb780",
+            "zh.n1024.theorem": "c0ee4f34af765710ad416c160d362e5b82e8a1eb37880800dc791cdc5ec4a42b",
+        },
     }
 
     def test_output_bytes_are_pinned(self, tmp_path, capsys):
-        assert set(METHOD_NAMES) == {key.split(".")[0] for key in self.PINNED_SHA256}
-        for key, expected in self.PINNED_SHA256.items():
+        pins = pinned(self.PINNED_SHA256)
+        assert set(METHOD_NAMES) == {key.split(".")[0] for key in pins}
+        for key, expected in pins.items():
             method, size, *theorem = key.split(".")
             n = int(size[1:])
             src, dst = tmp_path / f"in{n}.csv", tmp_path / "out.csv"
@@ -387,13 +431,20 @@ class TestSimulate:
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
-    # sha256 of the CSV from these flags; every row block must give the same bytes
+    # sha256 of the CSV from these flags, for each of numpy's dispatch paths
+    # (simd_path); every row block must give the same bytes
     PINNED_FLAGS = ["--methods", "identity,visu,sure,blockjs,js,zh,zh-sure",
                     "--signals", "blocks,bumps,doppler", "--n", "256,1024,4096",
                     "--snr", "3", "--reps", "20", "--seed", "11"]
     PINNED_SHA256 = {
-        "estimated": "4f7d295ae0dcc8206603aec4a20427c1996e282b0eb62d87e7f43886a9bfd675",
-        "known": "a9b11c8a5554e8b85ff549feb26de4dba5ffe9226cfd6d10e4fcf8b2792ad4d3",
+        "AVX512_SKX": {
+            "estimated": "4f7d295ae0dcc8206603aec4a20427c1996e282b0eb62d87e7f43886a9bfd675",
+            "known": "a9b11c8a5554e8b85ff549feb26de4dba5ffe9226cfd6d10e4fcf8b2792ad4d3",
+        },
+        "AVX2": {
+            "estimated": "d0817a1c893e21b370cf6931911ddc1fb6c5d0db85c00e8410ed7845a753c272",
+            "known": "505a0651d0feb6e9b440cc023d3dddb86a35d81c035b29b770074c0b2e1dd223",
+        },
     }
 
     @pytest.mark.parametrize("rows_at_1024", [None, 1, 7, 8, 16, 64])
@@ -405,7 +456,7 @@ class TestSimulate:
             monkeypatch.setattr(harness, "_BLOCK_VALUES", rows_at_1024 * 1024)
         path = tmp_path / "out.csv"
         assert cli.main(["simulate", *self.PINNED_FLAGS, "--sigma-mode", sigma_mode, "--out", str(path)]) == 0
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.PINNED_SHA256[sigma_mode]
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == pinned(self.PINNED_SHA256)[sigma_mode]
 
     @pytest.mark.parametrize("sigma_mode", ["estimated", "known"])
     def test_an_odd_replicate_count_gives_the_bytes_of_any_row_block(self, tmp_path, monkeypatch, sigma_mode):
@@ -565,6 +616,18 @@ class TestSimulate:
             "--out", str(tmp_path / "missing-dir" / "x.csv"),
         )
         assert r.returncode == 1
+
+
+class TestPinnedPaths:
+    @pytest.mark.parametrize("table", [TestDenoise.PINNED_SHA256, TestSimulate.PINNED_SHA256],
+                             ids=["denoise", "simulate"])
+    def test_every_dispatch_path_pins_the_same_runs(self, table):
+        assert len({tuple(pins) for pins in table.values()}) == 1
+
+    def test_a_path_with_no_pins_fails_and_names_it(self, monkeypatch):
+        monkeypatch.setattr(sys.modules[__name__], "simd_path", lambda: "baseline")
+        with pytest.raises(pytest.fail.Exception, match="numpy's baseline dispatch path"):
+            pinned(TestSimulate.PINNED_SHA256)
 
 
 class TestBoundA:

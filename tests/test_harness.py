@@ -580,8 +580,6 @@ def test_sigma_columns_must_hold_reals():
         assert batch_estimate(Z, np.full((2, 1), 2, dtype=t), 1.5, 2.0).tobytes() == want.tobytes()
 
 
-SEGMENTS = ((0, 2), (2, 4))
-
 # every entry point of the rules for arrays of constants and data arrays, as
 # (call of the one argument, inputs that numpy would convert to floats): a
 # bool, a string, a bool, str or object array, or a list that mixes a bool
@@ -595,8 +593,6 @@ ARRAY_ARGUMENTS = [
     pytest.param(lambda b: batch_sure(Z, 1.0, b, 2.0), ["2", np.array([["1.5"], ["2"]])], id="batch_sure-beta"),
     pytest.param(lambda a: batch_sure(Z, 1.0, 1.5, a), ["2", True, np.array([[True]]), np.array([["2"], ["3"]])],
                  id="batch_sure-a"),
-    pytest.param(lambda a: batch_estimate(Z, 1.0, 1.5, a, True, SEGMENTS),
-                 [[True, "2"], np.array(["1", "2"]), [True, 2.0], [np.True_, 2]], id="batch_estimate-segment-a"),
     pytest.param(lambda s: batch_estimate(Z, s, 1.5, 2.0), [[[True], [2.0]], [[2], [np.True_]]],
                  id="batch_estimate-sigma-column"),
     pytest.param(lambda a: batch_estimate(Z, 1.0, 1.5, a), [[[True], [2.0]]], id="batch_estimate-a-column"),
@@ -624,9 +620,9 @@ def test_no_array_of_bools_or_strings_is_taken_for_numbers(call, bads):
 
 
 def test_integer_float32_and_list_arrays_give_the_float64_bytes():
-    want = batch_estimate(Z, 1.0, 1.5, np.array([2.0, 3.0]), True, SEGMENTS)
-    for a in ([2.0, 3.0], [2, 3], np.array([2, 3]), np.array([2, 3], dtype=np.float32)):
-        assert batch_estimate(Z, 1.0, 1.5, a, True, SEGMENTS).tobytes() == want.tobytes()
+    want = batch_estimate(Z, 1.0, 1.5, np.array([[2.0], [3.0]]))
+    for a in ([[2.0], [3.0]], [[2], [3]], np.array([[2], [3]]), np.array([[2], [3]], dtype=np.float32)):
+        assert batch_estimate(Z, 1.0, 1.5, a).tobytes() == want.tobytes()
     betas, a = np.array([1.25, 1.5, 2.0])[:, None, None], np.array([2.0, 3.0, 4.0])[:, None, None]
     want = batch_sure(Z, 1.0, betas, a, True)
     for forms in ((betas.tolist(), a.tolist()), (betas.astype(np.float32), a.astype(np.int64))):

@@ -129,26 +129,6 @@ class TestOnePassMatchesPerLevelOracle:
                 assert dwt_inverse(got).tobytes() == stepwise_inverse(want).tobytes(), name
 
 
-class TestSegmentedEstimate:
-    SEGMENTS = ((0, 4), (4, 12), (12, 28))
-
-    @pytest.mark.parametrize("positive_part", [True, False])
-    def test_each_segment_matches_its_own_call(self, positive_part):
-        rng = np.random.default_rng(3)
-        z = rng.standard_normal((3, 28)) * 2.0
-        a = [2.5, 6.0, 14.0]
-        for sigma in (1.5, rng.uniform(0.5, 2.0, (3, 1))):
-            got = batch_estimate(z, sigma, 4.0 / 3.0, a, positive_part, self.SEGMENTS)
-            for (lo, hi), a_k in zip(self.SEGMENTS, a):
-                want = batch_estimate(z[:, lo:hi], sigma, 4.0 / 3.0, a_k, positive_part)
-                assert got[:, lo:hi].tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("a", [[1.0, 2.0], [1.0, 0.0, 2.0], [1.0, math.inf, 2.0]])
-    def test_needs_one_positive_finite_a_per_segment(self, a):
-        with pytest.raises(ValueError):
-            batch_estimate(np.ones((2, 28)), 1.0, 1.5, a, True, self.SEGMENTS)
-
-
 class TestDyadicLayout:
     @pytest.mark.parametrize("shape", [(1024,), (3, 1024)])
     def test_blocks_are_views_of_one_array_in_dyadic_order(self, shape):

@@ -9,11 +9,12 @@ from steinthresh import baselines, dwt
 from steinthresh.baselines import METHOD_NAMES, _pipeline, apply_method, make_method
 from steinthresh.canonical import (
     CanonicalSample,
+    _shrink,
     batch_estimate,
     resolve_a,
     select_beta_by_sure,
 )
-from steinthresh.dwt import WaveletDecomposition, dwt_forward, dwt_inverse
+from steinthresh.dwt import WaveletDecomposition, dwt_forward, dwt_inverse, max_levels
 from steinthresh.testbed import generate_signal
 
 
@@ -127,6 +128,75 @@ class TestOnePassMatchesPerLevelOracle:
                 for (_, v), w in zip(got.details, want[1:]):
                     assert v.tobytes() == w.tobytes(), name
                 assert dwt_inverse(got).tobytes() == stepwise_inverse(want).tobytes(), name
+
+
+class TestSegmentedEstimate:
+    # the estimator's kernel takes each level of a rule's slice as a segment
+    # of the row, with its own a and D, and checks none of its arguments
+    SEGMENTS = ((0, 4), (4, 12), (12, 28))
+
+    @pytest.mark.parametrize("positive_part", [True, False])
+    def test_each_segment_matches_its_own_call(self, positive_part):
+        rng = np.random.default_rng(3)
+        z = rng.standard_normal((3, 28)) * 2.0
+        a = [2.5, 6.0, 14.0]
+        for sigma in (1.5, rng.uniform(0.5, 2.0, (3, 1))):
+            before = z.tobytes()
+            got = _shrink(z, sigma, 4.0 / 3.0, a, positive_part, self.SEGMENTS)
+            assert z.tobytes() == before
+            inplace = z.copy()
+            assert _shrink(inplace, sigma, 4.0 / 3.0, a, positive_part, self.SEGMENTS, out=inplace) is inplace
+            assert inplace.tobytes() == got.tobytes()
+            for (lo, hi), a_k in zip(self.SEGMENTS, a):
+                want = batch_estimate(z[:, lo:hi], sigma, 4.0 / 3.0, a_k, positive_part)
+                assert got[:, lo:hi].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("positive_part", [True, False])
+    def test_an_all_zero_segment_raises_only_untruncated(self, positive_part):
+        # any segment whose D is zero in any row is degenerate untruncated;
+        # truncated, it comes back +0.0 and the other segments keep their bits
+        z = np.random.default_rng(4).standard_normal((2, 28)) * 2.0
+        z[1, 4:12] = 0.0
+        a = [2.5, 6.0, 14.0]
+        if not positive_part:
+            with pytest.raises(ValueError, match="all coordinates zero"):
+                _shrink(z, 1.5, 4.0 / 3.0, a, positive_part, self.SEGMENTS)
+            return
+        got = _shrink(z, 1.5, 4.0 / 3.0, a, positive_part, self.SEGMENTS)
+        assert got[1, 4:12].tobytes() == np.zeros(8).tobytes()
+        for (lo, hi), a_k in zip(self.SEGMENTS, a):
+            want = batch_estimate(z[:, lo:hi], 1.5, 4.0 / 3.0, a_k, positive_part)
+            assert got[:, lo:hi].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("n", [16, 256, 4096])
+    @pytest.mark.parametrize("name", ["zh", "js", "zh-sure"])
+    def test_the_rules_pass_segments_that_tile_their_slice(self, monkeypatch, name, n, m):
+        # what the kernel assumes and does not check, at every call a rule
+        # makes: nonempty segments that tile the row, and one positive,
+        # finite a per segment, a scalar or one value per row
+        calls = []
+
+        def recording(z, sigma, beta, a, positive_part, segments, out=None):
+            calls.append((z.shape, list(a), segments))
+            return _shrink(z, sigma, beta, a, positive_part, segments, out=out)
+
+        monkeypatch.setattr(baselines, "_shrink", recording)
+        rng = np.random.default_rng(n + m)
+        y = rng.standard_normal((m, n)) * 2.0
+        dec = dwt_forward(y, max_levels(n))
+        # zh's finite-sample a needs d >= 3, so its levels start at 4 coefficients
+        for cutoff in (0 if name == "js" else 2, _pipeline(n)[1]):
+            for sigma in (1.3, rng.uniform(0.8, 1.6, (m, 1))):
+                apply_method(make_method(name), dec, sigma, cutoff)
+        assert calls
+        for shape, a, segments in calls:
+            assert [lo for lo, _ in segments] == [0] + [hi for _, hi in segments[:-1]]
+            assert segments[-1][1] == shape[-1] and all(lo < hi for lo, hi in segments)
+            assert len(a) == len(segments)
+            for a_k in a:
+                assert np.size(a_k) == 1 or np.shape(a_k) == (shape[0], 1)
+                assert np.all((0.0 < np.asarray(a_k)) & (np.asarray(a_k) < math.inf))
 
 
 class TestDyadicLayout:

@@ -6,7 +6,8 @@ in order: its noisy rows, drawn as coefficients onto the clean ones (the
 harness's ``_noisy_rows``, since the noise draw has no public entry point),
 ``estimate_sigma`` when sigma is estimated, then, once per method, a copy
 of the rows into the work array and the method's rule on its treated
-levels in place (``baselines._shrink_levels``), and the in-place scoring of
+levels in place (``baselines._shrink_levels``, with a scratch array of the
+block's shape, as the sweep's workspace gives it), and the in-place scoring of
 the shrunk coefficients against the clean ones (the harness's
 ``_squared_errors``); a sweep runs no transform per replicate.  The rule
 and the scoring work in place, so each timed call works on a fresh copy,
@@ -42,15 +43,18 @@ call shaped like each sweep workload, one signal a call, cycling over
 workload (theta = ``RISK_THETA`` in ``RISK_D`` coordinates, ``RISK_REPS``
 replicates, cycling over ``RISK_RULES``).  Each shape runs in three fresh
 spawn processes, one after another, as each bench workload runs in a
-process of its own, since one shape's heap changes the other's faults.
-Each process generates the signals and warms the caches with one call, as
-the bench's set-up does, then counts ``getrusage`` faults around a loop of
-``--calls`` calls.  A call that takes a few minor faults or fewer reuses its
-heap; hundreds per call mean that temporaries of 128 KiB or more (one row
-at n = 16384) are mapped and faulted in anew on every call.  The count can
+process of its own, since one shape's heap changes the other's faults, and
+then in three more that import numpy before the package, since the import
+order moves where the heap starts.  One more sweep-fixed process first runs
+a 3-replicate cell, whose blocks differ from the loop's.  Each process
+generates the signals and warms the caches with one call, as the bench's
+set-up does, then counts ``getrusage`` faults around a loop of ``--calls``
+calls.  A call that takes a few minor faults or fewer reuses its heap;
+hundreds per call mean that temporaries of 128 KiB or more (one row at
+n = 16384) are mapped and faulted in anew on every call.  The count can
 differ between processes of one tree (a sweep-tuned process has read about
 160 or about 224 faults per call on 2 vCPUs, and a canonical-risk one 0 or
-thousands), so compare trees by all three lines of a shape.
+thousands), so compare trees by all the lines of a shape.
 
 The package is imported from this checkout's ``src/`` by
 ``spec.import_package``.  The figures gate nothing.
@@ -59,6 +63,7 @@ The package is imported from this checkout's ``src/`` by
 """
 
 import argparse
+import importlib
 import multiprocessing
 import resource
 import statistics
@@ -71,9 +76,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import spec  # noqa: E402
 
-st = spec.import_package()
-
-import numpy as np  # noqa: E402  (after the package, so numpy's import does not move the package's heap)
+st = np = None  # the package and numpy, imported by load() in the order a process asks for
 
 # name: (methods, sizes, replicates, sigma mode), as the bench workloads take them
 SHAPES = {
@@ -83,8 +86,19 @@ SHAPES = {
 DWT_SIZES = (256, 1024, 4096, 16384)
 # calls timed per layer and signal, after one warm-up call
 TIMED_CALLS = 20
-# fresh processes per shape for the fault lines, run one after another
+# fresh processes per shape and import order for the fault lines, run one after another
 PROCESSES = 3
+ORDERS = ("package first", "numpy first")
+
+
+def load(numpy_first):
+    # import numpy and the package, numpy first or after the package (so
+    # numpy's import does not move the package's heap)
+    global st, np
+    if numpy_first:
+        np = importlib.import_module("numpy")
+    st = spec.import_package()
+    np = importlib.import_module("numpy")
 
 
 def time_calls(call, k):
@@ -120,14 +134,17 @@ def layers(sig, rows, methods, sigma_mode):
     # in the order a sweep runs them; each call takes the results of the calls before it
     levels, cutoff = st.baselines._pipeline(sig.samples.size)
     state = {}
+    scratch = np.empty((rows, sig.samples.size))  # made before any call is traced, as a workspace outlives calls
 
     def shrunk(method):
         work = state["decomp"].values.copy()
-        st.baselines._shrink_levels(method, work, state.get("sigma", 1.0), state["decomp"].coarse.shape[-1], cutoff)
+        st.baselines._shrink_levels(method, work, state.get("sigma", 1.0), state["decomp"].coarse.shape[-1], cutoff,
+                                    scratch)
         return work
 
     yield "dwt_forward clean", lambda: state.setdefault("clean", st.dwt_forward(sig.samples, levels).values)
-    yield "noise rows", lambda: state.setdefault("decomp", coefficient_rows(sig, rows))
+    yield "noise rows", lambda: state.setdefault("decomp", st.WaveletDecomposition(
+        st.harness._noisy_rows(state["clean"], 0, 0, rows), sig.samples.size >> levels))
     if sigma_mode == "estimated":
         yield "estimate_sigma", lambda: state.setdefault("sigma", st.estimate_sigma(state["decomp"]))
     for m in methods:
@@ -194,10 +211,15 @@ def risk_call():
     return lambda k: st.canonical_risk(theta, configs[k % len(configs)], 1.0, spec.RISK_REPS, k)
 
 
-def faults(shape, calls, run):
-    # minor faults and ms per call of one shape, in a process of its own:
-    # call 0 warms the caches, then calls 1 to calls are counted and timed
+def faults(shape, calls, label, order, three_reps):
+    # minor faults and ms per call of one shape, in a process of its own that
+    # imports in the given order: a 3-replicate cell if asked and call 0 warm
+    # the caches, then calls 1 to calls are counted and timed
+    load(order == "numpy first")
     call = sweep_call(shape) if shape in SHAPES else risk_call()
+    if three_reps:
+        methods, sizes, _, sigma_mode = SHAPES[shape]
+        st.risk_sweep(methods, [spec.SIGNALS[0]], sizes, spec.SNR, 3, 0, sigma_mode)
     call(0)
     times = []
     count = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -206,7 +228,7 @@ def faults(shape, calls, run):
         call(k)
         times.append(time.perf_counter() - t)
     count = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - count
-    print(f"{shape} (process {run} of {PROCESSES}): {calls} calls: {count / calls:.2f} minor faults per call, "
+    print(f"{shape} ({label}): {calls} calls: {count / calls:.2f} minor faults per call, "
           f"{1e3 * statistics.median(times):.3f} ms per call (median), "
           f"{1e3 * min(times):.3f} ms (best)", flush=True)
 
@@ -215,6 +237,7 @@ def main():
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--calls", type=int, default=120, help="calls per fault-counting process")
     args = p.parse_args()
+    load(False)
     print(f"{'shape':<12} {'n':>6} {'rows':>4}  {'layer':<28} {'median us':>10} {'best us':>10} {'us/row':>10}"
           f" {'peak KiB':>9} {'kept KiB':>9}")
     for shape, (methods, sizes, reps, sigma_mode) in SHAPES.items():
@@ -228,13 +251,18 @@ def main():
     sys.stdout.flush()
 
     ctx = multiprocessing.get_context("spawn")
+    runs = []
     for shape in (*SHAPES, "canonical-risk"):
-        for run in range(1, PROCESSES + 1):
-            proc = ctx.Process(target=faults, args=(shape, args.calls, run))
-            proc.start()
-            proc.join()
-            if proc.exitcode:
-                sys.exit(proc.exitcode)
+        runs += [(shape, f"{order}, process {run} of {PROCESSES}", order, False)
+                 for order in ORDERS for run in range(1, PROCESSES + 1)]
+        if shape == "sweep-fixed":
+            runs.append((shape, f"{ORDERS[0]}, after a 3-replicate cell", ORDERS[0], True))
+    for shape, label, order, three_reps in runs:
+        proc = ctx.Process(target=faults, args=(shape, args.calls, label, order, three_reps))
+        proc.start()
+        proc.join()
+        if proc.exitcode:
+            sys.exit(proc.exitcode)
 
 
 if __name__ == "__main__":

@@ -10,14 +10,18 @@ that of the row on its own.
 
 Methods are addressed by short tokens, the keys of one rule table that also
 supplies the CLI method names.  Every rule has the one shape
-``rule(t, sigma, n, config, levels)``: it shrinks ``t`` in place and returns
-None.  ``t`` is the treated slice of a writable dyadic array
+``rule(t, sigma, n, config, levels, scratch)``: it shrinks ``t`` in place
+and returns None.  ``t`` is the treated slice of a writable dyadic array
 (``apply_method``'s copy of the decomposition's, or a sweep's work array),
 as (m, T) rows holding every treated level side by side.  ``levels`` gives
 each level's (start, stop) columns within the slice, n is the length of
 one signal, sigma a scalar or an (m, 1) column and config the method's
-ShrinkConfig (None for all but zh).  A level's output has the bits of the
-rule run on that level alone.  visu, js and zh are one elementwise pass over
+ShrinkConfig (None for all but zh).  ``scratch`` is None or an array of
+``t``'s shape whose values are never read before they are written: visu and
+sure take their signs there, zh and js their |w|, so a sweep's rules run in
+its per-thread workspace, while ``apply_method`` passes None and each rule
+allocates its temporaries as it needs them.  A level's output has the bits
+of the rule run on that level alone.  visu, js and zh are one elementwise pass over
 the whole slice, with per-level constants and sums spread over each level's
 columns; sure picks its threshold level by level, then thresholds the slice
 in one pass; blockjs and zh-sure loop over the levels themselves, each
@@ -94,10 +98,11 @@ def soft_threshold(x, lam):
     return _soft(np.array(arr), _real(lam, "lambda", lambda v: v >= 0, "nonnegative"))
 
 
-def _soft(x, lam):
+def _soft(x, lam, sign=None):
     # sign(x) * (|x| - lam)+ in place on x, and x returned; lam is a scalar or
-    # an array that broadcasts against x
-    sign = np.sign(x)
+    # an array that broadcasts against x; the signs go to sign, an array of
+    # x's shape, or a new one
+    sign = np.sign(x, out=sign)
     np.abs(x, out=x)
     x -= lam
     np.maximum(x, 0.0, out=x)
@@ -134,21 +139,21 @@ def _hybrid_threshold(w):
     return thresh
 
 
-def _visu(t, sigma, n, config, levels):
+def _visu(t, sigma, n, config, levels, scratch):
     # soft thresholding at the universal level sigma*sqrt(2 ln n), with n the
     # global size (not the level size) as in the classical implementation
-    _soft(t, sigma * math.sqrt(2.0 * math.log(n)))
+    _soft(t, sigma * math.sqrt(2.0 * math.log(n)), scratch)
 
 
-def _sure(t, sigma, n, config, levels):
+def _sure(t, sigma, n, config, levels, scratch):
     # per-level hybrid soft thresholding: sparse levels get the universal
     # threshold; each row is thresholded on its own, and each level is
     # standardized where it is scored, so no standardized slice is held
     thresh = np.hstack([_hybrid_threshold(t[:, lo:hi] / sigma) for lo, hi in levels]) * sigma
-    _soft(t, np.repeat(thresh, [hi - lo for lo, hi in levels], axis=-1))
+    _soft(t, np.repeat(thresh, [hi - lo for lo, hi in levels], axis=-1), scratch)
 
 
-def _blockjs(t, sigma, n, config, levels):
+def _blockjs(t, sigma, n, config, levels, scratch):
     # scale each level's contiguous blocks of length floor(ln n) by
     # (1 - c L sigma^2 / S^2)+, S^2 the block's sum of squares; the level is
     # padded cyclically from its start to whole blocks, the padded copy is
@@ -167,7 +172,7 @@ def _blockjs(t, sigma, n, config, levels):
         t[:, lo:hi] = padded[:, :d]
 
 
-def _js(t, sigma, n, config, levels):
+def _js(t, sigma, n, config, levels, scratch):
     # levelwise positive-part James-Stein, the canonical beta=2, a=d-2 path;
     # levels with fewer than 3 coefficients (at most the first two) pass through unchanged
     kept = [(lo, hi) for lo, hi in levels if hi - lo >= 3]
@@ -175,16 +180,18 @@ def _js(t, sigma, n, config, levels):
         skip = kept[0][0]
         segments = tuple((lo - skip, hi - skip) for lo, hi in kept)
         v = t[:, skip:]
-        _shrink(v, sigma, 2.0, [hi - lo - 2.0 for lo, hi in kept], True, segments, out=v)
+        _shrink(v, sigma, 2.0, [hi - lo - 2.0 for lo, hi in kept], True, segments, out=v,
+                scratch=None if scratch is None else scratch[:, skip:])
 
 
-def _zh(t, sigma, n, config, levels):
+def _zh(t, sigma, n, config, levels, scratch):
     # the canonical thresholding estimator, with the constant a resolved
     # against each level's own coefficient count
-    _shrink(t, sigma, config.beta, [resolve_a(config, hi - lo) for lo, hi in levels], True, levels, out=t)
+    _shrink(t, sigma, config.beta, [resolve_a(config, hi - lo) for lo, hi in levels], True, levels, out=t,
+            scratch=scratch)
 
 
-def _zh_sure(t, sigma, n, config, levels):
+def _zh_sure(t, sigma, n, config, levels, scratch):
     # like zh, but beta (and its finite-rule a) is tuned per level and row by
     # unbiased risk, read from the level in place; an all-zero row scores
     # -sigma**2 per coordinate at every candidate, so it picks beta = 2 and
@@ -205,7 +212,7 @@ def _zh_sure(t, sigma, n, config, levels):
 
 
 _RULES = {
-    "identity": lambda t, sigma, n, config, levels: None,
+    "identity": lambda t, sigma, n, config, levels, scratch: None,
     "visu": _visu,
     "sure": _sure,
     "blockjs": _blockjs,
@@ -255,16 +262,19 @@ def apply_method(method, decomp, sigma, cutoff_level):
     sigma = _per_row(sigma, decomp.coarse, "sigma")
     out = _data(decomp.values, "decomposition values").copy()
     size = decomp.coarse.shape[-1]
-    _shrink_levels(method, out, sigma, size, cutoff_level)
+    _shrink_levels(method, out, sigma, size, cutoff_level, None)
     return WaveletDecomposition(out, size)
 
 
-def _shrink_levels(method, values, sigma, size, cutoff_level):
+def _shrink_levels(method, values, sigma, size, cutoff_level, scratch):
     # the method's rule, in place, on the levels from cutoff_level up of
     # values, dyadic rows (or one row) whose coarse block has length size,
-    # as one (m, T) slice; sigma is a scalar or column as apply_method checks it
+    # as one (m, T) slice; sigma is a scalar or column as apply_method checks
+    # it; scratch is None or an array of values' shape, whose same slice the
+    # rule may overwrite
     n = values.shape[-1]
     first = max(math.ceil(cutoff_level), size.bit_length() - 1)
     if 2**first < n:
         levels = tuple((2**j - 2**first, 2**(j + 1) - 2**first) for j in range(first, n.bit_length() - 1))
-        _RULES[method.name](np.atleast_2d(values)[:, 2**first:], sigma, n, method.config, levels)
+        part = None if scratch is None else np.atleast_2d(scratch)[:, 2**first:]
+        _RULES[method.name](np.atleast_2d(values)[:, 2**first:], sigma, n, method.config, levels, part)

@@ -233,10 +233,11 @@ def batch_estimate(z, sigma, beta, a, positive_part=True):
     return _shrink(z, sigma, beta, [a], positive_part, ((0, z.shape[-1]),))
 
 
-def _shrink(z, sigma, beta, a, positive_part, segments, out=None):
+def _shrink(z, sigma, beta, a, positive_part, segments, out=None, scratch=None):
     # batch_estimate's arithmetic on checked rows z: w = z / sigma, written
     # to out (z itself for a rule that shrinks its slice in place) or a new
-    # array, becomes the estimate, in z's units, and is returned; segments
+    # array, becomes the estimate, in z's units, and is returned; |w| is
+    # written to scratch, an array of z's shape, or a new one; segments
     # are the (start, stop) column bounds of each row's samples, nonempty and
     # tiling the row, and a holds one scalar or (m, 1) column per segment;
     # none of this is checked here.  Full-size passes in place; each
@@ -246,7 +247,7 @@ def _shrink(z, sigma, beta, a, positive_part, segments, out=None):
     # and nan (|0|**(beta-2) times 0).  Each segment is scaled by its own a
     # and D column in place, with no full-width copy of either
     w = np.divide(z, sigma, out=out)
-    absw = np.abs(w)
+    absw = np.abs(w, out=scratch)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         dnm = [(absw[..., lo:hi]**beta).sum(axis=-1, keepdims=True) for lo, hi in segments]
         if not positive_part and any((dk == 0.0).any() for dk in dnm):

@@ -25,9 +25,20 @@ two engines.  A sweep cell shares one noisy block (and its estimated sigma)
 among its methods, so common random numbers hold across a sweep's methods,
 and each method's errors equal a one-method sweep's.  Either engine keeps
 each replicate's bits independent of its block.
+
+A sweep's block arrays (its noisy rows, the work array each method shrinks
+in place and one scratch array the rules write their temporaries to) are
+views of one per-thread workspace that later sweeps on that thread reuse,
+so a call does not fault its block arrays back in after the allocator has
+trimmed the heap.  Each use overwrites its view before reading it, so no
+result depends on what ran before, and sweeps on two threads never share
+it.  A thread keeps at most the workspace of an n = 16384 block, three
+arrays of 2 x 16384 doubles (768 KiB); a block of a larger n gets one that
+is freed with the call.
 """
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +64,10 @@ _BATCH = 256  # canonical replicates per substream; fixed so the draws depend on
 # block and zh-sure pays its per-level cost once, and 2 rows at n = 8192 and
 # 16384, so a 2-replicate cell is one block there; above 16384 a block is one
 # row, since a second row's memory was measured only at 16384.  It bounds the
-# block's arrays and does not change any result
+# block's arrays and does not change any result, and it bounds the sweep
+# workspace a thread keeps: three arrays of at most 2 * _BLOCK_VALUES values
 _BLOCK_VALUES = 2**14
+_held = threading.local()  # .buffer: this thread's sweep workspace, kept across calls
 
 
 @dataclass
@@ -160,8 +173,9 @@ def _cell_errors(methods, signal, sigma_mode, reps, seed):
     # (len(methods), reps) squared coefficient errors of one sweep cell.  The
     # clean signal is transformed once; each block's noise is drawn as
     # coefficients onto the clean ones; each method copies the block into
-    # one work array, shrinks it in place and is scored in place against the
-    # clean coefficients
+    # one work array, shrinks it in place, with the scratch array for its
+    # temporaries, and is scored in place against the clean coefficients;
+    # the three arrays are the thread's workspace
     reps, seed = _cell_args(sigma_mode, reps, seed)
     n = signal.samples.size
     levels, cutoff = _pipeline(n)
@@ -170,30 +184,44 @@ def _cell_errors(methods, signal, sigma_mode, reps, seed):
     errs = np.empty((len(methods), reps))
     block = _block(n)
     for lo in range(0, reps, block):
-        rows = _noisy_rows(clean, seed, lo, min(lo + block, reps))
+        hi = min(lo + block, reps)
+        rows, work, scratch = _workspace(hi - lo, n)
+        _noisy_rows(clean, seed, lo, hi, rows)
         sigma = 1.0 if sigma_mode == "known" else estimate_sigma(WaveletDecomposition(rows, coarse))
-        work = np.empty_like(rows)
         for i, method in enumerate(methods):
             np.copyto(work, rows)
-            _shrink_levels(method, work, sigma, coarse, cutoff)
-            errs[i, lo:lo + block] = _squared_errors(work, clean)
+            _shrink_levels(method, work, sigma, coarse, cutoff, scratch)
+            errs[i, lo:hi] = _squared_errors(work, clean)
     return errs
 
 
-# _noisy_rows and _squared_errors own their arrays.  At n = 16384 a row is
-# 128 KiB, just above glibc's default mmap threshold and top pad, and a 2-row
-# block is 256 KiB; the fewer such arrays are live at once, the less often
-# the heap top is trimmed and refaulted between methods.  So a sweep block
-# holds its noisy coefficients and one work array that every method shrinks
-# in place, with no transform, and zh and js scale each level in place; the
-# pipeline frees a block's noisy rows once the forward transform has read
-# them, and each method's reconstruction before the next block's is made.
+def _workspace(m, n):
+    # a sweep block's three (m, n) arrays, views of the front of this
+    # thread's buffer, which grows to the largest block seen; a block of
+    # n > _BLOCK_VALUES (one row) gets a buffer that is not kept
+    buffer = getattr(_held, "buffer", None)
+    if buffer is None or buffer.size < 3 * m * n:
+        buffer = np.empty(3 * m * n)
+        if n <= _BLOCK_VALUES:
+            _held.buffer = buffer
+    return buffer[:3 * m * n].reshape(3, m, n)
 
 
-def _noisy_rows(f, seed, lo, hi):
+# At n = 16384 a row is 128 KiB, just above glibc's default mmap threshold
+# and top pad, and a 2-row block is 256 KiB.  An array of that size freed at
+# the top of the heap lets glibc trim it, and the next call faults it back
+# in, so a sweep block's arrays live in the thread's workspace across calls
+# and the rules take their block-wide temporaries from its scratch; the
+# pipeline, whose draws and transforms make their own arrays, frees a
+# block's noisy rows once the forward transform has read them, and each
+# method's reconstruction before the next block's is made.
+
+
+def _noisy_rows(f, seed, lo, hi, out=None):
     # replicates lo .. hi - 1 of f (a signal or its coefficients) plus unit
-    # noise, one row each, assigned into one block
-    y = np.empty((hi - lo, f.size))
+    # noise, one row each, assigned into out, an (hi - lo, f.size) array, or
+    # a new one, which is returned
+    y = np.empty((hi - lo, f.size)) if out is None else out
     for i, r in enumerate(range(lo, hi)):
         y[i] = substream(seed, r).standard_normal(f.size)
     y += f

@@ -509,14 +509,17 @@ class TestMethodDispatch:
 
     @pytest.mark.parametrize("name", METHOD_NAMES)
     def test_every_rule_shrinks_its_slice_in_place(self, name):
-        # one shape for every rule: rule(t, sigma, n, config, levels) writes
-        # into t (levels 3 and 4 here) and returns None
+        # one shape for every rule: rule(t, sigma, n, config, levels, scratch)
+        # writes into t (levels 3 and 4 here) and returns None, with scratch
+        # None or an array of t's shape whose values it never reads
         rule = baselines._RULES[name]
-        assert list(inspect.signature(rule).parameters) == ["t", "sigma", "n", "config", "levels"]
+        assert list(inspect.signature(rule).parameters) == ["t", "sigma", "n", "config", "levels", "scratch"]
         dec = mid_decomp(np.random.default_rng(15).standard_normal(16) * 3.0)
-        t = dec.values[None, 8:].copy()
-        assert rule(t, 1.0, 32, make_method(name).config, ((0, 8), (8, 24))) is None
-        assert t[0].tobytes() == run(name, dec, 1.0, 3).values[8:].tobytes()
+        want = run(name, dec, 1.0, 3).values[8:].tobytes()
+        for scratch in (None, np.full((1, 24), np.nan), np.full((1, 24), -7.0)):
+            t = dec.values[None, 8:].copy()
+            assert rule(t, 1.0, 32, make_method(name).config, ((0, 8), (8, 24)), scratch) is None
+            assert t[0].tobytes() == want
 
     @pytest.mark.parametrize("cutoff", [math.inf, -math.inf, math.nan])
     def test_cutoff_level_must_be_finite(self, cutoff):

@@ -165,7 +165,7 @@ def oracle_zh_sure(v, sigma):
 def zh_sure_level(v, sigma):
     # the zh-sure rule on a copy of v, with v's columns as its one treated level
     out = v.copy()
-    baselines._zh_sure(out, sigma, 1024, None, ((0, v.shape[-1]),))
+    baselines._zh_sure(out, sigma, 1024, None, ((0, v.shape[-1]),), None)
     return out
 
 

@@ -1,13 +1,16 @@
 """Command-line interface: exit codes, file formats, and byte-level determinism."""
 
 import argparse
+import contextlib
 import csv
 import hashlib
+import io
 import os
 import re
 import shlex
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -27,6 +30,9 @@ CSV_HEADER = "signal,method,n,snr,reps,mean_risk,std_error,relative_risk"
 SRC = str(Path(steinthresh.__file__).resolve().parent.parent)
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 README = SCRIPTS.parent / "README.md"
+# the outputs of the pinned runs on numpy's AVX512_SKX path, written by
+# ``python tests/test_cli.py`` on that path
+REFERENCE = Path(__file__).resolve().parent / "reference"
 
 
 def run_cli(*args, cwd=None, env=None):
@@ -72,6 +78,31 @@ def pinned(table):
     if path not in table:
         pytest.fail(f"no hashes pinned for numpy's {path} dispatch path (pinned: {', '.join(table)})")
     return table[path]
+
+
+def denoise_run(key, directory):
+    """(stdout, output file) bytes of the pinned denoise run ``key``, e.g. "zh.n256.theorem", on noisy bumps."""
+    method, size, *theorem = key.split(".")
+    n = int(size[1:])
+    src, dst = directory / f"in{n}.csv", directory / "out.csv"
+    write_signal(src, generate_signal("bumps", n, 3.0).samples + np.random.default_rng(n).standard_normal(n))
+    flags = ["--a-rule", "theorem", "--sigma", "1"] if theorem else ["--sigma", "auto"]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main(["denoise", "--input", str(src), "--method", method, *flags, "--out", str(dst)]) == 0
+    return stdout.getvalue().encode(), dst.read_bytes()
+
+
+def denoise_values(stdout, out):
+    # the numbers of a denoise run: the printed sigma, if any, then the output's values
+    return np.concatenate([re.findall(r"-?\d[\d.e+-]*", stdout.decode()), out.decode().split()]).astype(float)
+
+
+def simulate_run(sigma_mode, directory):
+    """The CSV bytes of ``simulate`` with ``TestSimulate.PINNED_FLAGS`` in ``sigma_mode``."""
+    path = directory / f"simulate_{sigma_mode}.csv"
+    assert cli.main(["simulate", *TestSimulate.PINNED_FLAGS, "--sigma-mode", sigma_mode, "--out", str(path)]) == 0
+    return path.read_bytes()
 
 
 class TestDenoise:
@@ -321,18 +352,11 @@ class TestDenoise:
         },
     }
 
-    def test_output_bytes_are_pinned(self, tmp_path, capsys):
+    def test_output_bytes_are_pinned(self, tmp_path):
         pins = pinned(self.PINNED_SHA256)
         assert set(METHOD_NAMES) == {key.split(".")[0] for key in pins}
         for key, expected in pins.items():
-            method, size, *theorem = key.split(".")
-            n = int(size[1:])
-            src, dst = tmp_path / f"in{n}.csv", tmp_path / "out.csv"
-            write_signal(src, generate_signal("bumps", n, 3.0).samples + np.random.default_rng(n).standard_normal(n))
-            flags = ["--a-rule", "theorem", "--sigma", "1"] if theorem else ["--sigma", "auto"]
-            assert cli.main(["denoise", "--input", str(src), "--method", method, *flags, "--out", str(dst)]) == 0
-            payload = capsys.readouterr().out.encode() + dst.read_bytes()
-            assert hashlib.sha256(payload).hexdigest() == expected, key
+            assert hashlib.sha256(b"".join(denoise_run(key, tmp_path))).hexdigest() == expected, key
 
     def test_identity_round_trips_extreme_values_byte_for_byte(self, tmp_path):
         src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
@@ -454,9 +478,7 @@ class TestSimulate:
 
         if rows_at_1024 is not None:
             monkeypatch.setattr(harness, "_BLOCK_VALUES", rows_at_1024 * 1024)
-        path = tmp_path / "out.csv"
-        assert cli.main(["simulate", *self.PINNED_FLAGS, "--sigma-mode", sigma_mode, "--out", str(path)]) == 0
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == pinned(self.PINNED_SHA256)[sigma_mode]
+        assert hashlib.sha256(simulate_run(sigma_mode, tmp_path)).hexdigest() == pinned(self.PINNED_SHA256)[sigma_mode]
 
     @pytest.mark.parametrize("sigma_mode", ["estimated", "known"])
     def test_an_odd_replicate_count_gives_the_bytes_of_any_row_block(self, tmp_path, monkeypatch, sigma_mode):
@@ -628,6 +650,33 @@ class TestPinnedPaths:
         monkeypatch.setattr(sys.modules[__name__], "simd_path", lambda: "baseline")
         with pytest.raises(pytest.fail.Exception, match="numpy's baseline dispatch path"):
             pinned(TestSimulate.PINNED_SHA256)
+
+
+class TestReferenceOutputs:
+    # the pinned runs against their committed outputs at rtol 1e-12, so a
+    # dispatch path with no pins still gets a numeric check.  numpy's AVX2
+    # path differs from the reference by at most 1.5e-15 relative in the
+    # CSVs and 3.6e-15 absolute in the denoise outputs, whose values reach
+    # about 20; a reconstruction near zero carries that absolute roundoff
+    # (1.9e-13 relative at -8e-4), so each denoise value may also differ by
+    # 1e-12 times its output's largest magnitude
+    def test_denoise_outputs_match_the_reference(self, tmp_path):
+        with np.load(REFERENCE / "denoise.npz") as reference:
+            assert sorted(reference) == sorted(TestDenoise.PINNED_SHA256["AVX512_SKX"])
+            for key in reference:
+                want = reference[key]
+                np.testing.assert_allclose(denoise_values(*denoise_run(key, tmp_path)), want,
+                                           rtol=1e-12, atol=1e-12 * np.abs(want).max(), err_msg=key)
+
+    @pytest.mark.parametrize("sigma_mode", ["estimated", "known"])
+    def test_simulate_csv_matches_the_reference(self, tmp_path, sigma_mode):
+        want = list(csv.reader((REFERENCE / f"simulate_{sigma_mode}.csv").read_text().splitlines()))
+        got = list(csv.reader(simulate_run(sigma_mode, tmp_path).decode().splitlines()))
+        assert len(got) == len(want) == 64 and got[0] == want[0] == CSV_HEADER.split(",")
+        for row, ref in zip(got[1:], want[1:]):
+            assert row[:5] == ref[:5]
+            np.testing.assert_allclose(np.array(row[5:], float), np.array(ref[5:], float), rtol=1e-12, atol=0,
+                                       err_msg=str(ref[:3]))
 
 
 class TestBoundA:
@@ -862,3 +911,20 @@ class TestPackageImport:
         r = run_python("-c", code)
         assert r.returncode == 0, r.stderr
         assert r.stdout.split("\n")[:2] == ["[]", "True"]
+
+
+def write_reference():
+    """Write the reference outputs from the pinned runs; only on the path they are read as."""
+    if simd_path() != "AVX512_SKX":
+        sys.exit(f"the reference comes from numpy's AVX512_SKX path, not {simd_path()}")
+    REFERENCE.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        keys = TestDenoise.PINNED_SHA256["AVX512_SKX"]
+        np.savez_compressed(REFERENCE / "denoise.npz",
+                            **{key: denoise_values(*denoise_run(key, Path(tmp))) for key in keys})
+        for sigma_mode in ("estimated", "known"):
+            (REFERENCE / f"simulate_{sigma_mode}.csv").write_bytes(simulate_run(sigma_mode, Path(tmp)))
+
+
+if __name__ == "__main__":
+    write_reference()

@@ -1,6 +1,8 @@
 """Monte Carlo engines: calibration, determinism, and the sigma estimator."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -462,6 +464,107 @@ class TestRiskSweep:
         # gives every signal its cells
         reports = risk_sweep(["zh"], ["blocks", "bumps"], iter([64, 128]), 3.0, 2, 0)
         assert [(r.signal, r.n) for r in reports] == [("blocks", 64), ("blocks", 128), ("bumps", 64), ("bumps", 128)]
+
+
+FIXED_METHODS = ["zh", "visu", "sure", "blockjs", "js"]  # the sweep-fixed workload's methods, 2 replicates a call
+
+
+def in_fresh_thread(call):
+    # call() run in a new thread, which starts with no sweep workspace
+    out = []
+    thread = threading.Thread(target=lambda: out.append(call()))
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    return out[0]
+
+
+def kept_and_peak(*calls):
+    # for each call in turn, in one fresh thread, the bytes it leaves allocated
+    # and its traced peak above the heap held before it; calls run once in
+    # this thread first, so caches filled on a first call are not counted
+    for call in calls:
+        call()
+
+    def traced():
+        tracemalloc.start()
+        try:
+            figures = []
+            for call in calls:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                call()
+                held, peak = tracemalloc.get_traced_memory()
+                figures.append((held - base, peak - base))
+            return figures
+        finally:
+            tracemalloc.stop()
+
+    return in_fresh_thread(traced)
+
+
+class TestSweepWorkspace:
+    # a sweep's block arrays are views of one per-thread workspace that outlives the call
+    SWEEPS = [
+        lambda: risk_sweep(FIXED_METHODS, ["doppler", "bumps"], [16384], 3.0, 3, 11),
+        lambda: risk_sweep(["zh-sure", "identity", "sure"], ["blocks"], [1024], 3.0, 20, 12),
+        lambda: risk_sweep(list(METHOD_NAMES), ["spikes"], [256], 3.0, 40, 13, "estimated"),
+    ]
+
+    def test_a_sweeps_bytes_do_not_depend_on_the_calls_before_it(self):
+        # each sweep, run after larger and other-shaped ones on one thread,
+        # gives the reports of the same call in a thread of its own
+        history = in_fresh_thread(lambda: [sweep() for sweep in self.SWEEPS])
+        for sweep, got in zip(self.SWEEPS, history):
+            assert got == in_fresh_thread(sweep)
+
+    def test_concurrent_sweeps_keep_their_own_bytes(self):
+        # more threads than cores, switching often, each running its sweep
+        # four times; a workspace shared between threads would mix their rows
+        alone = [in_fresh_thread(sweep) for sweep in self.SWEEPS]
+        sweeps = [i % len(self.SWEEPS) for i in range(4)]
+        start = threading.Barrier(len(sweeps))
+        results = [[] for _ in sweeps]
+
+        def run(i):
+            start.wait()
+            results[i] += [self.SWEEPS[sweeps[i]]() for _ in range(4)]
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(sweeps))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for k, got in zip(sweeps, results):
+            assert got == [alone[k]] * 4
+
+    def test_a_thread_keeps_at_most_the_16384_blocks_workspace(self):
+        # three 2 x 16384 arrays stay allocated after a sweep-fixed-shaped
+        # call; a longer signal's one-row block gets a workspace freed with
+        # its call, and the kept one does not grow
+        fixed = lambda: risk_sweep(FIXED_METHODS, ["doppler"], [1024, 16384], 3.0, 2, 5)
+        long = lambda: risk_sweep(["visu", "zh"], ["doppler"], [32768], 3.0, 2, 5)
+        workspace = 3 * 2 * harness._BLOCK_VALUES * 8
+        assert workspace == 768 * 1024
+        [(kept, _)] = kept_and_peak(long)
+        assert kept < 64 * 1024
+        (kept, _), (more, _) = kept_and_peak(fixed, long)
+        assert workspace <= kept < workspace + 64 * 1024
+        assert more < 64 * 1024
+
+    def test_a_second_call_allocates_no_block_arrays(self):
+        # by traced peak above the held heap, a repeated sweep-fixed-shaped call
+        # at n = 16384 allocates at least two (2, 16384) blocks less than the first
+        block = 2 * 16384 * 8
+        fixed = lambda: risk_sweep(FIXED_METHODS, ["doppler"], [16384], 3.0, 2, 5)
+        (_, first), (_, second) = kept_and_peak(fixed, fixed)
+        assert first - second >= 2 * block
 
 
 # every entry point of the count and length rules, as (call of the one

@@ -177,9 +177,9 @@ class TestSegmentedEstimate:
         # finite a per segment, a scalar or one value per row
         calls = []
 
-        def recording(z, sigma, beta, a, positive_part, segments, out=None):
+        def recording(z, sigma, beta, a, positive_part, segments, out=None, scratch=None):
             calls.append((z.shape, list(a), segments))
-            return _shrink(z, sigma, beta, a, positive_part, segments, out=out)
+            return _shrink(z, sigma, beta, a, positive_part, segments, out=out, scratch=scratch)
 
         monkeypatch.setattr(baselines, "_shrink", recording)
         rng = np.random.default_rng(n + m)
